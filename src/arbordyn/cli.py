@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success/pass, 2 parse failure,
 3 non-bicritical input, 4 hypotheses unmet, 5 rigidity violation.
 JSON goes to stdout (schema tag "arbordyn/1", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
-stderr.
+stderr.  Integers wider than DECIMAL_SAFE_BITS are written as "0x..." hex
+strings, in JSON and text alike, so none is ever converted to decimal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     HypothesisError,
     NotBicriticalError,
 )
-from .factorint import FactorBudget, factor_integer
+from .factorint import DECIMAL_SAFE_BITS, FactorBudget, factor_integer, int_text
 from .parsing import ParseError, parse_map, parse_point
 from .ratmap import (
     DEFAULT_GROWTH_CAP_BITS,
@@ -91,14 +92,29 @@ def _config_from_args(args) -> CommandConfig:
     return config
 
 
-def _emit(payload: dict, config: CommandConfig, command: str, text_lines=None) -> None:
-    if config.output == "text" and text_lines is not None:
-        for line in text_lines:
+def _encode(obj):
+    """obj for JSON, with every int wider than DECIMAL_SAFE_BITS as int_text's
+    "0x..."/"-0x..." string; narrower ints stay ints, dicts and lists are
+    encoded throughout.  Text lines render their integers with int_text.
+    """
+    if isinstance(obj, int):
+        return obj if obj.bit_length() <= DECIMAL_SAFE_BITS else int_text(obj)
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    return obj
+
+
+def _emit(payload: dict, config: CommandConfig, command: str, text=None) -> None:
+    """Print the payload as JSON, or as the lines ``text()`` builds for --output text."""
+    if config.output == "text" and text is not None:
+        for line in text():
             print(line)
         return
     doc = {"schema": SCHEMA, "command": command, "config": config.to_dict()}
     doc.update(payload)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(_encode(doc), sort_keys=True, indent=2))
 
 
 def _fail(message: str, code: int) -> int:
@@ -119,12 +135,16 @@ def cmd_orbit(args) -> int:
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     rec = phi.orbit(start, config.orbit_max_steps, config.height_cap_bits)
-    lines = [f"orbit of {start} under {args.map}:"]
-    lines += [f"  {i}: {pt}" for i, pt in enumerate(rec.points)]
-    lines.append(f"status: {rec.status}"
-                 + (f" (preperiod {rec.preperiod}, period {rec.period})"
-                    if rec.status == "preperiodic" else ""))
-    _emit({"orbit": rec.to_dict()}, config, "orbit", lines)
+
+    def text():
+        lines = [f"orbit of {start} under {args.map}:"]
+        lines += [f"  {i}: {pt}" for i, pt in enumerate(rec.points)]
+        lines.append(f"status: {rec.status}"
+                     + (f" (preperiod {rec.preperiod}, period {rec.period})"
+                        if rec.status == "preperiodic" else ""))
+        return lines
+
+    _emit({"orbit": rec.to_dict()}, config, "orbit", text)
     return EXIT_OK
 
 
@@ -155,12 +175,16 @@ def cmd_critical(args) -> int:
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
     payload = {"critical": data.to_dict(), "relation": rel.to_dict()}
-    lines = ["critical points:"]
-    lines += [f"  {pt.location_str()}  (e = {pt.index})" for pt in data.points]
-    lines.append(f"field: {data.field.kind}"
-                 + (f"(sqrt {data.field.s})" if data.field.s else ""))
-    lines.append(f"orbit relation: {_relation_summary(rel)}")
-    _emit(payload, config, "critical", lines)
+
+    def text():
+        lines = ["critical points:"]
+        lines += [f"  {pt.location_str()}  (e = {pt.index})" for pt in data.points]
+        lines.append(f"field: {data.field.kind}"
+                     + (f"(sqrt {data.field.s})" if data.field.s else ""))
+        lines.append(f"orbit relation: {_relation_summary(rel)}")
+        return lines
+
+    _emit(payload, config, "critical", text)
     return EXIT_OK
 
 
@@ -176,16 +200,19 @@ def cmd_normal_form(args) -> int:
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
     payload = {"normal_form": nf.to_dict(), "relation": rel.to_dict()}
-    if nf.kind == crit.BICRITICAL:
-        summary = f"bicritical(a = {nf.a}, b = {nf.b})"
-    elif nf.kind == crit.POWER:
-        summary = f"power(c = {nf.c})"
-    else:
-        summary = f"inverse_power(c = {nf.c})"
-    lines = [f"normal form: {summary}",
-             f"conjugator mu: {nf.mu.to_dict()}",
-             f"orbit relation: {_relation_summary(rel)}"]
-    _emit(payload, config, "normal-form", lines)
+
+    def text():
+        if nf.kind == crit.BICRITICAL:
+            summary = f"bicritical(a = {nf.a}, b = {nf.b})"
+        elif nf.kind == crit.POWER:
+            summary = f"power(c = {nf.c})"
+        else:
+            summary = f"inverse_power(c = {nf.c})"
+        return [f"normal form: {summary}",
+                f"conjugator mu: {nf.mu.to_dict()}",
+                f"orbit relation: {_relation_summary(rel)}"]
+
+    _emit(payload, config, "normal-form", text)
     return EXIT_OK
 
 
@@ -232,16 +259,20 @@ def cmd_sequence(args) -> int:
             rows[i]["factorization"] = fac.to_dict()
             rows[i]["factor_string"] = fac.format()
     payload = {"a": family_a, "n": args.n, "rows": rows, "status": status}
-    lines = []
-    for row in rows:
-        cells = [f"n={row['n']}", f"p_n(0)={row['pn0']}"]
-        if "f" in row:
-            cells.append(f"f={row['f']}")
-            cells.append(f"theta={row['theta']}")
-        if "factor_string" in row:
-            cells.append(row["factor_string"])
-        lines.append("  ".join(cells))
-    _emit(payload, config, "sequence", lines)
+
+    def text():
+        lines = []
+        for row in rows:
+            cells = [f"n={row['n']}", f"p_n(0)={int_text(row['pn0'])}"]
+            if "f" in row:
+                cells.append(f"f={int_text(row['f'])}")
+                cells.append(f"theta={int_text(row['theta'])}")
+            if "factor_string" in row:
+                cells.append(row["factor_string"])
+            lines.append("  ".join(cells))
+        return lines
+
+    _emit(payload, config, "sequence", text)
     return EXIT_OK
 
 
@@ -250,36 +281,47 @@ def cmd_certify(args) -> int:
     if (args.m is None) == (args.a is None):
         return _fail("need exactly one of --m or --a", EXIT_PARSE)
     payload: dict = {}
-    lines = []
+    hyp = param = cert = None
+
+    def text():
+        lines = []
+        if hyp is not None:
+            lines.append(
+                f"m={args.m}: S1 witness {hyp.s1_witness} ({hyp.s1_target}), "
+                f"S2 witness {hyp.s2_witness} ({hyp.s2_target})"
+            )
+        if param is not None:
+            lines.append(f"a = {param.a}, alpha = {param.alpha}")
+        if cert is None:
+            lines.append("hypotheses unmet")
+        else:
+            lines.append(f"certificate: {cert.overall} "
+                         f"(maximal levels {cert.maximal_levels})")
+        return lines
+
     if args.m is not None:
         try:
             hyp = galois.hypothesis_witnesses(args.m)
         except ValueError as exc:
             return _fail(str(exc), EXIT_PARSE)
         payload["hypotheses"] = hyp.to_dict()
-        lines.append(
-            f"m={args.m}: S1 witness {hyp.s1_witness} ({hyp.s1_target}), "
-            f"S2 witness {hyp.s2_witness} ({hyp.s2_target})"
-        )
         if not hyp.met:
             payload["overall"] = "hypotheses_unmet"
-            _emit(payload, config, "certify", lines + ["hypotheses unmet"])
+            _emit(payload, config, "certify", text)
             return EXIT_HYPOTHESES
         param = galois.alpha_parametrization(args.m)
         payload["parametrization"] = param.to_dict()
         a = param.a
-        lines.append(f"a = {a}, alpha = {param.alpha}")
     else:
         a = args.a
     try:
-        cert = galois.maximality_certificate(a, args.depth)
+        cert = galois.maximality_certificate(
+            a, args.depth, growth_cap_bits=config.growth_cap_bits)
     except GrowthCapError as exc:
         return _fail(str(exc), EXIT_FAIL)
     payload["certificate"] = cert.to_dict()
     payload["overall"] = cert.overall
-    lines.append(f"certificate: {cert.overall} "
-                 f"(maximal levels {cert.maximal_levels})")
-    _emit(payload, config, "certify", lines)
+    _emit(payload, config, "certify", text)
     if cert.overall == galois.ALL_MAXIMAL:
         return EXIT_OK
     if cert.overall == galois.HYPOTHESES_UNMET:
@@ -302,10 +344,10 @@ def cmd_rigid_check(args) -> int:
         warnings.append(
             "hypothesis p'(0) = q'(0) = 0 fails; checking empirically anyway"
         )
-    try:
-        values = phi.origin_values(args.n)
-    except GrowthCapError as exc:
-        return _fail(str(exc), EXIT_FAIL)
+    values, capped = phi.origin_values_capped(args.n, config.growth_cap_bits)
+    if capped:
+        return _fail(f"growth cap exceeded at term {len(values) + 1}: "
+                     f"origin value wider than {config.growth_cap_bits} bits", EXIT_FAIL)
     terms = [u for u, _ in values]
     if any(t == 0 for t in terms):
         return _fail("a sequence term vanishes; rigidity undefined", EXIT_FAIL)
@@ -321,15 +363,19 @@ def cmd_rigid_check(args) -> int:
         "bad_reduction_primes": bad,
         "warnings": warnings,
     }
-    lines = [f"terms: {terms}"]
-    if warnings:
-        lines += [f"warning: {w}" for w in warnings]
-    if bad is not None:
-        lines.append(f"bad reduction primes: {bad}")
-    lines.append(f"status: {report.status}")
-    for v in report.violations:
-        lines.append(f"  violation p={v.prime} condition {v.condition}: {v.detail}")
-    _emit(payload, config, "rigid-check", lines)
+
+    def text():
+        lines = [f"terms: [{', '.join(int_text(t) for t in terms)}]"]
+        if warnings:
+            lines += [f"warning: {w}" for w in warnings]
+        if bad is not None:
+            lines.append(f"bad reduction primes: {bad}")
+        lines.append(f"status: {report.status}")
+        for v in report.violations:
+            lines.append(f"  violation p={v.prime} condition {v.condition}: {v.detail}")
+        return lines
+
+    _emit(payload, config, "rigid-check", text)
     return EXIT_OK if report.status == "pass" else EXIT_RIGIDITY
 
 
@@ -406,8 +452,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options whose values may begin with "-" (a negative start such as -2/3, or
+# a map such as -z^2/(z^2+1)), which argparse would otherwise read as options.
+DASH_VALUE_OPTIONS = ("--start", "--map")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite "--start -2/3" as "--start=-2/3" for the DASH_VALUE_OPTIONS."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in DASH_VALUE_OPTIONS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -8,8 +8,8 @@ isolate the primitive part of each term:
     theta_n = prod_{d | n} f_d^(mu(n/d)),
     beta_{alpha,n} = prod_{d | n} p_d(alpha)^(mu(n/d)).
 
-theta_n is computed as an exact rational and asserted integral rather than
-assumed so; a nonunit denominator is surfaced as a hard invariant violation.
+theta_n is computed by exact division and asserted integral rather than
+assumed so; a nonzero remainder is surfaced as a hard invariant violation.
 
 Rigid-divisibility checking is necessarily partial, since deep terms cannot
 be fully factored: the prime pool (full factorizations up to a depth, trial
@@ -114,24 +114,25 @@ def verify_origin_split(a: int, n: int) -> SplitReport:
 def theta(a: int, n: int, fs: Optional[Sequence[int]] = None) -> int:
     """Primitive part of f_n: the Moebius product over divisors of n.
 
-    Computed as an exact rational; integrality is asserted, not assumed.
+    Since f_n is the product of theta_d over d | n, each theta_d is f_d
+    divided exactly by theta_e over the proper divisors e of d, smallest d
+    first; integrality is asserted, not assumed.
     """
     if fs is None:
         fs = f_sequence(a, n)
-    value = Fraction(1)
+    thetas: dict[int, int] = {}
     for d in divisors(n):
-        e = mobius(n // d)
-        if e == 0:
-            continue
         fd = fs[d - 1]
         if fd == 0:
             raise ValueError("theta undefined (vanishing term)")
-        value *= Fraction(fd) ** e
-    if value.denominator != 1:
-        raise InvariantViolationError(
-            f"theta_{n}(a={a}) has nonunit denominator {value.denominator}"
-        )
-    return value.numerator
+        den = math.prod(thetas[e] for e in divisors(d)[:-1])
+        value, rem = divmod(fd, den)
+        if rem:
+            raise InvariantViolationError(
+                f"theta_{d}(a={a}) is not integral: nonzero remainder dividing f_{d}"
+            )
+        thetas[d] = value
+    return thetas[n]
 
 
 def beta(map_: RationalMap, alpha, n: int) -> Fraction:

@@ -77,9 +77,32 @@ def is_prime_certified(n: int) -> bool:
     return n < _MR_DETERMINISTIC_BOUND and is_probable_prime(n)
 
 
+# Integers wider than this are never converted to decimal: the conversion is
+# quadratic, and CPython refuses it past 4300 digits by default.
+DECIMAL_SAFE_BITS = 14000
+
+
+def int_text(v: int) -> str:
+    """v in decimal, or as "0x..."/"-0x..." hex when wider than DECIMAL_SAFE_BITS."""
+    return hex(v) if v.bit_length() > DECIMAL_SAFE_BITS else str(v)
+
+# A perfect square is a quadratic residue modulo every m; these moduli turn
+# away all but about one random non-square in 80000 before any square root is
+# taken.
+_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_SQUARE_MODULUS = math.prod(_SQUARE_MODULI)
+_SQUARE_RESIDUES = tuple((m, frozenset(x * x % m for x in range(m))) for m in _SQUARE_MODULI)
+
+
+def is_square_candidate(n: int) -> bool:
+    """False proves n >= 0 is not a perfect square; True means isqrt must decide."""
+    r = n % _SQUARE_MODULUS
+    return all(r % m in residues for m, residues in _SQUARE_RESIDUES)
+
+
 def is_perfect_square(n: int) -> tuple[bool, int | None]:
     """Whether n = k*k for an integer k >= 0; returns (flag, k or None)."""
-    if n < 0:
+    if n < 0 or not is_square_candidate(n):
         return False, None
     k = math.isqrt(n)
     if k * k == n:
@@ -150,9 +173,9 @@ class Factorization:
         parts = []
         if self.sign < 0:
             parts.append("-1")
-        parts += [f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors]
+        parts += [f"{int_text(p)}^{e}" if e > 1 else int_text(p) for p, e in self.factors]
         if self.cofactor != 1:
-            parts.append(f"[{self.cofactor}:{self.cofactor_status}]")
+            parts.append(f"[{int_text(self.cofactor)}:{self.cofactor_status}]")
         return " * ".join(parts) if parts else "1"
 
 

@@ -9,9 +9,12 @@ perfect square, witnessed by a strict integer square-root bracket.  A level
 that cannot be certified is reported "unknown", never "failed": the criteria
 are sufficient, not necessary.
 
-Large witness integers are stored as digests (sha256 of the decimal string,
-plus leading digits of the value and of its integer square root) so that
-certificates stay compact while every verdict can be recomputed bit-for-bit.
+Large witness integers are stored as digests so that certificates stay
+compact while every verdict can be recomputed bit-for-bit: up to
+DECIMAL_SAFE_BITS, sha256 of the decimal string plus leading digits of the
+value and of its integer square root; beyond it, sha256 of the big-endian
+magnitude bytes plus leading hex digits, so that no wide integer is ever
+converted to decimal.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import HypothesisError, InvariantViolationError
 from .factorint import (
+    DECIMAL_SAFE_BITS,
     FactorBudget,
     factor_integer,
     is_perfect_square,
+    is_square_candidate,
     is_probable_prime,
     mobius,
     radical,
@@ -41,7 +46,7 @@ from .divisibility import (
     rad_divisibility_conditions,
     theta,
 )
-from .ratmap import INF, Infinity, P1Point, RationalMap
+from .ratmap import DEFAULT_GROWTH_CAP_BITS, INF, Infinity, P1Point, RationalMap
 from .reduction import point_mod_p, reduce_mod_p
 
 DEFAULT_DIGEST_BITS = 4096
@@ -56,33 +61,43 @@ def integer_witness(v: int, digest_bits: int = DEFAULT_DIGEST_BITS) -> dict:
     """A recomputable record of an integer and its square-root bracket.
 
     Small integers are stored verbatim; large ones as sha256 of the decimal
-    string plus leading digits, so re-deriving the integer reproduces the
-    record exactly.
+    string plus leading digits, and those wider than DECIMAL_SAFE_BITS as
+    sha256 of the big-endian magnitude bytes plus leading hex digits, so
+    re-deriving the integer reproduces the record exactly.
     """
-    k = math.isqrt(abs(v))
-    rec: dict = {
-        "bits": v.bit_length(),
-        "negative": v < 0,
-        "is_square": v >= 0 and k * k == v,
-    }
-    if v.bit_length() <= digest_bits:
+    return _witness(v, digest_bits)[0]
+
+
+def _witness(v: int, digest_bits: int) -> tuple[dict, bool]:
+    """(integer_witness(v), whether |v| is a perfect square).
+
+    Squareness is decided once: quadratic residues first, isqrt only when a
+    recorded field needs the root or the residues cannot decide.
+    """
+    mag = abs(v)
+    bits = v.bit_length()
+    wide = bits > max(digest_bits, DECIMAL_SAFE_BITS)
+    k = None
+    if not wide or is_square_candidate(mag):
+        k = math.isqrt(mag)
+    square = k is not None and k * k == mag
+    rec: dict = {"bits": bits, "negative": v < 0, "is_square": v >= 0 and square}
+    if bits <= digest_bits:
         rec["value"] = v
         rec["isqrt"] = k
-    else:
-        text = str(abs(v))
+    elif not wide:
+        text = str(mag)
         rec["sha256"] = hashlib.sha256(text.encode()).hexdigest()
         rec["digits"] = len(text)
         rec["leading_digits"] = text[:24]
         ktext = str(k)
         rec["isqrt_digits"] = len(ktext)
         rec["isqrt_leading"] = ktext[:24]
-    return rec
-
-
-def _strict_bracket(v: int) -> bool:
-    """k^2 < |v| < (k+1)^2 for k = isqrt(|v|): |v| is strictly off squares."""
-    k = math.isqrt(abs(v))
-    return k * k < abs(v) < (k + 1) * (k + 1)
+    else:
+        rec["sha256_be"] = hashlib.sha256(mag.to_bytes((bits + 7) // 8, "big")).hexdigest()
+        hex_digits = (bits + 3) // 4
+        rec["leading_hex"] = format(mag >> 4 * (hex_digits - 24), "x")
+    return rec, square
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +156,23 @@ def irreducibility_cascade(a: int, depth: int,
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    fs = f_sequence(a, depth + 1)
+    return _cascade(a, depth, digest_bits, f_sequence(a, depth + 1))
+
+
+def _cascade(a: int, depth: int, digest_bits: int, fs: Sequence[int]) -> CascadeReport:
+    """The cascade over fs = [f_1, ..., f_(depth+1)]."""
     levels: list[CascadeLevel] = []
-    base_sq, _ = is_perfect_square(-a)
+    base_wit = integer_witness(-a, digest_bits)
     levels.append(CascadeLevel(
         1,
-        REDUCIBLE if base_sq else CERTIFIED,
+        REDUCIBLE if base_wit["is_square"] else CERTIFIED,
         "base_nonsquare",
-        integer_witness(-a, digest_bits),
+        base_wit,
     ))
     for n in range(2, depth + 1):
         prev_ok = levels[-1].status == CERTIFIED
         value = fs[n]  # f_(n+1) = p_(n-1)(1)
-        wit = integer_witness(value, digest_bits)
+        wit, square = _witness(value, digest_bits)
         if not prev_ok:
             levels.append(CascadeLevel(n, UNKNOWN, "blocked", wit))
             continue
@@ -161,7 +180,7 @@ def irreducibility_cascade(a: int, depth: int,
             levels.append(CascadeLevel(n, CERTIFIED, "congruence_3_mod_4", wit))
         elif value < 0:
             levels.append(CascadeLevel(n, CERTIFIED, "negative", wit))
-        elif not is_perfect_square(value)[0]:
+        elif not square:
             levels.append(CascadeLevel(n, CERTIFIED, "isqrt_bracket", wit))
         else:
             levels.append(CascadeLevel(n, UNKNOWN, "square_value", wit))
@@ -303,21 +322,23 @@ class MaximalityCertificate:
 
 
 def maximality_certificate(a: int, depth: int,
-                           digest_bits: int = DEFAULT_DIGEST_BITS) -> MaximalityCertificate:
+                           digest_bits: int = DEFAULT_DIGEST_BITS,
+                           growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> MaximalityCertificate:
     """Per-level maximality certificate for the tower over basepoint 0.
 
     Requires a = 2 (mod 4) and a <= -3 (the regime where the irreducibility
     chain applies); otherwise the certificate reports hypotheses_unmet.
     Level 1 rests on base irreducibility; level n >= 2 is certified when the
     (n-1)-st numerator is certified irreducible and |theta_(n+1)| sits
-    strictly between consecutive squares.
+    strictly between consecutive squares.  f_1 .. f_(depth+1) are built
+    once, under ``growth_cap_bits`` (GrowthCapError past it).
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
         return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [], digest_bits)
-    cascade = irreducibility_cascade(a, depth, digest_bits)
-    fs = f_sequence(a, depth + 2)
+    fs = f_sequence(a, depth + 1, growth_cap_bits)
+    cascade = _cascade(a, depth, digest_bits, fs)
     levels: list[LevelEvidence] = []
     maximal: list[int] = []
     for n in range(1, depth + 1):
@@ -328,9 +349,10 @@ def maximality_certificate(a: int, depth: int,
         else:
             prev_ok = cascade.levels[n - 2].status == CERTIFIED
             th = theta(a, n + 1, fs)
-            wit = integer_witness(th, digest_bits)
+            wit, square = _witness(th, digest_bits)
             wit["index"] = n + 1
-            wit["strict_bracket"] = _strict_bracket(th)
+            # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
+            wit["strict_bracket"] = th != 0 and not square
             verdict = "maximal" if prev_ok and wit["strict_bracket"] else UNKNOWN
             levels.append(LevelEvidence(n, casc.to_dict(), wit, verdict))
         if levels[-1].verdict == "maximal":

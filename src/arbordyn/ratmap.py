@@ -22,6 +22,7 @@ from .errors import (
     GrowthCapError,
     NotDefinedOverQError,
 )
+from .factorint import int_text
 from .fieldpoly import conjugate_pair
 from .intpoly import IntPoly, resultant
 from .quadext import QuadExtElem
@@ -91,11 +92,12 @@ class P1Point:
         return max(abs(self.num).bit_length(), self.den.bit_length())
 
     def __str__(self) -> str:
+        """"num/den", "num" or "inf"; parts wider than DECIMAL_SAFE_BITS in hex."""
         if self.den == 0:
             return "inf"
         if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+            return int_text(self.num)
+        return f"{int_text(self.num)}/{int_text(self.den)}"
 
 
 def _field_entries(entries):
@@ -358,25 +360,11 @@ class RationalMap:
         Exact Fractions (integers stay integers); avoids building the
         polynomial ladder when only evaluations are needed.
         """
-        pc, qc = self.homogeneous_coeffs()
-        if isinstance(x, int):
-            u: Union[int, Fraction] = self.p(x)
-            v: Union[int, Fraction] = self.q(x)
-        else:
-            x = Fraction(x)
-            u, v = self.p(x), self.q(x)
-        out = [(u, v)]
-        for _ in range(n - 1):
-            u, v = (
-                sum(pc[i] * u ** i * v ** (self.d - i) for i in range(self.d + 1) if pc[i]),
-                sum(qc[i] * u ** i * v ** (self.d - i) for i in range(self.d + 1) if qc[i]),
-            )
-            out.append((u, v))
-        return out
+        return self._values(x, n, None)[0]
 
     def origin_values(self, n: int) -> list[tuple[int, int]]:
         """[(p_k(0), q_k(0))] for k = 1..n, exact integers."""
-        return self.ladder_values(0, n)
+        return self._values(0, n, None)[0]
 
     def origin_values_capped(self, n: int,
                              growth_cap_bits: int) -> tuple[list[tuple[int, int]], bool]:
@@ -384,17 +372,44 @@ class RationalMap:
 
         Returns (values, capped); values may be a strict prefix.
         """
+        return self._values(0, n, growth_cap_bits)
+
+    def _values(self, x, n: int, growth_cap_bits) -> tuple[list[tuple], bool]:
+        """[(p_k(x), q_k(x)) for k = 1..n], cut before the first pair wider
+        than ``growth_cap_bits`` (None: no cap); returns (values, capped).
+
+        Each step substitutes (u, v) into the homogenized map: the powers
+        u^i and v^(d-i), and each product u^i v^(d-i), are formed once and
+        shared by the p and q sums, and no step runs past the n-th term.
+        """
         pc, qc = self.homogeneous_coeffs()
-        u, v = self.p(0), self.q(0)
-        out: list[tuple[int, int]] = []
-        for _ in range(n):
-            if max(abs(u).bit_length(), abs(v).bit_length()) > growth_cap_bits:
+        d = self.d
+        if not isinstance(x, int):
+            x = Fraction(x)
+        u, v = self.p(x), self.q(x)
+        out: list[tuple] = []
+        while len(out) < n:
+            # the cap is only given for x = 0, where every value is an int
+            if (growth_cap_bits is not None
+                    and max(abs(u).bit_length(), abs(v).bit_length()) > growth_cap_bits):
                 return out, True
             out.append((u, v))
-            u, v = (
-                sum(pc[i] * u ** i * v ** (self.d - i) for i in range(self.d + 1) if pc[i]),
-                sum(qc[i] * u ** i * v ** (self.d - i) for i in range(self.d + 1) if qc[i]),
-            )
+            if len(out) == n:
+                break
+            upow = [1, u]
+            vpow = [1, v]
+            for _ in range(d - 1):
+                upow.append(upow[-1] * u)
+                vpow.append(vpow[-1] * v)
+            new_u = new_v = 0
+            for i in range(d + 1):
+                if pc[i] or qc[i]:
+                    basis = upow[i] * vpow[d - i]
+                    if pc[i]:
+                        new_u += pc[i] * basis
+                    if qc[i]:
+                        new_v += qc[i] * basis
+            u, v = new_u, new_v
         return out, False
 
     # -- orbits ----------------------------------------------------------------

@@ -95,6 +95,21 @@ class TestOrbitCommand:
         assert code == 2
         assert "error" in err
 
+    def test_negative_fractional_start(self, capsys):
+        for start in (["--start", "-2/3"], ["--start=-2/3"]):
+            code, out, _ = run_cli(
+                capsys, "orbit", "--map", "(z^2-98)/z^2", *start, "--steps", "2"
+            )
+            assert code == 0
+            assert json.loads(out)["orbit"]["points"][0] == "-2/3"
+
+    def test_map_with_leading_minus(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "orbit", "--map", "-z^2/(z^2+1)", "--start", "1", "--steps", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["orbit"]["points"] == ["1", "-1/2", "-1/5"]
+
 
 class TestCriticalCommands:
     def test_critical_quadratic_field(self, capsys):

@@ -1,0 +1,193 @@
+"""The deep path of the CLI as a user runs it: one process per command.
+
+Each command runs in a fresh interpreter with PYTHONINTMAXSTRDIGITS removed,
+so CPython's default 4300-digit int-to-str limit is in force; integers wider
+than DECIMAL_SAFE_BITS must reach stdout as hex without a traceback.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from arbordyn.divisibility import f_sequence, theta
+from arbordyn.factorint import DECIMAL_SAFE_BITS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run(*args: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONINTMAXSTRDIGITS", "ARBORDYN_THREADS")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arbordyn.cli", *args],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    return proc
+
+
+def as_int(v) -> int:
+    """A payload integer: a JSON number, or a "0x"/"-0x" string when wide."""
+    if isinstance(v, str):
+        assert v.lstrip("-").startswith("0x")
+        value = int(v, 16)
+        assert value.bit_length() > DECIMAL_SAFE_BITS
+        return value
+    assert v.bit_length() <= DECIMAL_SAFE_BITS
+    return v
+
+
+def test_no_digit_limit_override_in_src():
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert "set_int_max_str_digits" not in text, path
+        assert "PYTHONINTMAXSTRDIGITS" not in text, path
+
+
+class TestDeepCommands:
+    def test_certify_depth_13(self):
+        proc = run("certify", "--a", "-98", "--depth", "13")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["overall"] == "all_maximal"
+        assert doc["certificate"]["maximal_levels"] == list(range(1, 14))
+
+    def test_certify_wide_witnesses(self):
+        proc = run("certify", "--a", "-98", "--depth", "16")
+        assert proc.returncode == 0
+        levels = json.loads(proc.stdout)["certificate"]["levels"]
+        fs = f_sequence(-98, 17)
+        wide = 0
+        for lvl in levels[1:]:
+            n = lvl["n"]
+            for wit, value in ((lvl["irreducibility"]["witness"], fs[n]),
+                               (lvl["theta"], theta(-98, n + 1, fs))):
+                assert wit["bits"] == value.bit_length()
+                if value.bit_length() <= DECIMAL_SAFE_BITS:
+                    assert "sha256_be" not in wit
+                    continue
+                wide += 1
+                mag = abs(value)
+                raw = mag.to_bytes((mag.bit_length() + 7) // 8, "big")
+                assert wit["sha256_be"] == hashlib.sha256(raw).hexdigest()
+                assert wit["leading_hex"] == format(mag, "x")[:24]
+                assert not {"sha256", "digits", "leading_digits", "isqrt_digits",
+                            "isqrt_leading"} & set(wit)
+        assert wide > 0
+
+    def test_sequence_json_hex_values(self):
+        proc = run("sequence", "--a", "-98", "--n", "16")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "complete"
+        fs = f_sequence(-98, 16)
+        assert any(isinstance(row["pn0"], str) for row in doc["rows"])
+        for row in doc["rows"]:
+            n = row["n"]
+            assert as_int(row["f"]) == fs[n - 1]
+            assert as_int(row["theta"]) == theta(-98, n, fs)
+            assert as_int(row["pn0"]) == (-98) ** (2 ** (n - 1)) * fs[n - 1]
+
+    def test_sequence_text_hex_values(self):
+        proc = run("sequence", "--a", "-98", "--n", "16", "--output", "text")
+        assert proc.returncode == 0
+        fs = f_sequence(-98, 16)
+        lines = proc.stdout.decode().splitlines()
+        assert len(lines) == 16
+        for n, line in enumerate(lines, start=1):
+            cells = dict(cell.split("=", 1) for cell in line.split("  "))
+            assert int(cells["n"]) == n
+            for key, want in (("f", fs[n - 1]), ("theta", theta(-98, n, fs))):
+                text = cells[key]
+                got = int(text, 16) if "0x" in text else int(text)
+                assert got == want
+                assert ("0x" in text) == (want.bit_length() > DECIMAL_SAFE_BITS)
+
+    def test_rigid_check_depth_12(self):
+        proc = run("rigid-check", "--map", "(z^2-98)/z^2", "--n", "12")
+        # 2 and 7 divide the map's resultant and violate rigidity
+        assert proc.returncode == 5
+        doc = json.loads(proc.stdout)
+        assert doc["report"]["status"] == "fail"
+        assert {v["prime"] for v in doc["report"]["violations"]} <= {2, 7}
+
+    def test_rigid_check_text_with_wide_terms(self):
+        proc = run("rigid-check", "--map", "(z^2-98)/z^2", "--n", "12",
+                   "--exclude", "2,7", "--output", "text")
+        assert proc.returncode == 0
+        first = proc.stdout.decode().splitlines()[0]
+        assert first.startswith("terms: [-98, 9604, ") and "0x" in first
+
+    def test_orbit_escaping_past_the_bound(self):
+        # the escaped point of 3 under z^7 + 1 is wider than the bound
+        proc = run("orbit", "--map", "z^7+1", "--start", "3")
+        assert proc.returncode == 0
+        rec = json.loads(proc.stdout)["orbit"]
+        assert rec["status"] == "escaped"
+        x = 3
+        for point in rec["points"][1:]:
+            x = x ** 7 + 1
+            assert as_int(point if point.startswith("0x") else int(point)) == x
+        assert rec["points"][-1].startswith("0x")
+
+    def test_stdout_is_stable_across_runs(self):
+        args = ("certify", "--a", "-98", "--depth", "15")
+        assert run(*args).stdout == run(*args).stdout
+
+
+# sha256 of stdout, recorded before wide integers were hex-encoded: payloads
+# below DECIMAL_SAFE_BITS keep their exact bytes.
+PINNED_STDOUT = [
+    (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"),
+     "0b358d2d741dfb0b4ee1b081b63c4b6468b9b401477fad5dac7002bdd5fa479e"),
+    (("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
+     "fdaf7396bc1dac87d3e6696e03f0a83cc4947a6530d66d77c41eeed297405703"),
+    (("normal-form", "--map", "(z^2-98)/z^2"),
+     "a8f9e4803501143c26f290b1a971307473ad7e56ca3ed88a051ac18241a1ccee"),
+    (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor"),
+     "b7a3e317c81e4a04f3cd5c8d3e23861d08b628bfb99de62b5db3acbc5aa34558"),
+    (("sequence", "--a", "-98", "--n", "5"),
+     "74bcf81c21cf375697fe08c910cefbf80e84a47d429372919012372fd1848cca"),
+    (("certify", "--m", "2", "--depth", "8"),
+     "a03fd6b3efe293ff8da49872f425cd0babe0d1bd6969248456a52d1a60f8e360"),
+    (("certify", "--a", "-98", "--depth", "8"),
+     "971ce4fd92c6518be5ee1a222800db4c8865052fd3c7d3cff04f2f3bbc76104a"),
+    (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8"),
+     "a3ad3d306890d0b296fa18ab45c5c3caf0bebddcc6cfa4180b93f4ac044d2553"),
+    # widest values just below the bound: f_13 (13598 bits), p_11(0) (13599 bits)
+    (("certify", "--a", "-998", "--depth", "12"),
+     "f72819998650e9ebd4d95a53194561811af16b2ccb2a1a2f7275bf51157b2e99"),
+    (("sequence", "--a", "-998", "--n", "11"),
+     "229a32faf8e9904a6ebb64e72b1a0d3bafad2dbda5d5b3c610fb816cfb4b8209"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_pinned_stdout(args, digest):
+    proc = run(*args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+class TestBudgets:
+    def test_certify_applies_growth_cap(self):
+        proc = run("certify", "--a", "-98", "--depth", "12", "--growth-cap-bits", "100")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1 and "growth cap" in err[0]
+
+    def test_rigid_check_applies_growth_cap(self):
+        proc = run("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "12",
+                   "--growth-cap-bits", "100")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1 and "growth cap" in err[0]
+

@@ -1,0 +1,192 @@
+"""Wide integers: residue squareness, witness records, theta, value recursion."""
+
+import hashlib
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arbordyn.cli import _encode
+from arbordyn.divisibility import f_sequence, theta
+from arbordyn.errors import InvariantViolationError
+from arbordyn.factorint import (
+    DECIMAL_SAFE_BITS,
+    Factorization,
+    divisors,
+    int_text,
+    is_perfect_square,
+    is_square_candidate,
+    mobius,
+)
+from arbordyn.galois import integer_witness, maximality_certificate, verify_certificate
+from arbordyn.ratmap import RationalMap
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str limit, whatever the environment set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_is_below_the_default_digit_limit():
+    assert len(str(2 ** DECIMAL_SAFE_BITS)) < 4300
+
+
+class TestResidueFilter:
+    @given(st.integers(min_value=0, max_value=10 ** 40))
+    def test_squares_pass(self, k):
+        assert is_square_candidate(k * k)
+        assert is_perfect_square(k * k) == (True, k)
+
+    @given(st.integers(min_value=-10 ** 6, max_value=10 ** 40))
+    def test_agrees_with_isqrt(self, n):
+        want = n >= 0 and math.isqrt(n) ** 2 == n
+        assert is_perfect_square(n)[0] == want
+
+
+class TestWitness:
+    def test_bands(self, default_digit_limit):
+        small = -(3 ** 100)
+        mid = 7 ** 3001                      # between digest_bits and the bound
+        wide = -(5 ** 10000) - 1             # beyond DECIMAL_SAFE_BITS
+        assert mid.bit_length() <= DECIMAL_SAFE_BITS < wide.bit_length()
+        rec = integer_witness(small)
+        assert rec["value"] == small and rec["isqrt"] == math.isqrt(-small)
+        rec = integer_witness(mid)
+        assert rec["sha256"] == hashlib.sha256(str(mid).encode()).hexdigest()
+        assert rec["is_square"] is False
+        rec = integer_witness(wide)
+        mag = -wide
+        raw = mag.to_bytes((mag.bit_length() + 7) // 8, "big")
+        assert rec == {
+            "bits": wide.bit_length(),
+            "negative": True,
+            "is_square": False,
+            "sha256_be": hashlib.sha256(raw).hexdigest(),
+            "leading_hex": format(mag, "x")[:24],
+        }
+
+    def test_wide_square(self, default_digit_limit):
+        k = 3 ** 6000 + 2
+        rec = integer_witness(k * k)
+        assert rec["is_square"] is True
+        assert not integer_witness(k * k + 1)["is_square"]
+        assert not integer_witness(-k * k)["is_square"]
+
+    def test_deep_certificate_verifies_and_rejects_tampering(self, default_digit_limit):
+        cert = maximality_certificate(-98, 15)
+        assert cert.overall == "all_maximal"
+        assert "sha256_be" in cert.levels[-1].theta
+        assert verify_certificate(cert)
+        cert.levels[-1].theta["strict_bracket"] = False
+        assert not verify_certificate(cert)
+
+    def test_strict_bracket_matches_isqrt(self):
+        fs = f_sequence(-6, 12)
+        cert = maximality_certificate(-6, 11)
+        for lvl in cert.levels[1:]:
+            th = abs(theta(-6, lvl.n + 1, fs))
+            k = math.isqrt(th)
+            assert lvl.theta["strict_bracket"] == (k * k < th < (k + 1) ** 2)
+
+
+def test_int_text(default_digit_limit):
+    edge = 2 ** DECIMAL_SAFE_BITS - 1
+    assert int_text(-edge) == str(-edge)
+    assert int_text(edge + 1) == hex(edge + 1)
+    assert int_text(-edge - 1) == "-" + hex(edge + 1)
+    fac = Factorization(-1, [(3, 2)], edge + 1, "composite_unfactored")
+    assert fac.format() == f"-1 * 3^2 * [{hex(edge + 1)}:composite_unfactored]"
+
+
+def test_encode():
+    edge = 2 ** DECIMAL_SAFE_BITS - 1
+    assert _encode(edge) == edge
+    assert _encode(edge + 1) == hex(edge + 1)
+    assert _encode(-edge - 1) == hex(-edge - 1) and _encode(-edge - 1).startswith("-0x")
+    doc = {"a": [True, None, "x", (edge + 1, 3)], "b": {"c": -(edge + 1)}}
+    assert _encode(doc) == {"a": [True, None, "x", [hex(edge + 1), 3]],
+                            "b": {"c": hex(-(edge + 1))}}
+
+
+def moebius_theta(fs, n):
+    """theta_n as the Moebius product of Fractions (the defining formula)."""
+    value = Fraction(1)
+    for d in divisors(n):
+        e = mobius(n // d)
+        if e == 0:
+            continue
+        if fs[d - 1] == 0:
+            raise ValueError("vanishing term")
+        value *= Fraction(fs[d - 1]) ** e
+    assert value.denominator == 1
+    return value.numerator
+
+
+class TestTheta:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-300, 300).filter(bool), st.integers(1, 13))
+    def test_matches_moebius_product(self, a, n):
+        fs = f_sequence(a, n)
+        try:
+            want = moebius_theta(fs, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                theta(a, n, fs)
+            return
+        assert theta(a, n, fs) == want
+
+    def test_all_n_up_to_30(self):
+        for a in (-2, -1):
+            fs = f_sequence(a, 30)
+            for n in range(1, 31):
+                if any(fs[d - 1] == 0 for d in divisors(n)):
+                    continue
+                assert theta(a, n, fs) == moebius_theta(fs, n)
+
+    def test_nonzero_remainder_is_an_invariant_violation(self):
+        with pytest.raises(InvariantViolationError):
+            theta(0, 4, [1, 2, 3, 5])  # 5 is not divisible by theta_1 theta_2 = 2
+
+
+class TestValueRecursion:
+    MAPS = [([-98, 0, 1], [0, 0, 1]), ([1, 0, 1], [3, 0, 1]), ([2, 1, 3], [5, 0, 1]),
+            ([1, 0, 0, 2], [0, 1, 0, 1])]
+
+    @pytest.mark.parametrize("p,q", MAPS)
+    def test_capped_is_a_prefix(self, p, q):
+        phi = RationalMap.from_coeffs(p, q)
+        full = phi.origin_values(9)
+        assert len(full) == 9
+        assert phi.origin_values_capped(9, 10 ** 9) == (full, False)
+        cap = 200
+        values, capped = phi.origin_values_capped(9, cap)
+        assert values == full[:len(values)]
+        wide = [max(abs(u).bit_length(), abs(v).bit_length()) > cap for u, v in full]
+        assert capped == any(wide)
+        assert len(values) == (wide.index(True) if capped else 9)
+
+    @pytest.mark.parametrize("p,q", MAPS)
+    def test_values_match_direct_iteration(self, p, q):
+        phi = RationalMap.from_coeffs(p, q)
+        x = Fraction(-2, 3)
+        vals = phi.ladder_values(x, 4)
+        pt = x
+        for u, v in vals:
+            if v == 0:
+                break
+            pt = phi.eval_value(pt)
+            assert Fraction(u) / Fraction(v) == pt
+
+    def test_short_requests(self):
+        phi = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
+        assert phi.origin_values(1) == [(1, 3)]
+        assert phi.origin_values_capped(0, 100) == ([], False)

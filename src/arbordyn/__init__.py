@@ -38,11 +38,6 @@ from .ratmap import (
     OrbitRecord,
     P1Point,
     RationalMap,
-    conjugate,
-    evaluate,
-    iterate_ladder,
-    new_rational_map,
-    orbit,
 )
 from .reduction import (
     ModOrbit,

@@ -1,7 +1,7 @@
 """Command-line interface: reproducible, scriptable commands with JSON output.
 
-Exit codes are a stable contract: 0 success/pass, 2 parse failure,
-3 non-bicritical input, 4 hypotheses unmet, 5 rigidity violation.
+Exit codes are a stable contract: 0 success/pass, 2 parse failure or invalid
+option value, 3 non-bicritical input, 4 hypotheses unmet, 5 rigidity violation.
 JSON goes to stdout (schema tag "arbordyn/1", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Integers wider than DECIMAL_SAFE_BITS are written as "0x..." hex
@@ -314,6 +314,8 @@ def cmd_certify(args) -> int:
         a = param.a
     else:
         a = args.a
+    if args.depth < 1:
+        return _fail("need --depth >= 1", EXIT_PARSE)
     try:
         cert = galois.maximality_certificate(
             a, args.depth, growth_cap_bits=config.growth_cap_bits)
@@ -336,9 +338,12 @@ def cmd_rigid_check(args) -> int:
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     exclude = []
-    if args.exclude:
-        for chunk in args.exclude:
+    for chunk in args.exclude:
+        try:
             exclude += [int(x) for x in chunk.split(",") if x]
+        except ValueError:
+            return _fail(f"--exclude takes comma-separated integers, got {chunk!r}",
+                         EXIT_PARSE)
     warnings = []
     if phi.p.coeff(1) != 0 or phi.q.coeff(1) != 0:
         warnings.append(

@@ -90,30 +90,10 @@ def ramification_index(map_: RationalMap, pt: Union[P1Point, QuadExtElem]) -> in
             if c:
                 return i
         raise AssertionError("vanishing ramification polynomial")  # unreachable
-    if isinstance(pt, P1Point):
-        alpha: Union[Fraction, QuadExtElem] = pt.to_fraction()
-        pa, qa = map_.p(alpha), map_.q(alpha)
-        g = [Fraction(pc) * qa - Fraction(qc) * pa
-             for pc, qc in _padded_pair(map_)]
-    else:
-        alpha = pt
-        zero = QuadExtElem(0, 0, pt.s)
-        pa = _ext_eval(map_.p, pt)
-        qa = _ext_eval(map_.q, pt)
-        g = [pc * qa - qc * pa + zero for pc, qc in _padded_pair(map_)]
-    return root_order(trim(g), alpha)
-
-
-def _padded_pair(map_: RationalMap):
+    alpha = pt.to_fraction() if isinstance(pt, P1Point) else pt
+    pa, qa = map_.p(alpha), map_.q(alpha)
     pc, qc = map_.homogeneous_coeffs()
-    return list(zip(pc, qc))
-
-
-def _ext_eval(f: IntPoly, x: QuadExtElem) -> QuadExtElem:
-    acc = QuadExtElem(0, 0, x.s)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
+    return root_order(trim([c * qa - e * pa for c, e in zip(pc, qc)]), alpha)
 
 
 def _rational_roots(r: IntPoly) -> list[Fraction]:
@@ -169,17 +149,15 @@ def critical_points(map_: RationalMap) -> CriticalData:
             f"(unresolved factor of degree {rest.degree})"
         )
 
-    w_frac = [Fraction(c) for c in w.coeffs]
     points: list[CriticalPoint] = []
     resolved_orders = 0
     for root in rational:
-        e = root_order(list(w_frac), root) + 1
+        e = root_order(list(w.coeffs), root) + 1
         resolved_orders += e - 1
         if e >= 2:
             points.append(CriticalPoint(P1Point.from_fraction(root), e))
     if quad_points:
-        w_ext = [QuadExtElem(c, 0, s) for c in w.coeffs]
-        e = root_order(list(w_ext), quad_points[0]) + 1
+        e = root_order(list(w.coeffs), quad_points[0]) + 1
         resolved_orders += 2 * (e - 1)
         if e >= 2:
             points.extend(CriticalPoint(g, e) for g in quad_points)

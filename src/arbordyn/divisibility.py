@@ -442,12 +442,6 @@ def _poly_is_square(f: IntPoly) -> bool:
     return hh * hh == f
 
 
-def _minus_one_is_square_mod(m: int) -> bool:
-    if m > 10 ** 6:
-        raise HypothesisError("modulus too large for the residue scan")
-    return any((x * x) % m == (m - 1) % m for x in range(m))
-
-
 def rad_divisibility_conditions(
     map_: RationalMap, alpha, n: int, m: int
 ) -> RadDivisibilityEvidence:
@@ -502,9 +496,8 @@ def rad_divisibility_conditions(
         math.gcd(total.denominator, m) == 1 and total.numerator % m == 0
     )
     conditions["negation_congruence"] = cond2
-    if m % 2 == 1 and m > 2 and len(prime_factors) == 1 and m == prime_factors[0]:
-        cond3 = m % 4 == 3
-    else:
-        cond3 = not _minus_one_is_square_mod(m)
+    # -1 is a square mod m iff 4 does not divide m and every odd prime factor
+    # of m is 1 mod 4
+    cond3 = m % 4 == 0 or any(ell % 4 == 3 for ell in prime_factors)
     conditions["minus_one_nonresidue"] = cond3
     return RadDivisibilityEvidence(n, k, m, conditions, cond1 and cond2 and cond3)

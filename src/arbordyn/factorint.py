@@ -72,11 +72,6 @@ def is_probable_prime(n: int, seed: int = 0, rounds: int = 64) -> bool:
     )
 
 
-def is_prime_certified(n: int) -> bool:
-    """True only when primality is proven (below the deterministic bound)."""
-    return n < _MR_DETERMINISTIC_BOUND and is_probable_prime(n)
-
-
 # Integers wider than this are never converted to decimal: the conversion is
 # quadratic, and CPython refuses it past 4300 digits by default.
 DECIMAL_SAFE_BITS = 14000
@@ -108,12 +103,6 @@ def is_perfect_square(n: int) -> tuple[bool, int | None]:
     if k * k == n:
         return True, k
     return False, None
-
-
-def square_bracket(n: int) -> tuple[int, bool]:
-    """(isqrt(|n|), n is a perfect square) for witness records."""
-    k = math.isqrt(abs(n))
-    return k, k * k == abs(n)
 
 
 @dataclass(frozen=True)

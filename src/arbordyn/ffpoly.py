@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CompositeModulusError
-from .factorint import is_probable_prime
+from .factorint import is_probable_prime, small_factor_counts
 from .intpoly import IntPoly
 
 
@@ -154,20 +154,6 @@ def pow_mod(base: PrimeFieldPoly, e: int, mod: PrimeFieldPoly) -> PrimeFieldPoly
     return result
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def ffpoly_is_irreducible(f: PrimeFieldPoly) -> bool:
     """Irreducibility over F_p by the Frobenius fixed-point criterion.
 
@@ -189,7 +175,7 @@ def ffpoly_is_irreducible(f: PrimeFieldPoly) -> bool:
         frob.append(pow_mod(frob[-1], p, f))
     if not frob[n].sub(z).mod(f).is_zero:
         return False
-    for ell in _prime_divisors(n):
+    for ell in small_factor_counts(n):
         g = frob[n // ell].sub(z).gcd(f)
         if g.degree != 0:
             return False

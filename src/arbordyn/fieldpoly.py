@@ -41,27 +41,6 @@ def fp_mul(a: list, b: list) -> list:
     return trim(out)
 
 
-def fp_pow(a: list, e: int) -> list:
-    result = [1]
-    while e:
-        if e & 1:
-            result = fp_mul(result, a)
-        a = fp_mul(a, a)
-        e >>= 1
-    return result
-
-
-def fp_eval(a: list, x):
-    acc = 0 * x
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def fp_degree(a: list) -> int:
-    return len(a) - 1
-
-
 def root_order(coeffs: list, alpha) -> int:
     """Multiplicity of alpha as a root: largest k with (z - alpha)**k dividing.
 

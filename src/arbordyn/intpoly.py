@@ -150,7 +150,8 @@ class IntPoly:
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate by Horner's rule; exact for int and Fraction arguments."""
+        """Evaluate by Horner's rule; exact for int, Fraction and QuadExtElem
+        arguments (a nonzero polynomial maps a QuadExtElem to a QuadExtElem)."""
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

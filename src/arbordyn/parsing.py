@@ -8,11 +8,9 @@ rational coefficients keep their plain meaning.  Whitespace never matters.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
-from .intpoly import IntPoly
 from .ratmap import P1Point, RationalMap
 
 
@@ -151,11 +149,3 @@ def parse_point(text: str) -> P1Point:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse point {text!r}") from exc
     return P1Point.of(frac.numerator, frac.denominator)
-
-
-def poly_to_intpoly(coeffs: list[Fraction]) -> IntPoly:
-    """Clear denominators of a Fraction coefficient list."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm // math.gcd(lcm, c.denominator) * c.denominator
-    return IntPoly([int(c * lcm) for c in coeffs])

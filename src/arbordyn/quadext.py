@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .factorint import small_factor_counts
+
 Rat = Union[int, Fraction]
 
 
@@ -21,22 +23,12 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
     """
     if n == 0:
         raise ValueError("squarefree kernel of 0")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                s *= d
-            m *= d ** (e // 2)
-        d += 1
-    s *= n
-    return sign * s, m
+    s, m = (1 if n > 0 else -1), 1
+    for p, e in small_factor_counts(n).items():
+        if e % 2:
+            s *= p
+        m *= p ** (e // 2)
+    return s, m
 
 
 class QuadExtElem:

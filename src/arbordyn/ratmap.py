@@ -132,10 +132,6 @@ class MobiusTransform:
         return cls.make(1, 0, 0, 1)
 
     @classmethod
-    def scaling(cls, c) -> "MobiusTransform":
-        return cls.make(c, 0, 0, 1)
-
-    @classmethod
     def inversion(cls, c=1) -> "MobiusTransform":
         """z -> c/z"""
         return cls.make(0, c, 1, 0)
@@ -318,10 +314,7 @@ class RationalMap:
 
     def __call__(self, pt: P1Point) -> P1Point:
         pc, qc = self.homogeneous_coeffs()
-        num, den = pt.num, pt.den
-        x = _homog_eval(pc, num, den)
-        y = _homog_eval(qc, num, den)
-        return P1Point.of(x, y)
+        return P1Point.of(*_substitute(pc, qc, pt.num, pt.den))
 
     def eval_value(self, x: FieldValue) -> FieldValue:
         """Evaluate at an exact field value (Fraction or QuadExtElem) or INF."""
@@ -331,11 +324,9 @@ class RationalMap:
             if qc == 0:
                 return INF
             return Fraction(pc, qc)
-        if isinstance(x, QuadExtElem):
-            pv, qv = _eval_ext(self.p, x), _eval_ext(self.q, x)
-        else:
+        if not isinstance(x, QuadExtElem):
             x = Fraction(x)
-            pv, qv = self.p(x), self.q(x)
+        pv, qv = self.p(x), self.q(x)
         if qv == 0:
             return INF
         return pv / qv
@@ -378,12 +369,10 @@ class RationalMap:
         """[(p_k(x), q_k(x)) for k = 1..n], cut before the first pair wider
         than ``growth_cap_bits`` (None: no cap); returns (values, capped).
 
-        Each step substitutes (u, v) into the homogenized map: the powers
-        u^i and v^(d-i), and each product u^i v^(d-i), are formed once and
-        shared by the p and q sums, and no step runs past the n-th term.
+        Each step is one ``_substitute`` of (u, v) into the homogenized map,
+        and no step runs past the n-th term.
         """
         pc, qc = self.homogeneous_coeffs()
-        d = self.d
         if not isinstance(x, int):
             x = Fraction(x)
         u, v = self.p(x), self.q(x)
@@ -396,20 +385,7 @@ class RationalMap:
             out.append((u, v))
             if len(out) == n:
                 break
-            upow = [1, u]
-            vpow = [1, v]
-            for _ in range(d - 1):
-                upow.append(upow[-1] * u)
-                vpow.append(vpow[-1] * v)
-            new_u = new_v = 0
-            for i in range(d + 1):
-                if pc[i] or qc[i]:
-                    basis = upow[i] * vpow[d - i]
-                    if pc[i]:
-                        new_u += pc[i] * basis
-                    if qc[i]:
-                        new_v += qc[i] * basis
-            u, v = new_u, new_v
+            u, v = _substitute(pc, qc, u, v)
         return out, False
 
     # -- orbits ----------------------------------------------------------------
@@ -466,22 +442,28 @@ class OrbitRecord:
         }
 
 
-def _homog_eval(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Evaluate sum coeffs[i] * num^i * den^(d-i) exactly."""
-    d = len(coeffs) - 1
-    npow = [1]
-    dpow = [1]
-    for _ in range(d):
-        npow.append(npow[-1] * num)
-        dpow.append(dpow[-1] * den)
-    return sum(c * npow[i] * dpow[d - i] for i, c in enumerate(coeffs) if c)
+def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:
+    """(P(u, v), Q(u, v)) for the degree-d homogenizations with coefficient
+    vectors pc, qc (index i is u^i v^(d-i)), exact for int and Fraction.
 
-
-def _eval_ext(f: IntPoly, x: QuadExtElem) -> QuadExtElem:
-    acc = QuadExtElem(0, 0, x.s)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
+    The powers u^i and v^(d-i), and each product u^i v^(d-i), are formed once
+    and shared by the two sums.
+    """
+    d = len(pc) - 1
+    upow = [1, u]
+    vpow = [1, v]
+    for _ in range(d - 1):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    new_u = new_v = 0
+    for i in range(d + 1):
+        if pc[i] or qc[i]:
+            basis = upow[i] * vpow[d - i]
+            if pc[i]:
+                new_u += pc[i] * basis
+            if qc[i]:
+                new_v += qc[i] * basis
+    return new_u, new_v
 
 
 def map_from_field_pair(p_coeffs: list, q_coeffs: list) -> RationalMap:
@@ -516,32 +498,3 @@ def map_from_field_pair(p_coeffs: list, q_coeffs: list) -> RationalMap:
             row.append(Fraction(ratio))
         rats.append(row)
     return RationalMap.from_fractions(rats[0], rats[1])
-
-
-def new_rational_map(p: IntPoly, q: IntPoly) -> RationalMap:
-    """Construct a canonical rational map, validating coprimality and degree."""
-    return RationalMap(p, q)
-
-
-def iterate_ladder(map_: RationalMap, n: int,
-                   growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> IterateLadder:
-    return map_.ladder(n, growth_cap_bits)
-
-
-def evaluate(map_: RationalMap, pt: P1Point) -> P1Point:
-    return map_(pt)
-
-
-def orbit(map_: RationalMap, start: P1Point, max_steps: int = DEFAULT_MAX_STEPS,
-          height_cap_bits: int = DEFAULT_HEIGHT_CAP_BITS) -> OrbitRecord:
-    return map_.orbit(start, max_steps, height_cap_bits)
-
-
-def conjugate(map_: RationalMap, mu: MobiusTransform) -> RationalMap:
-    return map_.conjugate(mu)
-
-
-def field_value_str(x: FieldValue) -> str:
-    if isinstance(x, Infinity):
-        return "inf"
-    return str(x)

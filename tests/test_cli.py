@@ -309,3 +309,27 @@ class TestBudgets:
         doc = json.loads(out)
         assert doc["config"]["threads"] == 2
         assert doc["rows"][4]["factorization"]["sign"] == -1
+
+
+class TestBadArgumentsExitTwo:
+    """Invalid option values give exit 2 and one stderr line, no traceback."""
+
+    def assert_one_error_line(self, err):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_rigid_check_non_integer_exclude(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6",
+            "--exclude", "2,x",
+        )
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "'2,x'" in err
+
+    def test_certify_depth_zero(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--a", "-98", "--depth", "0")
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "depth" in err

@@ -248,3 +248,27 @@ class TestRadDivisibilityConditions:
         phi = RationalMap.from_coeffs([1, 0, 1], [0, 0, 2])
         with pytest.raises(HypothesisError):
             rad_divisibility_conditions(phi, 0, 4, 4)
+
+
+def minus_one_is_square_mod_scan(m: int) -> bool:
+    """Oracle: scan every residue class mod m for a square root of -1."""
+    return any(x * x % m == m - 1 for x in range(m))
+
+
+class TestMinusOneResidue:
+    """Condition 3 of rad_divisibility_conditions, by the closed form."""
+
+    def test_agrees_with_residue_scan(self):
+        phi = main_family(-98)
+        for m in range(2, 5000):
+            ev = rad_divisibility_conditions(phi, 0, 4, m)
+            assert ev.conditions["minus_one_nonresidue"] == (
+                not minus_one_is_square_mod_scan(m)), m
+
+    def test_modulus_above_a_million(self):
+        phi = main_family(-98)
+        p = 10 ** 6 + 3  # prime, 3 mod 4: Euler's criterion says -1 is no square
+        assert pow(p - 1, (p - 1) // 2, p) == p - 1
+        assert rad_divisibility_conditions(phi, 0, 4, p).conditions["minus_one_nonresidue"]
+        m = 2 * 5 ** 9  # -1 = 2^2 + 1 lifts to a square root mod 5^9
+        assert not rad_divisibility_conditions(phi, 0, 4, m).conditions["minus_one_nonresidue"]

@@ -14,6 +14,7 @@ from arbordyn.intpoly import (
     resultant,
     squarefree_part,
 )
+from arbordyn.quadext import QuadExtElem
 
 
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
@@ -194,3 +195,27 @@ class TestPolyArithmetic:
         f = IntPoly([3, 0, 1])  # z^2 + 3
         assert f.reverse(2) == IntPoly([1, 0, 3])
         assert f.reverse(3) == IntPoly([0, 1, 0, 3])
+
+
+small_fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) < 10 ** 6)
+
+
+class TestQuadraticEvaluation:
+    """IntPoly.__call__ is the one evaluator at x + y*sqrt(s)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=7).filter(any),
+        small_fractions,
+        small_fractions,
+        st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15, 21, 194]),
+    )
+    def test_matches_horner_on_pairs(self, coeffs, x, y, s):
+        f = IntPoly(coeffs)
+        # Horner on plain (a, b) = a + b*sqrt(s) pairs
+        a, b = Fraction(0), Fraction(0)
+        for c in reversed(f.coeffs):
+            a, b = a * x + b * y * s + c, a * y + b * x
+        got = f(QuadExtElem(x, y, s))
+        assert isinstance(got, QuadExtElem)
+        assert (got.x, got.y, got.s) == (a, b, s)

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success/pass, 2 parse failure or invalid
 option value, 3 non-bicritical input, 4 hypotheses unmet, 5 rigidity violation.
-JSON goes to stdout (schema tag "arbordyn/1", keys sorted, no timestamps,
+JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Integers wider than DECIMAL_SAFE_BITS are written as "0x..." hex
 strings, in JSON and text alike, so none is ever converted to decimal.
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import critical as crit
@@ -35,7 +33,7 @@ from .ratmap import (
 )
 from .reduction import bad_reduction_primes
 
-SCHEMA = "arbordyn/1"
+SCHEMA = "arbordyn/2"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,7 +52,6 @@ class CommandConfig:
     height_cap_bits: int = DEFAULT_HEIGHT_CAP_BITS
     output: str = "json"
     seed: int = 0
-    threads: int = 1
 
     def budget(self) -> FactorBudget:
         return FactorBudget(self.trial_bound, self.rho_budget, self.seed)
@@ -67,14 +64,10 @@ class CommandConfig:
             "orbit_max_steps": self.orbit_max_steps,
             "height_cap_bits": self.height_cap_bits,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
 def _config_from_args(args) -> CommandConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ARBORDYN_THREADS", "1"))
     config = CommandConfig(
         growth_cap_bits=args.growth_cap_bits,
         trial_bound=args.trial_bound,
@@ -83,10 +76,9 @@ def _config_from_args(args) -> CommandConfig:
         height_cap_bits=args.height_cap_bits,
         output=args.output,
         seed=args.seed,
-        threads=threads,
     )
     budgets = (config.growth_cap_bits, config.trial_bound, config.rho_budget,
-               config.orbit_max_steps, config.height_cap_bits, config.threads)
+               config.orbit_max_steps, config.height_cap_bits)
     if any(b <= 0 for b in budgets):
         raise SystemExit(_fail("all budgets must be positive", EXIT_PARSE))
     return config
@@ -160,6 +152,8 @@ def _relation_summary(rel) -> str:
 
 def cmd_critical(args) -> int:
     config = _config_from_args(args)
+    if args.bound < 0:
+        return _fail("need --bound >= 0", EXIT_PARSE)
     try:
         phi = parse_map(args.map)
     except ParseError as exc:
@@ -190,6 +184,8 @@ def cmd_critical(args) -> int:
 
 def cmd_normal_form(args) -> int:
     config = _config_from_args(args)
+    if args.bound < 0:
+        return _fail("need --bound >= 0", EXIT_PARSE)
     try:
         phi = parse_map(args.map)
     except ParseError as exc:
@@ -216,17 +212,12 @@ def cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
-def _factor_rows(terms, budget, threads):
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(factor_integer, terms, [budget] * len(terms)))
-    return [factor_integer(t, budget) for t in terms]
-
-
 def cmd_sequence(args) -> int:
     config = _config_from_args(args)
     if args.map is None and args.a is None:
         return _fail("need --a or --map", EXIT_PARSE)
+    if args.n < 1:
+        return _fail("need --n >= 1", EXIT_PARSE)
     family_a = args.a
     try:
         phi = divis.main_family(args.a) if args.map is None else parse_map(args.map)
@@ -253,11 +244,12 @@ def cmd_sequence(args) -> int:
         except GrowthCapError:
             status = "growth_capped"
     if args.factor:
-        factorable = [(i, t) for i, t in enumerate(pn0) if t != 0]
-        facs = _factor_rows([t for _, t in factorable], config.budget(), config.threads)
-        for (i, _), fac in zip(factorable, facs):
-            rows[i]["factorization"] = fac.to_dict()
-            rows[i]["factor_string"] = fac.format()
+        budget = config.budget()
+        for row in rows:
+            if row["pn0"] != 0:
+                fac = factor_integer(row["pn0"], budget)
+                row["factorization"] = fac.to_dict()
+                row["factor_string"] = fac.format()
     payload = {"a": family_a, "n": args.n, "rows": rows, "status": status}
 
     def text():
@@ -333,6 +325,8 @@ def cmd_certify(args) -> int:
 
 def cmd_rigid_check(args) -> int:
     config = _config_from_args(args)
+    if args.n < 1:
+        return _fail("need --n >= 1", EXIT_PARSE)
     try:
         phi = parse_map(args.map)
     except ParseError as exc:
@@ -392,8 +386,6 @@ def cmd_rigid_check(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--output", choices=("json", "text"), default="json")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: ARBORDYN_THREADS or 1)")
     sub.add_argument("--growth-cap-bits", type=int, default=DEFAULT_GROWTH_CAP_BITS)
     sub.add_argument("--trial-bound", type=int, default=10 ** 6)
     sub.add_argument("--rho-budget", type=int, default=10 ** 8)

@@ -30,8 +30,8 @@ from .factorint import (
     factor_integer,
     is_perfect_square,
     mobius,
-    primes_below,
     radical,
+    trial_division,
     valuation,
 )
 from .intpoly import IntPoly
@@ -304,19 +304,10 @@ def verify_rigid_divisibility(
         if abs(t) == 1:
             continue
         if idx <= pool_depth:
-            fac = factor_integer(t, budget)
-            pool.update(fac.prime_list())
-            if fac.cofactor_status == "probable_prime":
-                pool.add(fac.cofactor)
+            pool.update(factor_integer(t, budget).prime_list())
         else:
-            rest = abs(t)
-            for p in primes_below(trial_bound):
-                if p * p > rest:
-                    break
-                if rest % p == 0:
-                    pool.add(p)
-                    while rest % p == 0:
-                        rest //= p
+            counts, rest = trial_division(t, trial_bound)
+            pool.update(counts)
             if 1 < rest < trial_bound:
                 pool.add(rest)
 
@@ -378,13 +369,10 @@ def primitive_part_valuations(a: int, n: int,
     if abs(th) == 1:
         return PrimitiveValuationReport(n, [], True, True)
     fac = factor_integer(th, budget)
-    primes = fac.prime_list()
-    if fac.cofactor_status == "probable_prime":
-        primes.append(fac.cofactor)
     complete = fac.cofactor_status != "composite_unfactored"
     pairs = []
     clean = True
-    for p in primes:
+    for p in fac.prime_list():
         v = valuation(th, p)
         if v != valuation(fs[n - 1], p):
             clean = False
@@ -481,11 +469,9 @@ def rad_divisibility_conditions(
     phik1 = orbit_vals[k]
     conditions: dict = {}
     m_fac = factor_integer(m)
-    prime_factors = m_fac.prime_list()
-    if m_fac.cofactor_status == "probable_prime":
-        prime_factors.append(m_fac.cofactor)
-    elif m_fac.cofactor != 1:
+    if m_fac.cofactor_status == "composite_unfactored":
         raise HypothesisError("modulus m could not be fully factored")
+    prime_factors = m_fac.prime_list()
     cond1 = all(
         phik.numerator % ell != 0 and phik.denominator % ell != 0
         for ell in prime_factors

@@ -148,7 +148,11 @@ class Factorization:
         return out * self.cofactor
 
     def prime_list(self) -> list[int]:
-        return [p for p, _ in self.factors]
+        """The certified primes, then the cofactor when it is a probable prime."""
+        primes = [p for p, _ in self.factors]
+        if self.cofactor_status == PROBABLE_PRIME:
+            primes.append(self.cofactor)
+        return primes
 
     def to_dict(self) -> dict:
         return {
@@ -210,6 +214,24 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return (g if g != n else None), used
 
 
+def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """(counts, rest) with |n| = prod(p**e for p, e in counts.items()) * rest.
+
+    Divides out the primes below ``bound`` in increasing order, stopping once
+    p*p exceeds what is left, so rest is 1, a prime, or free of primes below
+    ``bound``.
+    """
+    n = abs(n)
+    counts: dict[int, int] = {}
+    for p in primes_below(bound):
+        if p * p > n:
+            break
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    return counts, n
+
+
 def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     """Factor ``n`` within an effort budget.
 
@@ -224,14 +246,7 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     if budget is None:
         budget = FactorBudget()
     sign = 1 if n > 0 else -1
-    n = abs(n)
-    counts: dict[int, int] = {}
-    for p in primes_below(budget.trial_bound):
-        if p * p > n:
-            break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
+    counts, n = trial_division(n, budget.trial_bound)
     rng = random.Random(budget.seed)
     remaining = budget.rho_iterations
     leftovers: list[int] = []  # pieces we could not fully certify

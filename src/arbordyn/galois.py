@@ -9,12 +9,10 @@ perfect square, witnessed by a strict integer square-root bracket.  A level
 that cannot be certified is reported "unknown", never "failed": the criteria
 are sufficient, not necessary.
 
-Large witness integers are stored as digests so that certificates stay
-compact while every verdict can be recomputed bit-for-bit: up to
-DECIMAL_SAFE_BITS, sha256 of the decimal string plus leading digits of the
-value and of its integer square root; beyond it, sha256 of the big-endian
-magnitude bytes plus leading hex digits, so that no wide integer is ever
-converted to decimal.
+Witness integers wider than DIGEST_BITS are stored as digests so that
+certificates stay compact while every verdict can be recomputed bit-for-bit:
+sha256 of the big-endian magnitude bytes plus leading hex digits, so that no
+wide integer is ever converted to decimal.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from typing import Optional, Sequence
 
 from .errors import HypothesisError, InvariantViolationError
 from .factorint import (
-    DECIMAL_SAFE_BITS,
     FactorBudget,
     factor_integer,
     is_perfect_square,
@@ -49,7 +46,8 @@ from .divisibility import (
 from .ratmap import DEFAULT_GROWTH_CAP_BITS, INF, Infinity, P1Point, RationalMap
 from .reduction import point_mod_p, reduce_mod_p
 
-DEFAULT_DIGEST_BITS = 4096
+# Witness integers up to this width are recorded verbatim, wider ones as digests.
+DIGEST_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -57,18 +55,17 @@ DEFAULT_DIGEST_BITS = 4096
 # ---------------------------------------------------------------------------
 
 
-def integer_witness(v: int, digest_bits: int = DEFAULT_DIGEST_BITS) -> dict:
+def integer_witness(v: int) -> dict:
     """A recomputable record of an integer and its square-root bracket.
 
-    Small integers are stored verbatim; large ones as sha256 of the decimal
-    string plus leading digits, and those wider than DECIMAL_SAFE_BITS as
-    sha256 of the big-endian magnitude bytes plus leading hex digits, so
-    re-deriving the integer reproduces the record exactly.
+    Integers up to DIGEST_BITS are stored verbatim with their integer square
+    root; wider ones as sha256 of the big-endian magnitude bytes plus leading
+    hex digits, so re-deriving the integer reproduces the record exactly.
     """
-    return _witness(v, digest_bits)[0]
+    return _witness(v)[0]
 
 
-def _witness(v: int, digest_bits: int) -> tuple[dict, bool]:
+def _witness(v: int) -> tuple[dict, bool]:
     """(integer_witness(v), whether |v| is a perfect square).
 
     Squareness is decided once: quadratic residues first, isqrt only when a
@@ -76,23 +73,15 @@ def _witness(v: int, digest_bits: int) -> tuple[dict, bool]:
     """
     mag = abs(v)
     bits = v.bit_length()
-    wide = bits > max(digest_bits, DECIMAL_SAFE_BITS)
+    wide = bits > DIGEST_BITS
     k = None
     if not wide or is_square_candidate(mag):
         k = math.isqrt(mag)
     square = k is not None and k * k == mag
     rec: dict = {"bits": bits, "negative": v < 0, "is_square": v >= 0 and square}
-    if bits <= digest_bits:
+    if not wide:
         rec["value"] = v
         rec["isqrt"] = k
-    elif not wide:
-        text = str(mag)
-        rec["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-        rec["digits"] = len(text)
-        rec["leading_digits"] = text[:24]
-        ktext = str(k)
-        rec["isqrt_digits"] = len(ktext)
-        rec["isqrt_leading"] = ktext[:24]
     else:
         rec["sha256_be"] = hashlib.sha256(mag.to_bytes((bits + 7) // 8, "big")).hexdigest()
         hex_digits = (bits + 3) // 4
@@ -143,8 +132,7 @@ class CascadeReport:
                 "levels": [l.to_dict() for l in self.levels]}
 
 
-def irreducibility_cascade(a: int, depth: int,
-                           digest_bits: int = DEFAULT_DIGEST_BITS) -> CascadeReport:
+def irreducibility_cascade(a: int, depth: int) -> CascadeReport:
     """Certify iterate numerators irreducible, one level at a time.
 
     Level 1 is the base quadratic: irreducible over Q iff -a is not a perfect
@@ -156,13 +144,13 @@ def irreducibility_cascade(a: int, depth: int,
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    return _cascade(a, depth, digest_bits, f_sequence(a, depth + 1))
+    return _cascade(a, depth, f_sequence(a, depth + 1))
 
 
-def _cascade(a: int, depth: int, digest_bits: int, fs: Sequence[int]) -> CascadeReport:
+def _cascade(a: int, depth: int, fs: Sequence[int]) -> CascadeReport:
     """The cascade over fs = [f_1, ..., f_(depth+1)]."""
     levels: list[CascadeLevel] = []
-    base_wit = integer_witness(-a, digest_bits)
+    base_wit = integer_witness(-a)
     levels.append(CascadeLevel(
         1,
         REDUCIBLE if base_wit["is_square"] else CERTIFIED,
@@ -172,7 +160,7 @@ def _cascade(a: int, depth: int, digest_bits: int, fs: Sequence[int]) -> Cascade
     for n in range(2, depth + 1):
         prev_ok = levels[-1].status == CERTIFIED
         value = fs[n]  # f_(n+1) = p_(n-1)(1)
-        wit, square = _witness(value, digest_bits)
+        wit, square = _witness(value)
         if not prev_ok:
             levels.append(CascadeLevel(n, UNKNOWN, "blocked", wit))
             continue
@@ -305,7 +293,6 @@ class MaximalityCertificate:
     overall: str
     maximal_levels: list[int]
     levels: list[LevelEvidence] = field(default_factory=list)
-    digest_bits: int = DEFAULT_DIGEST_BITS
 
     def all_maximal(self) -> bool:
         return self.overall == ALL_MAXIMAL
@@ -317,12 +304,10 @@ class MaximalityCertificate:
             "overall": self.overall,
             "maximal_levels": list(self.maximal_levels),
             "levels": [l.to_dict() for l in self.levels],
-            "digest_bits": self.digest_bits,
         }
 
 
 def maximality_certificate(a: int, depth: int,
-                           digest_bits: int = DEFAULT_DIGEST_BITS,
                            growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> MaximalityCertificate:
     """Per-level maximality certificate for the tower over basepoint 0.
 
@@ -336,9 +321,9 @@ def maximality_certificate(a: int, depth: int,
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
-        return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [], digest_bits)
+        return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [])
     fs = f_sequence(a, depth + 1, growth_cap_bits)
-    cascade = _cascade(a, depth, digest_bits, fs)
+    cascade = _cascade(a, depth, fs)
     levels: list[LevelEvidence] = []
     maximal: list[int] = []
     for n in range(1, depth + 1):
@@ -349,7 +334,7 @@ def maximality_certificate(a: int, depth: int,
         else:
             prev_ok = cascade.levels[n - 2].status == CERTIFIED
             th = theta(a, n + 1, fs)
-            wit, square = _witness(th, digest_bits)
+            wit, square = _witness(th)
             wit["index"] = n + 1
             # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
             wit["strict_bracket"] = th != 0 and not square
@@ -358,14 +343,14 @@ def maximality_certificate(a: int, depth: int,
         if levels[-1].verdict == "maximal":
             maximal.append(n)
     overall = ALL_MAXIMAL if len(maximal) == depth else PARTIAL
-    return MaximalityCertificate(a, depth, overall, maximal, levels, digest_bits)
+    return MaximalityCertificate(a, depth, overall, maximal, levels)
 
 
 def verify_certificate(cert: MaximalityCertificate) -> bool:
     """Recompute every witness; True iff the verdicts reproduce bit-for-bit."""
     if cert.overall == HYPOTHESES_UNMET:
         return cert.a % 4 != 2 or cert.a > -3
-    fresh = maximality_certificate(cert.a, cert.depth, cert.digest_bits)
+    fresh = maximality_certificate(cert.a, cert.depth)
     return fresh.to_dict() == cert.to_dict()
 
 
@@ -378,7 +363,6 @@ def certificate_from_dict(doc: dict) -> MaximalityCertificate:
     return MaximalityCertificate(
         doc["a"], doc["depth"], doc["overall"],
         list(doc.get("maximal_levels", [])), levels,
-        doc.get("digest_bits", DEFAULT_DIGEST_BITS),
     )
 
 
@@ -682,8 +666,7 @@ class NonsquarefreeEvidence:
 
 
 def nonsquarefree_theta_evidence(a: int, n: int,
-                                 budget: FactorBudget | None = None,
-                                 digest_bits: int = DEFAULT_DIGEST_BITS) -> NonsquarefreeEvidence:
+                                 budget: FactorBudget | None = None) -> NonsquarefreeEvidence:
     """Run the modulus search and congruence checks for non-square-free n."""
     if a % 4 != 2 or a > -3:
         raise HypothesisError("requires a = 2 (mod 4) and a <= -3")
@@ -703,20 +686,17 @@ def nonsquarefree_theta_evidence(a: int, n: int,
     gcd_ok = math.gcd(a_k, b_k) == 1
     congruence_ok = a_k % 8 == 6
     fac = factor_integer(a_k, budget)
-    candidates = fac.prime_list()
-    if fac.cofactor_status == "probable_prime":
-        candidates.append(fac.cofactor)
-    witness = next((p for p in sorted(candidates) if p % 4 == 3), None)
+    witness = next((p for p in sorted(fac.prime_list()) if p % 4 == 3), None)
     partial = witness is None and fac.cofactor_status == "composite_unfactored"
     if witness is None:
         return NonsquarefreeEvidence(
-            a, n, k, "A_k_prime", None, integer_witness(a_k, digest_bits),
+            a, n, k, "A_k_prime", None, integer_witness(a_k),
             gcd_ok, congruence_ok, None, False, partial,
         )
     ev = rad_divisibility_conditions(phi, 0, n, witness)
     certified = gcd_ok and congruence_ok and ev.certified
     return NonsquarefreeEvidence(
-        a, n, k, "A_k_prime", witness, integer_witness(a_k, digest_bits),
+        a, n, k, "A_k_prime", witness, integer_witness(a_k),
         gcd_ok, congruence_ok, ev.conditions, certified, partial,
     )
 

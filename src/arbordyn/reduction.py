@@ -110,10 +110,7 @@ def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) 
         raise RuntimeError(
             "projective resultant not fully factored; raise the effort budget"
         )
-    primes = [p for p, _ in fac.factors]
-    if fac.cofactor != 1:
-        primes.append(fac.cofactor)
-    out = tuple(p for p in sorted(primes) if not has_good_reduction(map_, p))
+    out = tuple(p for p in sorted(fac.prime_list()) if not has_good_reduction(map_, p))
     _bad_primes_cache[map_] = out
     return out
 

@@ -71,7 +71,7 @@ class TestOrbitCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "arbordyn/1"
+        assert doc["schema"] == "arbordyn/2"
         assert doc["orbit"]["points"][:4] == ["0", "inf", "1", "-97"]
 
     def test_fixed_point(self, capsys):
@@ -294,22 +294,6 @@ class TestBudgets:
         doc = json.loads(out)
         assert all("factorization" not in row for row in doc["rows"])
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARBORDYN_THREADS", "3")
-        code, out, _ = run_cli(capsys, "sequence", "--a", "-6", "--n", "2")
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 3
-
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sequence", "--a", "-6", "--n", "5", "--factor",
-            "--threads", "2",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["config"]["threads"] == 2
-        assert doc["rows"][4]["factorization"]["sign"] == -1
-
 
 class TestBadArgumentsExitTwo:
     """Invalid option values give exit 2 and one stderr line, no traceback."""
@@ -333,3 +317,33 @@ class TestBadArgumentsExitTwo:
         assert code == 2 and out == ""
         self.assert_one_error_line(err)
         assert "depth" in err
+
+    def test_rigid_check_n_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "0",
+        )
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "--n" in err
+
+    def test_sequence_negative_n(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "--a", "-98", "--n", "-2")
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "--n" in err
+
+    def test_critical_negative_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "critical", "--map", "(z^2+2)/(z^2+2z+2)", "--bound", "-3",
+        )
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "--bound" in err
+
+    def test_normal_form_negative_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "normal-form", "--map", "(z^2-98)/z^2", "--bound", "-3",
+        )
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "--bound" in err

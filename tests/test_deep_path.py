@@ -16,13 +16,13 @@ import pytest
 
 from arbordyn.divisibility import f_sequence, theta
 from arbordyn.factorint import DECIMAL_SAFE_BITS
+from arbordyn.galois import DIGEST_BITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONINTMAXSTRDIGITS", "ARBORDYN_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "arbordyn.cli", *args],
@@ -69,7 +69,7 @@ class TestDeepCommands:
             for wit, value in ((lvl["irreducibility"]["witness"], fs[n]),
                                (lvl["theta"], theta(-98, n + 1, fs))):
                 assert wit["bits"] == value.bit_length()
-                if value.bit_length() <= DECIMAL_SAFE_BITS:
+                if value.bit_length() <= DIGEST_BITS:
                     assert "sha256_be" not in wit
                     continue
                 wide += 1
@@ -141,30 +141,30 @@ class TestDeepCommands:
         assert run(*args).stdout == run(*args).stdout
 
 
-# sha256 of stdout, recorded before wide integers were hex-encoded: payloads
-# below DECIMAL_SAFE_BITS keep their exact bytes.
+# sha256 of stdout under schema arbordyn/2, so that any change to the bytes of
+# these payloads shows.
 PINNED_STDOUT = [
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"),
-     "0b358d2d741dfb0b4ee1b081b63c4b6468b9b401477fad5dac7002bdd5fa479e"),
+     "c5ba27e81d6cc5fd324b3614e6929f1b15278e0b84732842679e3304022b8703"),
     (("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "fdaf7396bc1dac87d3e6696e03f0a83cc4947a6530d66d77c41eeed297405703"),
+     "d8ee8db753355dbd5946e1daba8b180238170c9d5602cda5fbfe995a117bb37b"),
     (("normal-form", "--map", "(z^2-98)/z^2"),
-     "a8f9e4803501143c26f290b1a971307473ad7e56ca3ed88a051ac18241a1ccee"),
+     "f219d9e9c24aabbc4847c6e2a465cf82c677edd380ac1e4658160080bf905ada"),
     (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor"),
-     "b7a3e317c81e4a04f3cd5c8d3e23861d08b628bfb99de62b5db3acbc5aa34558"),
+     "4c8801bf10e7038a88d028f3cba010c3a7f35208c5ac705970c19f9f4675dc86"),
     (("sequence", "--a", "-98", "--n", "5"),
-     "74bcf81c21cf375697fe08c910cefbf80e84a47d429372919012372fd1848cca"),
+     "99915ec73b3884b2cc5ba1efb7312f41cea9c08522a1db248b4decaa0de4e4ba"),
     (("certify", "--m", "2", "--depth", "8"),
-     "a03fd6b3efe293ff8da49872f425cd0babe0d1bd6969248456a52d1a60f8e360"),
+     "f326c86ad114a47471508ae81420f32e9df841dd9fe34690d867244f270d76ee"),
     (("certify", "--a", "-98", "--depth", "8"),
-     "971ce4fd92c6518be5ee1a222800db4c8865052fd3c7d3cff04f2f3bbc76104a"),
+     "d492da02e2f19e18d0f10e2b20c0cf9afd0ea8547dd64a71315a4b188f90a259"),
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8"),
-     "a3ad3d306890d0b296fa18ab45c5c3caf0bebddcc6cfa4180b93f4ac044d2553"),
+     "a32efe815dec078d3f1a43b45d043dd9b441fe3da74f94846cd4f93d619985b2"),
     # widest values just below the bound: f_13 (13598 bits), p_11(0) (13599 bits)
     (("certify", "--a", "-998", "--depth", "12"),
-     "f72819998650e9ebd4d95a53194561811af16b2ccb2a1a2f7275bf51157b2e99"),
+     "2e4fbe6f3c505dfaa49d76576ce40acc3f41ae8f92d9df38f65a55dae28ee0ab"),
     (("sequence", "--a", "-998", "--n", "11"),
-     "229a32faf8e9904a6ebb64e72b1a0d3bafad2dbda5d5b3c610fb816cfb4b8209"),
+     "79f82fc6315b13afc1abce99d6c3db158b8ab40a06a20dcc36f50cc5e0850875"),
 ]
 
 

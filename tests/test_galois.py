@@ -248,9 +248,10 @@ class TestEventualStability:
 
 class TestCertificateDigests:
     def test_large_theta_uses_digest(self):
-        cert = maximality_certificate(-98, 8, digest_bits=64)
+        cert = maximality_certificate(-98, 11)
         deep = cert.levels[-1].theta
-        assert "sha256" in deep
+        assert deep["index"] == 12 and deep["bits"] == 4423
+        assert "sha256_be" in deep
         assert "value" not in deep
         assert verify_certificate(cert)
 

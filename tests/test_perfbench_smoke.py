@@ -18,8 +18,7 @@ LAYERS = ("parsing", "cli", "ratmap", "intpoly", "critical", "quadext", "fieldpo
 
 
 def run(cmd: list[str]) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "ARBORDYN_THREADS"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, timeout=120)
 
 

@@ -21,7 +21,12 @@ from arbordyn.factorint import (
     is_square_candidate,
     mobius,
 )
-from arbordyn.galois import integer_witness, maximality_certificate, verify_certificate
+from arbordyn.galois import (
+    DIGEST_BITS,
+    integer_witness,
+    maximality_certificate,
+    verify_certificate,
+)
 from arbordyn.ratmap import RationalMap
 
 
@@ -55,13 +60,16 @@ class TestResidueFilter:
 class TestWitness:
     def test_bands(self, default_digit_limit):
         small = -(3 ** 100)
-        mid = 7 ** 3001                      # between digest_bits and the bound
+        mid = 7 ** 3001                      # between DIGEST_BITS and DECIMAL_SAFE_BITS
         wide = -(5 ** 10000) - 1             # beyond DECIMAL_SAFE_BITS
-        assert mid.bit_length() <= DECIMAL_SAFE_BITS < wide.bit_length()
+        assert DIGEST_BITS < mid.bit_length() <= DECIMAL_SAFE_BITS < wide.bit_length()
         rec = integer_witness(small)
         assert rec["value"] == small and rec["isqrt"] == math.isqrt(-small)
         rec = integer_witness(mid)
-        assert rec["sha256"] == hashlib.sha256(str(mid).encode()).hexdigest()
+        raw = mid.to_bytes((mid.bit_length() + 7) // 8, "big")
+        assert rec["sha256_be"] == hashlib.sha256(raw).hexdigest()
+        assert rec["leading_hex"] == format(mid, "x")[:24]
+        assert "value" not in rec and "sha256" not in rec
         assert rec["is_square"] is False
         rec = integer_witness(wide)
         mag = -wide

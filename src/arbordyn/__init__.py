@@ -3,95 +3,70 @@
 Iterate ladders, good reduction, critical-point normal forms, rigid
 divisibility sequences, and recomputable certificates that preimage-field
 towers attain full degree.
+
+Importing the package loads none of its modules: each name below, and each
+submodule, is imported on first use (PEP 562), so a process pays only for
+the modules it touches.
 """
 
-from .errors import (
-    ArborDynError,
-    BadReductionError,
-    CompositeModulusError,
-    CriticalFieldError,
-    DegenerateMapError,
-    DegreeTooSmallError,
-    GrowthCapError,
-    HypothesisError,
-    InvariantViolationError,
-    NotBicriticalError,
-    NotDefinedOverQError,
-    ZeroPolynomialError,
-)
-from .factorint import (
-    FactorBudget,
-    Factorization,
-    divisors,
-    factor_integer,
-    is_perfect_square,
-    is_probable_prime,
-    mobius,
-)
-from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
-from .intpoly import IntPoly, discriminant, poly_gcd, resultant, squarefree_part
-from .quadext import QuadExtElem
-from .ratmap import (
-    INF,
-    IterateLadder,
-    MobiusTransform,
-    OrbitRecord,
-    P1Point,
-    RationalMap,
-)
-from .reduction import (
-    ModOrbit,
-    ReducedMap,
-    bad_reduction_primes,
-    good_reduction_origin_valuations,
-    has_good_reduction,
-    normalize_pair,
-    orbit_mod_p,
-    reduce_mod_p,
-)
-from .critical import (
-    CriticalData,
-    NormalForm,
-    OrbitRelation,
-    QuadraticForm,
-    critical_orbit_relation,
-    critical_points,
-    is_bicritical,
-    normal_forms_conjugate,
-    quadratic_conjugate_form,
-    ramification_index,
-    to_normal_form,
-    wronskian,
-)
-from .divisibility import (
-    RigidityReport,
-    SeqBundle,
-    beta,
-    f_sequence,
-    main_family,
-    primitive_part_valuations,
-    rad_divisibility_conditions,
-    sequence_bundle,
-    sign_check,
-    theta,
-    verify_origin_split,
-    verify_rigid_divisibility,
-)
-from .galois import (
-    HypothesisReport,
-    LevelEvidence,
-    MaximalityCertificate,
-    alpha_parametrization,
-    discriminant_recursion,
-    eventual_stability_check,
-    hypothesis_witnesses,
-    irreducibility_cascade,
-    maximality_certificate,
-    mod_p_irreducible_witness,
-    nonsquarefree_theta_evidence,
-    squarefree_theta_evidence,
-    verify_certificate,
-)
-from .parsing import ParseError, parse_map, parse_point, parse_poly
+import importlib
 
 __version__ = "0.1.0"
+
+# Defining module -> the public names it exports here.
+_EXPORTS = {
+    "errors": (
+        "ArborDynError", "BadReductionError", "CompositeModulusError",
+        "CriticalFieldError", "DegenerateMapError", "DegreeTooSmallError",
+        "GrowthCapError", "HypothesisError", "InvariantViolationError",
+        "NotBicriticalError", "NotDefinedOverQError", "ZeroPolynomialError",
+    ),
+    "factorint": (
+        "FactorBudget", "Factorization", "divisors", "factor_integer",
+        "is_perfect_square", "is_probable_prime", "mobius",
+    ),
+    "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),
+    "intpoly": ("IntPoly", "discriminant", "poly_gcd", "resultant", "squarefree_part"),
+    "quadext": ("QuadExtElem",),
+    "ratmap": ("INF", "IterateLadder", "MobiusTransform", "OrbitRecord", "P1Point",
+               "RationalMap"),
+    "reduction": (
+        "ModOrbit", "ReducedMap", "bad_reduction_primes",
+        "good_reduction_origin_valuations", "has_good_reduction", "normalize_pair",
+        "orbit_mod_p", "reduce_mod_p",
+    ),
+    "critical": (
+        "CriticalData", "NormalForm", "OrbitRelation", "QuadraticForm",
+        "critical_orbit_relation", "critical_points", "is_bicritical",
+        "normal_forms_conjugate", "quadratic_conjugate_form", "ramification_index",
+        "to_normal_form", "wronskian",
+    ),
+    "divisibility": (
+        "RigidityReport", "SeqBundle", "beta", "f_sequence", "main_family",
+        "primitive_part_valuations", "rad_divisibility_conditions", "sequence_bundle",
+        "sign_check", "theta", "verify_origin_split", "verify_rigid_divisibility",
+    ),
+    "galois": (
+        "HypothesisReport", "LevelEvidence", "MaximalityCertificate",
+        "alpha_parametrization", "discriminant_recursion", "eventual_stability_check",
+        "hypothesis_witnesses", "irreducibility_cascade", "maximality_certificate",
+        "mod_p_irreducible_witness", "nonsquarefree_theta_evidence",
+        "squarefree_theta_evidence", "verify_certificate",
+    ),
+    "parsing": ("ParseError", "parse_map", "parse_point", "parse_poly"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"fieldpoly"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the module that defines ``name`` (or the submodule ``name``) on first use."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,8 @@ JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Integers wider than DECIMAL_SAFE_BITS are written as "0x..." hex
 strings, in JSON and text alike, so none is ever converted to decimal.
+Each command imports the modules it needs when it runs, so starting the
+program loads only the parser and what it uses.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import critical as crit
-from . import divisibility as divis
-from . import galois
 from .errors import (
     CriticalFieldError,
     GrowthCapError,
@@ -31,7 +30,6 @@ from .ratmap import (
     DEFAULT_HEIGHT_CAP_BITS,
     DEFAULT_MAX_STEPS,
 )
-from .reduction import bad_reduction_primes
 
 SCHEMA = "arbordyn/2"
 
@@ -151,6 +149,8 @@ def _relation_summary(rel) -> str:
 
 
 def cmd_critical(args) -> int:
+    from . import critical as crit
+
     config = _config_from_args(args)
     if args.bound < 0:
         return _fail("need --bound >= 0", EXIT_PARSE)
@@ -183,6 +183,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from . import critical as crit
+
     config = _config_from_args(args)
     if args.bound < 0:
         return _fail("need --bound >= 0", EXIT_PARSE)
@@ -213,6 +215,8 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    from . import divisibility as divis
+
     config = _config_from_args(args)
     if args.map is None and args.a is None:
         return _fail("need --a or --map", EXIT_PARSE)
@@ -269,9 +273,13 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import galois
+
     config = _config_from_args(args)
     if (args.m is None) == (args.a is None):
         return _fail("need exactly one of --m or --a", EXIT_PARSE)
+    if args.depth < 1:
+        return _fail("need --depth >= 1", EXIT_PARSE)
     payload: dict = {}
     hyp = param = cert = None
 
@@ -306,8 +314,6 @@ def cmd_certify(args) -> int:
         a = param.a
     else:
         a = args.a
-    if args.depth < 1:
-        return _fail("need --depth >= 1", EXIT_PARSE)
     try:
         cert = galois.maximality_certificate(
             a, args.depth, growth_cap_bits=config.growth_cap_bits)
@@ -324,6 +330,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_rigid_check(args) -> int:
+    from . import divisibility as divis
+    from . import reduction
+
     config = _config_from_args(args)
     if args.n < 1:
         return _fail("need --n >= 1", EXIT_PARSE)
@@ -351,7 +360,7 @@ def cmd_rigid_check(args) -> int:
     if any(t == 0 for t in terms):
         return _fail("a sequence term vanishes; rigidity undefined", EXIT_FAIL)
     try:
-        bad = list(bad_reduction_primes(phi, config.budget()))
+        bad = list(reduction.bad_reduction_primes(phi, config.budget()))
     except RuntimeError:
         bad = None
     report = divis.verify_rigid_divisibility(

@@ -9,6 +9,7 @@ which case a passing number is only ever labeled a *probable* prime.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -21,17 +22,21 @@ _sieve_cache: dict[int, list[int]] = {}
 
 
 def primes_below(bound: int) -> list[int]:
-    """All primes < bound by a cached sieve of Eratosthenes."""
+    """All primes < bound by a cached sieve of Eratosthenes over the odd numbers."""
     if bound in _sieve_cache:
         return _sieve_cache[bound]
     if bound <= 2:
         return []
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
-    out = [i for i in range(bound) if sieve[i]]
+    # sieve[i] stands for the odd number 2i + 1 < bound
+    half = bound // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    out = [2, *itertools.compress(range(1, bound, 2), sieve)]
     _sieve_cache[bound] = out
     return out
 
@@ -173,10 +178,12 @@ class Factorization:
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-rho attempt on odd composite n.
+    """One Brent-rho attempt on odd composite n, within ``budget`` iterations.
 
-    Returns (factor or None, iterations consumed).  The factor may be n itself
-    on an unlucky parameter choice; the caller retries.
+    Returns (factor or None, iterations consumed), and never consumes more
+    than ``budget``: every loop is cut at the budget, and the gcd of what it
+    accumulated is still taken.  None means the budget ran out, or the
+    parameter choice was unlucky and the caller retries.
     """
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -186,31 +193,33 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     x = y
     ys = y
     while g == 1:
+        if used >= budget:
+            return None, used
         x = y
-        for _ in range(r):
+        steps = min(r, budget - used)
+        for _ in range(steps):
             y = (y * y + c) % n
-        used += r
+        used += steps
         k = 0
-        while k < r and g == 1:
+        while k < r and g == 1 and used < budget:
             ys = y
-            for _ in range(min(m, r - k)):
+            steps = min(m, r - k, budget - used)
+            for _ in range(steps):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
-            used += min(m, r - k)
+            used += steps
             g = math.gcd(q, n)
             k += m
         r *= 2
-        if g == 1 and used > budget:
-            return None, used
     if g == n:
         # backtrack one step at a time
         g = 1
         while g == 1:
+            if used >= budget:
+                return None, used
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
             used += 1
-            if used > budget:
-                return None, used
     return (g if g != n else None), used
 
 
@@ -250,6 +259,7 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     rng = random.Random(budget.seed)
     remaining = budget.rho_iterations
     leftovers: list[int] = []  # pieces we could not fully certify
+    unsplit = 0  # how many leftovers Miller-Rabin found composite
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -267,6 +277,7 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
             remaining -= used
         if split is None or split in (1, m):
             leftovers.append(m)  # budget exhausted on a known composite
+            unsplit += 1
             continue
         stack.append(split)
         stack.append(m // split)
@@ -274,7 +285,7 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     factors = sorted(counts.items())
     if not leftovers:
         cofactor, status = 1, UNIT
-    elif len(leftovers) == 1 and is_probable_prime(leftovers[0], seed=budget.seed):
+    elif len(leftovers) == 1 and not unsplit:
         cofactor, status = leftovers[0], PROBABLE_PRIME
     else:
         cofactor = math.prod(leftovers)

@@ -17,7 +17,6 @@ wide integer is ever converted to decimal.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,6 +82,8 @@ def _witness(v: int) -> tuple[dict, bool]:
         rec["value"] = v
         rec["isqrt"] = k
     else:
+        import hashlib
+
         rec["sha256_be"] = hashlib.sha256(mag.to_bytes((bits + 7) // 8, "big")).hexdigest()
         hex_digits = (bits + 3) // 4
         rec["leading_hex"] = format(mag >> 4 * (hex_digits - 24), "x")

@@ -318,6 +318,14 @@ class TestBadArgumentsExitTwo:
         self.assert_one_error_line(err)
         assert "depth" in err
 
+    def test_certify_depth_zero_checked_before_m_search(self, capsys):
+        # m = 5 fails the hypotheses; the invalid depth must win regardless
+        for m in ("3", "5"):
+            code, out, err = run_cli(capsys, "certify", "--m", m, "--depth", "0")
+            assert code == 2 and out == ""
+            self.assert_one_error_line(err)
+            assert "depth" in err
+
     def test_rigid_check_n_zero(self, capsys):
         code, out, err = run_cli(
             capsys, "rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "0",

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from arbordyn import factorint
 from arbordyn.factorint import (
     FactorBudget,
+    _brent_rho,
     divisors,
     factor_integer,
     is_perfect_square,
@@ -133,3 +135,25 @@ class TestArithmeticFunctions:
     def test_primes_below(self):
         ps = primes_below(30)
         assert ps == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+class TestRhoBudgetIsHardCap:
+    def test_iterations_never_exceed_budget(self):
+        n = (2 ** 61 - 1) * (2 ** 89 - 1)  # no factor within these budgets
+        for budget in (1, 127, 128, 129, 1000, 4096):
+            factor, used = _brent_rho(n, random.Random(0), budget)
+            assert factor is None
+            assert used <= budget
+
+
+def test_one_primality_test_per_leftover(monkeypatch):
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return is_probable_prime(n, *args, **kwargs)
+
+    monkeypatch.setattr(factorint, "is_probable_prime", counting)
+    fac = factor_integer(4 * M127)
+    assert fac.cofactor_status == "probable_prime"
+    assert calls == [M127]

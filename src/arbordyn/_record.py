@@ -1,0 +1,77 @@
+"""Plain record classes: the ``__init__``, ``__eq__`` and ``__repr__`` that
+``@dataclass`` would write, shared by every record and built without
+``exec``, so that defining a record imports nothing (``inspect`` included).
+
+A subclass lists its fields as class annotations, in order; a class-level
+value is the field's default, and ``Fresh(list)`` gives each instance a new
+list.  ``class P(Record, frozen=True)`` refuses assignment and hashes by its
+field tuple; other records are unhashable.
+"""
+
+class Fresh:
+    """Default made anew for every instance by calling ``make()``."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [n for n in cls.__annotations__ if n not in cls._fields]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = dict(cls._defaults)
+        for name in own:
+            if name in cls.__dict__:
+                default = cls._defaults[name] = cls.__dict__[name]
+                if isinstance(default, Fresh):
+                    delattr(cls, name)
+            elif cls._defaults:
+                raise TypeError(f"non-default field {name!r} follows a default field")
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+            cls.__hash__ = _field_hash
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) == len(names) and not kwargs:
+            self.__dict__.update(zip(names, args))
+            return
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                if name not in self._defaults:
+                    raise TypeError(f"{cls}() missing required argument {name!r}")
+                default = self._defaults[name]
+                values[name] = default.make() if isinstance(default, Fresh) else default
+        self.__dict__.update((name, values[name]) for name in names)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def _field_hash(self) -> int:
+    return hash(self._values())

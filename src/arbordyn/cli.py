@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     CriticalFieldError,
     GrowthCapError,
@@ -41,8 +41,7 @@ EXIT_HYPOTHESES = 4
 EXIT_RIGIDITY = 5
 
 
-@dataclass
-class CommandConfig:
+class CommandConfig(Record):
     growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS
     trial_bound: int = 10 ** 6
     rho_budget: int = 10 ** 8
@@ -336,6 +335,8 @@ def cmd_rigid_check(args) -> int:
     config = _config_from_args(args)
     if args.n < 1:
         return _fail("need --n >= 1", EXIT_PARSE)
+    if args.pool_depth < 0:
+        return _fail("need --pool-depth >= 0", EXIT_PARSE)
     try:
         phi = parse_map(args.map)
     except ParseError as exc:

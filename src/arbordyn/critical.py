@@ -11,10 +11,10 @@ map is rejected as inaccessible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import Record
 from .errors import CriticalFieldError, HypothesisError, NotBicriticalError
 from .factorint import divisors
 from .fieldpoly import conjugate_pair, root_order, trim
@@ -34,8 +34,7 @@ from .ratmap import (
 Location = Union[P1Point, QuadExtElem]
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record, frozen=True):
     kind: str  # "rational" | "quadratic"
     s: Optional[int] = None
 
@@ -46,8 +45,7 @@ class FieldDescriptor:
 RATIONAL_FIELD = FieldDescriptor("rational")
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(Record, frozen=True):
     location: Location
     index: int  # ramification index e >= 2
 
@@ -55,8 +53,7 @@ class CriticalPoint:
         return str(self.location)
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(Record, frozen=True):
     points: tuple[CriticalPoint, ...]
     field: FieldDescriptor
     degree: int
@@ -185,8 +182,7 @@ INVERSE_POWER = "inverse_power"
 BICRITICAL = "bicritical"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record, frozen=True):
     """Result of the normal-form pipeline together with its conjugator.
 
     kind "power":          z -> c * z^d
@@ -354,8 +350,7 @@ def verify_normal_form(map_: RationalMap, nf: NormalForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record, frozen=True):
     """(z^2 + a z + r)/(z^2 + b z + r) with Q(sqrt r) the critical field."""
 
     a: Fraction
@@ -456,8 +451,7 @@ def normal_forms_conjugate(d: int, a, b, a1, b1) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OrbitRelation:
+class OrbitRelation(Record):
     """First critical orbit relation under the documented search order.
 
     Search order: trailing relations phi^n(g_i) = phi^m(g_j) with n > m >= 0

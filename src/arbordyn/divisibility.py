@@ -19,10 +19,10 @@ division beyond) is part of the report, so a "pass" is scoped honestly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Fresh, Record
 from .errors import GrowthCapError, HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
@@ -76,8 +76,7 @@ def f_sequence(a: int, n: int,
     return out[:n]
 
 
-@dataclass
-class SplitReport:
+class SplitReport(Record):
     """Outcome of checking p_n(0) = a^(2^(n-1)) f_n and f_n = 1 mod |a|."""
 
     a: int
@@ -151,8 +150,7 @@ def beta(map_: RationalMap, alpha, n: int) -> Fraction:
     return out
 
 
-@dataclass
-class SignReport:
+class SignReport(Record):
     a: int
     depth: int
     ok: bool
@@ -188,8 +186,7 @@ def sign_check(a: int, n: int) -> SignReport:
     return SignReport(a, n, not failures, failures)
 
 
-@dataclass
-class SeqBundle:
+class SeqBundle(Record):
     """The families' sequence data to a given depth, invariants asserted."""
 
     a: int
@@ -235,8 +232,7 @@ def sequence_bundle(a: int, n: int, alpha=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Violation:
+class Violation(Record):
     prime: int
     condition: int        # 1: valuation fails to propagate; 2: gcd descent fails
     indices: tuple[int, ...]
@@ -251,14 +247,13 @@ class Violation:
         }
 
 
-@dataclass
-class RigidityReport:
+class RigidityReport(Record):
     excluded: list[int]
     checked_primes: list[int]
     depth: int
     pool_depth: int
     trial_bound: int
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = Fresh(list)
 
     @property
     def status(self) -> str:
@@ -341,8 +336,7 @@ def verify_rigid_divisibility(
     return report
 
 
-@dataclass
-class PrimitiveValuationReport:
+class PrimitiveValuationReport(Record):
     n: int
     pairs: list[tuple[int, int]]   # (prime, v_p(theta_n))
     complete: bool                 # False when factoring budget ran out
@@ -387,8 +381,7 @@ def primitive_part_valuations(a: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RadDivisibilityEvidence:
+class RadDivisibilityEvidence(Record):
     n: int
     k: int
     modulus: int

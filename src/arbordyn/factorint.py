@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+
+from ._record import Fresh, Record
 
 # Smallest composite not caught by the first twelve prime witnesses.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
@@ -110,8 +111,7 @@ def is_perfect_square(n: int) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(Record, frozen=True):
     """Effort knobs for factor_integer.
 
     trial_bound: trial-divide by all primes below this bound.
@@ -131,8 +131,7 @@ PROBABLE_PRIME = "probable_prime"
 COMPOSITE_UNFACTORED = "composite_unfactored"
 
 
-@dataclass
-class Factorization:
+class Factorization(Record):
     """sign * prod(p**e) * cofactor reconstructs the input exactly.
 
     ``factors`` holds only certified primes (strictly increasing).  Anything
@@ -142,7 +141,7 @@ class Factorization:
     """
 
     sign: int
-    factors: list[tuple[int, int]] = field(default_factory=list)
+    factors: list[tuple[int, int]] = Fresh(list)
     cofactor: int = 1
     cofactor_status: str = UNIT
 

@@ -8,8 +8,8 @@ costs O(n log p) polynomial multiplications mod f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import CompositeModulusError
 from .factorint import is_probable_prime, small_factor_counts
 from .intpoly import IntPoly
@@ -21,8 +21,7 @@ def _trim(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class PrimeFieldPoly:
+class PrimeFieldPoly(Record, frozen=True):
     """Dense polynomial over F_p; coefficients reduced to [0, p)."""
 
     modulus: int

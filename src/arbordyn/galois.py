@@ -18,10 +18,10 @@ wide integer is ever converted to decimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Fresh, Record
 from .errors import HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
@@ -99,8 +99,7 @@ UNKNOWN = "unknown"
 REDUCIBLE = "reducible"
 
 
-@dataclass
-class CascadeLevel:
+class CascadeLevel(Record):
     """Evidence about the irreducibility of the n-th iterate numerator."""
 
     n: int
@@ -114,8 +113,7 @@ class CascadeLevel:
                 "witness": dict(self.witness)}
 
 
-@dataclass
-class CascadeReport:
+class CascadeReport(Record):
     a: int
     depth: int
     levels: list[CascadeLevel]
@@ -198,8 +196,7 @@ def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiscReport:
+class DiscReport(Record):
     a: int
     n: int
     absolute_value: int
@@ -258,8 +255,7 @@ def discriminant_recursion(a: int, n: int, direct_limit: int = 3) -> DiscReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LevelEvidence:
+class LevelEvidence(Record):
     """Evidence for one level of the tower.
 
     ``irreducibility`` documents the cascade step concluding that the n-th
@@ -287,13 +283,12 @@ PARTIAL = "partial"
 HYPOTHESES_UNMET = "hypotheses_unmet"
 
 
-@dataclass
-class MaximalityCertificate:
+class MaximalityCertificate(Record):
     a: int
     depth: int
     overall: str
     maximal_levels: list[int]
-    levels: list[LevelEvidence] = field(default_factory=list)
+    levels: list[LevelEvidence] = Fresh(list)
 
     def all_maximal(self) -> bool:
         return self.overall == ALL_MAXIMAL
@@ -372,8 +367,7 @@ def certificate_from_dict(doc: dict) -> MaximalityCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(Record):
     """Witness primes for the two residue conditions on the parameter m.
 
     Condition 1 needs a prime p = 3 (mod 4) dividing m-1, m, or m+1;
@@ -445,8 +439,7 @@ def family_parameter(m: int) -> int:
     return -2 * (2 * m * m - 1) ** 2
 
 
-@dataclass
-class ParametrizationReport:
+class ParametrizationReport(Record):
     m: int
     a: int
     alpha: Fraction
@@ -501,8 +494,7 @@ CASE_EVEN_PM1 = "even_pm1"  # n even, p = 3 (mod 4), p | m-1 or m+1
 CASE_EVEN_M = "even_m"      # n even, p = 3 (mod 4), p | m
 
 
-@dataclass
-class ThetaCongruenceEvidence:
+class ThetaCongruenceEvidence(Record):
     """Mod-p stabilization pattern and the resulting square-class conclusion.
 
     ``certified`` asserts |theta_n| is not a square; this requires the
@@ -632,8 +624,7 @@ def squarefree_theta_evidence(m: int, n: int, prime: int, case: str) -> ThetaCon
     )
 
 
-@dataclass
-class NonsquarefreeEvidence:
+class NonsquarefreeEvidence(Record):
     """Evidence that theta_n is off squares for non-square-free n.
 
     Route "m4" uses modulus 4 when n/rad(n) = 2; otherwise a prime divisor
@@ -707,8 +698,7 @@ def nonsquarefree_theta_evidence(a: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(Record):
     case: str          # case1 | case2 | inconclusive
     valuations: dict
     alpha_periodic: Optional[bool]

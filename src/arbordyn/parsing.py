@@ -9,6 +9,7 @@ rational coefficients keep their plain meaning.  Whitespace never matters.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .ratmap import P1Point, RationalMap
@@ -86,11 +87,18 @@ def parse_poly(text: str) -> list[Fraction]:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ParseError(f"cannot parse term {term!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            if m.group("var"):
+                exp = int(m.group("exp")) if m.group("exp") else 1
+            else:
+                exp = 0
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in coefficient {m.group('coef')!r}") from None
+        except ValueError:
+            # only the interpreter's int-string digit limit rejects a matched term
+            raise ParseError(f"term of {len(term)} characters exceeds the "
+                             f"{sys.get_int_max_str_digits()}-digit limit") from None
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
     degree = max(coeffs)
     return [coeffs.get(i, Fraction(0)) for i in range(degree + 1)]

@@ -12,10 +12,10 @@ gcd 1; infinity is (1, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import Fresh, Record
 from .errors import (
     DegenerateMapError,
     DegreeTooSmallError,
@@ -51,8 +51,7 @@ INF = Infinity()
 FieldValue = Union[Fraction, QuadExtElem, Infinity]
 
 
-@dataclass(frozen=True)
-class P1Point:
+class P1Point(Record, frozen=True):
     """Normalized point of P^1(Q): gcd(num, den) = 1, den >= 0, inf = (1, 0)."""
 
     num: int
@@ -110,8 +109,7 @@ def _field_entries(entries):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MobiusTransform:
+class MobiusTransform(Record, frozen=True):
     """z -> (a*z + b)/(c*z + e) with exact entries and nonzero determinant."""
 
     a: object
@@ -183,8 +181,7 @@ class MobiusTransform:
         return {"a": enc(self.a), "b": enc(self.b), "c": enc(self.c), "e": enc(self.e)}
 
 
-@dataclass
-class IterateLadder:
+class IterateLadder(Record):
     """Memoized iterate numerators/denominators; levels[n-1] = (p_n, q_n).
 
     Extension is append-only and single-writer; completed levels are immutable
@@ -192,7 +189,7 @@ class IterateLadder:
     """
 
     base: "RationalMap"
-    levels: list[tuple[IntPoly, IntPoly]] = field(default_factory=list)
+    levels: list[tuple[IntPoly, IntPoly]] = Fresh(list)
 
     def extend(self, n: int, growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> None:
         if not self.levels:
@@ -426,8 +423,7 @@ class RationalMap:
         return map_from_field_pair(new_p, new_q)
 
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(Record):
     points: list[P1Point]
     status: str  # preperiodic | escaped | budget_exhausted
     preperiod: int | None

@@ -11,8 +11,8 @@ for infinity, so orbits can use a flat visited array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import BadReductionError, CompositeModulusError, InvariantViolationError
 from .factorint import FactorBudget, factor_integer, is_probable_prime, valuation
 from .ffpoly import PrimeFieldPoly
@@ -30,8 +30,7 @@ def normalize_pair(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
     return p.scalar_exact_div(c), q.scalar_exact_div(c)
 
 
-@dataclass(frozen=True)
-class ReducedMap:
+class ReducedMap(Record, frozen=True):
     """Coefficient-wise reduction of a canonical pair modulo a prime."""
 
     modulus: int
@@ -115,8 +114,7 @@ def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) 
     return out
 
 
-@dataclass
-class ModOrbit:
+class ModOrbit(Record):
     """Tail/cycle decomposition of a forward orbit in P^1(F_p)."""
 
     modulus: int

@@ -355,3 +355,38 @@ class TestBadArgumentsExitTwo:
         assert code == 2 and out == ""
         self.assert_one_error_line(err)
         assert "--bound" in err
+
+    def test_rigid_check_negative_pool_depth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6",
+            "--exclude", "2", "--pool-depth", "-1",
+        )
+        assert code == 2 and out == ""
+        self.assert_one_error_line(err)
+        assert "--pool-depth" in err
+
+
+MAP_COMMANDS = (
+    ("orbit", "--start", "0"),
+    ("critical",),
+    ("normal-form",),
+    ("sequence", "--n", "3"),
+    ("rigid-check", "--n", "3"),
+)
+
+
+class TestBadCoefficientExitTwo:
+    """A coefficient that Fraction rejects is a parse error on every map command."""
+
+    def test_parse_poly_zero_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly("z^2+1/0")
+
+    @pytest.mark.parametrize("command", MAP_COMMANDS, ids=lambda c: c[0])
+    def test_zero_denominator(self, capsys, command):
+        name, *extra = command
+        code, out, err = run_cli(capsys, name, "--map", "z^2+1/0", *extra)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'1/0'" in err

@@ -191,3 +191,13 @@ class TestBudgets:
         err = proc.stderr.decode().splitlines()
         assert len(err) == 1 and "growth cap" in err[0]
 
+
+
+@pytest.mark.parametrize("term", ["7" * 4400 + "z", "z^" + "7" * 4400],
+                         ids=["coefficient", "exponent"])
+def test_coefficient_past_digit_limit_exits_two(term):
+    proc = run("orbit", "--map", f"z^2+{term}", "--start", "0")
+    assert proc.returncode == 2 and proc.stdout == b""
+    lines = proc.stderr.decode().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "4300-digit limit" in lines[0]

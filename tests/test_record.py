@@ -1,0 +1,122 @@
+"""The record contract: construction, equality, hashing and frozenness.
+
+Records are plain classes on ``arbordyn._record.Record``; these tests pin the
+behaviour the library relies on, which is what ``@dataclass`` gave them.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from arbordyn._record import Fresh, Record
+from arbordyn.divisibility import RigidityReport, Violation
+from arbordyn.factorint import FactorBudget, Factorization
+from arbordyn.galois import CascadeLevel
+from arbordyn.ratmap import MobiusTransform, P1Point
+
+
+class TestConstruction:
+    def test_positional_and_keyword_agree(self):
+        assert P1Point(3, 4) == P1Point(num=3, den=4) == P1Point(3, den=4)
+        level = CascadeLevel(2, "certified", "negative", {"value": -7})
+        assert level == CascadeLevel(n=2, status="certified", route="negative",
+                                     witness={"value": -7})
+        assert (level.n, level.status, level.route) == (2, "certified", "negative")
+
+    def test_defaults(self):
+        assert FactorBudget() == FactorBudget(10 ** 6, 10 ** 8, 0)
+        assert FactorBudget(rho_iterations=5).trial_bound == 10 ** 6
+        fac = Factorization(-1)
+        assert (fac.factors, fac.cofactor, fac.cofactor_status) == ([], 1, "unit")
+
+    @pytest.mark.parametrize("build", [
+        lambda: P1Point(3),
+        lambda: P1Point(den=1),
+        lambda: P1Point(1, 2, 3),
+        lambda: P1Point(1, 2, height=3),
+        lambda: P1Point(1, num=1),
+        lambda: Factorization(),
+    ])
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_fresh_list_per_instance(self):
+        a, b = Factorization(1), Factorization(1)
+        a.factors.append((2, 1))
+        assert b.factors == []
+        r1 = RigidityReport([2], [3], 6, 6, 100)
+        r2 = RigidityReport([2], [3], 6, 6, 100)
+        r1.violations.append(Violation(3, 1, (1, 2), "x"))
+        assert r2.violations == [] and r2.status == "pass"
+        assert r1.status == "fail"
+
+    def test_field_order_is_annotation_order(self):
+        assert Factorization._fields == ("sign", "factors", "cofactor", "cofactor_status")
+        assert RigidityReport._fields == ("excluded", "checked_primes", "depth",
+                                          "pool_depth", "trial_bound", "violations")
+
+    def test_non_default_after_default_rejected(self):
+        with pytest.raises(TypeError):
+            class Bad(Record):
+                a: int = 0
+                b: int
+
+    def test_subclass_extends_fields(self):
+        class Base(Record):
+            a: int
+
+        class Child(Base):
+            b: list = Fresh(list)
+
+        assert Child._fields == ("a", "b")
+        assert Child(1) == Child(a=1, b=[]) and Child(1).b is not Child(1).b
+
+
+class TestEqualityAndRepr:
+    def test_equality_is_by_class_and_fields(self):
+        assert P1Point(1, 2) != P1Point(1, 3)
+        assert Factorization(1, [(2, 3)]) == Factorization(1, [(2, 3)])
+        assert Factorization(1) != Factorization(-1)
+        assert P1Point(1, 2) != (1, 2)
+        assert FactorBudget(1, 2, 3) != P1Point(1, 2)
+
+    def test_repr_names_every_field(self):
+        assert repr(P1Point(1, 2)) == "P1Point(num=1, den=2)"
+        assert repr(FactorBudget()) == (
+            "FactorBudget(trial_bound=1000000, rho_iterations=100000000, seed=0)")
+        assert repr(Factorization(1)) == (
+            "Factorization(sign=1, factors=[], cofactor=1, cofactor_status='unit')")
+
+    def test_own_repr_wins(self):
+        assert repr(MobiusTransform.identity()) == "MobiusTransform(1, 0, 0, 1)"
+
+
+class TestFrozen:
+    def test_equal_records_hash_equal(self):
+        assert hash(P1Point(1, 2)) == hash(P1Point(num=1, den=2))
+        assert len({P1Point(1, 2), P1Point.of(2, 4), P1Point.infinity()}) == 2
+        mu = MobiusTransform.make(1, 2, 3, 5)
+        assert hash(mu) == hash(MobiusTransform(Fraction(1), Fraction(2),
+                                                Fraction(3), Fraction(5)))
+        assert mu.inverse().inverse() == mu
+
+    def test_assignment_and_deletion_raise(self):
+        pt = P1Point(1, 2)
+        with pytest.raises(AttributeError):
+            pt.num = 5
+        with pytest.raises(AttributeError):
+            pt.extra = 5
+        with pytest.raises(AttributeError):
+            del pt.den
+        mu = MobiusTransform.identity()
+        with pytest.raises(AttributeError):
+            mu.a = Fraction(2)
+        assert pt == P1Point(1, 2) and mu.a == 1
+
+    def test_mutable_records_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Factorization(1))
+        fac = Factorization(1)
+        fac.cofactor = 7
+        assert fac.value() == 7

@@ -6,6 +6,7 @@ heavy modules inside the commands that use them, which a subprocess checks
 against a clean ``sys.modules``.
 """
 
+import ast
 import importlib
 import json
 import math
@@ -85,3 +86,42 @@ def test_cli_import_boundary():
     assert not set(HEAVY) & set(loaded["orbit"])
     assert "arbordyn.critical" in loaded["critical"]
     assert "arbordyn.galois" not in loaded["critical"]
+
+
+RECORD_PROBE = """
+import contextlib, io, json, sys
+import arbordyn.cli
+banned = lambda: sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+out = {"import": banned()}
+for argv in (
+    ["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"],
+    ["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
+    ["normal-form", "--map", "(z^2-98)/z^2"],
+    ["sequence", "--a", "-98", "--n", "6", "--factor", "--rho-budget", "1000"],
+    ["certify", "--m", "3", "--depth", "4"],
+    ["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--exclude", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = arbordyn.cli.main(argv)
+    out[argv[0]] = [code, banned()]
+print(json.dumps(out))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    loaded = json.loads(run_python(RECORD_PROBE).stdout)
+    assert loaded.pop("import") == []
+    assert loaded == {cmd: [0, []] for cmd in (
+        "orbit", "critical", "normal-form", "sequence", "certify", "rigid-check")}
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "arbordyn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "dataclasses" for m in modules), path

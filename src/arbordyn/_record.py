@@ -1,12 +1,60 @@
-"""Plain record classes: the ``__init__``, ``__eq__`` and ``__repr__`` that
+"""Plain record classes, and the one rule for writing any value as JSON.
+
+``Record`` supplies the ``__init__``, ``__eq__`` and ``__repr__`` that
 ``@dataclass`` would write, shared by every record and built without
 ``exec``, so that defining a record imports nothing (``inspect`` included).
-
 A subclass lists its fields as class annotations, in order; a class-level
 value is the field's default, and ``Fresh(list)`` gives each instance a new
 list.  ``class P(Record, frozen=True)`` refuses assignment and hashes by its
 field tuple; other records are unhashable.
+
+``plain`` decides how every value is written in JSON, and
+``Record.to_dict()`` is ``{field: plain(value)}``: what it returns is exactly
+what goes into the JSON, so ``json.dumps(x.to_dict())`` never converts a wide
+integer to decimal.  This module imports nothing from the package.
 """
+
+from fractions import Fraction
+
+# Integers wider than this are never converted to decimal: the conversion is
+# quadratic, and CPython refuses it past 4300 digits by default.
+DECIMAL_SAFE_BITS = 14000
+
+
+def int_text(v: int) -> str:
+    """v in decimal, or as "0x..."/"-0x..." hex when wider than DECIMAL_SAFE_BITS."""
+    return hex(v) if v.bit_length() > DECIMAL_SAFE_BITS else str(v)
+
+
+def fraction_text(x: Fraction) -> str:
+    """"num" or "num/den", each part written by int_text."""
+    if x.denominator == 1:
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+
+
+def plain(v):
+    """v as JSON data.
+
+    None, bools and strings stay as they are; an int stays an int up
+    to DECIMAL_SAFE_BITS and becomes int_text's "0x..." string past it; a
+    Fraction becomes fraction_text's string; lists and tuples become lists
+    and dicts are copied, with plain applied to every item.  Anything else is
+    written as its ``to_dict()``: a record's fields, a quadratic-field element's
+    {x, y, s}, and the text of a projective point or of infinity.
+    """
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    if isinstance(v, int):
+        return v if v.bit_length() <= DECIMAL_SAFE_BITS else hex(v)
+    if isinstance(v, (list, tuple)):
+        return [plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: plain(x) for k, x in v.items()}
+    if isinstance(v, Fraction):
+        return fraction_text(v)
+    return v.to_dict()
+
 
 class Fresh:
     """Default made anew for every instance by calling ``make()``."""
@@ -63,6 +111,9 @@ class Record:
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented
+
+    def to_dict(self) -> dict:
+        return {name: plain(self.__dict__[name]) for name in self._fields}
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))

@@ -1,11 +1,15 @@
 """Command-line interface: reproducible, scriptable commands with JSON output.
 
-Exit codes are a stable contract: 0 success/pass, 2 parse failure or invalid
-option value, 3 non-bicritical input, 4 hypotheses unmet, 5 rigidity violation.
+Exit codes are a stable contract: 0 success/pass, 1 budget or partial
+certificate, 2 parse failure or invalid option value, 3 non-bicritical input,
+4 hypotheses unmet, 5 rigidity violation, 6 internal error (any other
+exception, reported as one "error: internal: <Type>: <message>" line).
 JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
-stderr.  Integers wider than DECIMAL_SAFE_BITS are written as "0x..." hex
-strings, in JSON and text alike, so none is ever converted to decimal.
+stderr.  Every value is written by ``_record.plain``: integers wider than
+DECIMAL_SAFE_BITS become "0x..." hex strings, and rationals "num/den" with
+each part by the same rule, in JSON and text alike, so no wide integer is
+ever converted to decimal.
 Each command imports the modules it needs when it runs, so starting the
 program loads only the parser and what it uses.
 """
@@ -15,15 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, fraction_text, int_text, plain
 from .errors import (
     CriticalFieldError,
     GrowthCapError,
     HypothesisError,
     NotBicriticalError,
 )
-from .factorint import DECIMAL_SAFE_BITS, FactorBudget, factor_integer, int_text
+from .factorint import FactorBudget, factor_integer
 from .parsing import ParseError, parse_map, parse_point
 from .ratmap import (
     DEFAULT_GROWTH_CAP_BITS,
@@ -39,6 +44,7 @@ EXIT_PARSE = 2
 EXIT_NOT_BICRITICAL = 3
 EXIT_HYPOTHESES = 4
 EXIT_RIGIDITY = 5
+EXIT_INTERNAL = 6
 
 
 class CommandConfig(Record):
@@ -47,21 +53,10 @@ class CommandConfig(Record):
     rho_budget: int = 10 ** 8
     orbit_max_steps: int = DEFAULT_MAX_STEPS
     height_cap_bits: int = DEFAULT_HEIGHT_CAP_BITS
-    output: str = "json"
     seed: int = 0
 
     def budget(self) -> FactorBudget:
         return FactorBudget(self.trial_bound, self.rho_budget, self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "growth_cap_bits": self.growth_cap_bits,
-            "trial_bound": self.trial_bound,
-            "rho_budget": self.rho_budget,
-            "orbit_max_steps": self.orbit_max_steps,
-            "height_cap_bits": self.height_cap_bits,
-            "seed": self.seed,
-        }
 
 
 def _config_from_args(args) -> CommandConfig:
@@ -71,7 +66,6 @@ def _config_from_args(args) -> CommandConfig:
         rho_budget=args.rho_budget,
         orbit_max_steps=args.steps,
         height_cap_bits=args.height_cap_bits,
-        output=args.output,
         seed=args.seed,
     )
     budgets = (config.growth_cap_bits, config.trial_bound, config.rho_budget,
@@ -81,29 +75,23 @@ def _config_from_args(args) -> CommandConfig:
     return config
 
 
-def _encode(obj):
-    """obj for JSON, with every int wider than DECIMAL_SAFE_BITS as int_text's
-    "0x..."/"-0x..." string; narrower ints stay ints, dicts and lists are
-    encoded throughout.  Text lines render their integers with int_text.
+def _emit(payload: dict, args, config: CommandConfig, text=None) -> None:
+    """Print the payload as JSON, or as the lines ``text()`` builds for --output text.
+
+    The payload may hold records and any other value ``plain`` writes.
     """
-    if isinstance(obj, int):
-        return obj if obj.bit_length() <= DECIMAL_SAFE_BITS else int_text(obj)
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
-
-
-def _emit(payload: dict, config: CommandConfig, command: str, text=None) -> None:
-    """Print the payload as JSON, or as the lines ``text()`` builds for --output text."""
-    if config.output == "text" and text is not None:
+    if args.output == "text" and text is not None:
         for line in text():
             print(line)
         return
-    doc = {"schema": SCHEMA, "command": command, "config": config.to_dict()}
+    doc = {"schema": SCHEMA, "command": args.command, "config": config}
     doc.update(payload)
-    print(json.dumps(_encode(doc), sort_keys=True, indent=2))
+    print(json.dumps(plain(doc), sort_keys=True, indent=2))
+
+
+def _text(v) -> str:
+    """A field value as text: a Fraction by fraction_text, anything else by str."""
+    return fraction_text(v) if isinstance(v, Fraction) else str(v)
 
 
 def _fail(message: str, code: int) -> int:
@@ -133,7 +121,7 @@ def cmd_orbit(args) -> int:
                         if rec.status == "preperiodic" else ""))
         return lines
 
-    _emit({"orbit": rec.to_dict()}, config, "orbit", text)
+    _emit({"orbit": rec}, args, config, text)
     return EXIT_OK
 
 
@@ -141,7 +129,7 @@ def _relation_summary(rel) -> str:
     if rel.kind == "trailing":
         return f"trailing({rel.n}, {rel.m})"
     if rel.kind == "collision":
-        return f"collision({rel.n}) at {rel.value}"
+        return f"collision({rel.n}) at {_text(rel.value)}"
     if rel.kind == "single_orbit_preperiodic":
         return f"single_orbit_preperiodic({rel.preperiod}, {rel.period})"
     return f"none_found({rel.search_bound})"
@@ -167,7 +155,7 @@ def cmd_critical(args) -> int:
         rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
-    payload = {"critical": data.to_dict(), "relation": rel.to_dict()}
+    payload = {"critical": data, "relation": rel}
 
     def text():
         lines = ["critical points:"]
@@ -177,7 +165,7 @@ def cmd_critical(args) -> int:
         lines.append(f"orbit relation: {_relation_summary(rel)}")
         return lines
 
-    _emit(payload, config, "critical", text)
+    _emit(payload, args, config, text)
     return EXIT_OK
 
 
@@ -196,20 +184,20 @@ def cmd_normal_form(args) -> int:
         rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
-    payload = {"normal_form": nf.to_dict(), "relation": rel.to_dict()}
+    payload = {"normal_form": nf, "relation": rel}
 
     def text():
         if nf.kind == crit.BICRITICAL:
-            summary = f"bicritical(a = {nf.a}, b = {nf.b})"
+            summary = f"bicritical(a = {_text(nf.a)}, b = {_text(nf.b)})"
         elif nf.kind == crit.POWER:
-            summary = f"power(c = {nf.c})"
+            summary = f"power(c = {_text(nf.c)})"
         else:
-            summary = f"inverse_power(c = {nf.c})"
+            summary = f"inverse_power(c = {_text(nf.c)})"
         return [f"normal form: {summary}",
                 f"conjugator mu: {nf.mu.to_dict()}",
                 f"orbit relation: {_relation_summary(rel)}"]
 
-    _emit(payload, config, "normal-form", text)
+    _emit(payload, args, config, text)
     return EXIT_OK
 
 
@@ -251,7 +239,7 @@ def cmd_sequence(args) -> int:
         for row in rows:
             if row["pn0"] != 0:
                 fac = factor_integer(row["pn0"], budget)
-                row["factorization"] = fac.to_dict()
+                row["factorization"] = fac
                 row["factor_string"] = fac.format()
     payload = {"a": family_a, "n": args.n, "rows": rows, "status": status}
 
@@ -267,7 +255,7 @@ def cmd_sequence(args) -> int:
             lines.append("  ".join(cells))
         return lines
 
-    _emit(payload, config, "sequence", text)
+    _emit(payload, args, config, text)
     return EXIT_OK
 
 
@@ -290,7 +278,7 @@ def cmd_certify(args) -> int:
                 f"S2 witness {hyp.s2_witness} ({hyp.s2_target})"
             )
         if param is not None:
-            lines.append(f"a = {param.a}, alpha = {param.alpha}")
+            lines.append(f"a = {int_text(param.a)}, alpha = {fraction_text(param.alpha)}")
         if cert is None:
             lines.append("hypotheses unmet")
         else:
@@ -303,13 +291,13 @@ def cmd_certify(args) -> int:
             hyp = galois.hypothesis_witnesses(args.m)
         except ValueError as exc:
             return _fail(str(exc), EXIT_PARSE)
-        payload["hypotheses"] = hyp.to_dict()
+        payload["hypotheses"] = hyp
         if not hyp.met:
             payload["overall"] = "hypotheses_unmet"
-            _emit(payload, config, "certify", text)
+            _emit(payload, args, config, text)
             return EXIT_HYPOTHESES
         param = galois.alpha_parametrization(args.m)
-        payload["parametrization"] = param.to_dict()
+        payload["parametrization"] = param
         a = param.a
     else:
         a = args.a
@@ -318,9 +306,9 @@ def cmd_certify(args) -> int:
             a, args.depth, growth_cap_bits=config.growth_cap_bits)
     except GrowthCapError as exc:
         return _fail(str(exc), EXIT_FAIL)
-    payload["certificate"] = cert.to_dict()
+    payload["certificate"] = cert
     payload["overall"] = cert.overall
-    _emit(payload, config, "certify", text)
+    _emit(payload, args, config, text)
     if cert.overall == galois.ALL_MAXIMAL:
         return EXIT_OK
     if cert.overall == galois.HYPOTHESES_UNMET:
@@ -368,7 +356,7 @@ def cmd_rigid_check(args) -> int:
         terms, exclude, args.pool_depth, config.trial_bound, config.budget()
     )
     payload = {
-        "report": report.to_dict(),
+        "report": report,
         "bad_reduction_primes": bad,
         "warnings": warnings,
     }
@@ -384,7 +372,7 @@ def cmd_rigid_check(args) -> int:
             lines.append(f"  violation p={v.prime} condition {v.condition}: {v.detail}")
         return lines
 
-    _emit(payload, config, "rigid-check", text)
+    _emit(payload, args, config, text)
     return EXIT_OK if report.status == "pass" else EXIT_RIGIDITY
 
 
@@ -491,6 +479,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_HYPOTHESES)
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        return _fail(f"internal: {type(exc).__name__}: {message}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -38,9 +38,6 @@ class FieldDescriptor(Record, frozen=True):
     kind: str  # "rational" | "quadratic"
     s: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "s": self.s}
-
 
 RATIONAL_FIELD = FieldDescriptor("rational")
 
@@ -56,19 +53,10 @@ class CriticalPoint(Record, frozen=True):
 class CriticalData(Record, frozen=True):
     points: tuple[CriticalPoint, ...]
     field: FieldDescriptor
-    degree: int
 
     def ramification_defect(self) -> int:
         """sum (e - 1); equals 2d - 2 when all critical points are listed."""
         return sum(pt.index - 1 for pt in self.points)
-
-    def to_dict(self) -> dict:
-        pts = []
-        for pt in self.points:
-            loc = pt.location
-            enc = loc.to_dict() if isinstance(loc, QuadExtElem) else str(loc)
-            pts.append({"location": enc, "index": pt.index})
-        return {"points": pts, "field": self.field.to_dict()}
 
 
 def wronskian(map_: RationalMap) -> IntPoly:
@@ -164,7 +152,7 @@ def critical_points(map_: RationalMap) -> CriticalData:
     if inf_defect > 0:
         points.append(CriticalPoint(P1Point.infinity(), inf_defect + 1))
     field = FieldDescriptor("quadratic", s) if quad_points else RATIONAL_FIELD
-    return CriticalData(tuple(points), field, d)
+    return CriticalData(tuple(points), field)
 
 
 def is_bicritical(map_: RationalMap) -> tuple[bool, CriticalData]:
@@ -209,22 +197,6 @@ class NormalForm(Record, frozen=True):
         num = [self.a] + [0] * (d - 1) + [1]
         den = [self.b] + [0] * (d - 1) + [1]
         return num, den
-
-    def to_dict(self) -> dict:
-        def enc(t):
-            if t is None:
-                return None
-            return t.to_dict() if isinstance(t, QuadExtElem) else str(t)
-
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "c": enc(self.c),
-            "a": enc(self.a),
-            "b": enc(self.b),
-            "mu": self.mu.to_dict(),
-            "field": self.field.to_dict(),
-        }
 
 
 def _as_field_value(loc: Location, s: Optional[int]) -> FieldValue:
@@ -363,14 +335,6 @@ class QuadraticForm(Record, frozen=True):
             [self.r, self.a, Fraction(1)], [self.r, self.b, Fraction(1)]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "a": str(self.a),
-            "b": str(self.b),
-            "r": str(self.r),
-            "mu": self.mu.to_dict(),
-        }
-
 
 def quadratic_conjugate_form(map_: RationalMap, c2_limit: int = 16) -> QuadraticForm:
     """Conjugate over Q a quadratic map with quadratic critical field to
@@ -470,25 +434,6 @@ class OrbitRelation(Record):
     value: Optional[object] = None    # collision: the common (rational) value
     height_capped: bool = False
     galois_consistent: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        val = self.value
-        if isinstance(val, QuadExtElem):
-            val = val.to_dict()
-        elif val is not None and not isinstance(val, str):
-            val = str(val)
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "lead": self.lead,
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "value": val,
-            "search_bound": self.search_bound,
-            "height_capped": self.height_capped,
-            "galois_consistent": self.galois_consistent,
-        }
 
 
 def _height(x: FieldValue) -> int:

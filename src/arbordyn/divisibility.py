@@ -84,10 +84,6 @@ class SplitReport(Record):
     ok: bool
     failures: list[str]
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "depth": self.depth, "ok": self.ok,
-                "failures": list(self.failures)}
-
 
 def verify_origin_split(a: int, n: int) -> SplitReport:
     """Check the power split of p_k(0) and the congruence f_k = 1 (mod |a|).
@@ -156,10 +152,6 @@ class SignReport(Record):
     ok: bool
     failures: list[str]
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "depth": self.depth, "ok": self.ok,
-                "failures": list(self.failures)}
-
 
 def sign_check(a: int, n: int) -> SignReport:
     """For a <= -3: sign alternation of p_k(0), the orbit interval bounds, and
@@ -196,18 +188,6 @@ class SeqBundle(Record):
     theta: list[int]
     beta: Optional[list[Fraction]] = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "a": self.a,
-            "depth": self.depth,
-            "f": list(self.f),
-            "pn0": list(self.pn0),
-            "theta": list(self.theta),
-        }
-        if self.beta is not None:
-            out["beta"] = [str(x) for x in self.beta]
-        return out
-
 
 def sequence_bundle(a: int, n: int, alpha=None,
                     growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> SeqBundle:
@@ -238,14 +218,6 @@ class Violation(Record):
     indices: tuple[int, ...]
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "condition": self.condition,
-            "indices": list(self.indices),
-            "detail": self.detail,
-        }
-
 
 class RigidityReport(Record):
     excluded: list[int]
@@ -263,15 +235,7 @@ class RigidityReport(Record):
         return sorted({v.prime for v in self.violations})
 
     def to_dict(self) -> dict:
-        return {
-            "excluded": list(self.excluded),
-            "checked_primes": list(self.checked_primes),
-            "depth": self.depth,
-            "pool_depth": self.pool_depth,
-            "trial_bound": self.trial_bound,
-            "violations": [v.to_dict() for v in self.violations],
-            "status": self.status,
-        }
+        return {**super().to_dict(), "status": self.status}
 
 
 def verify_rigid_divisibility(
@@ -342,14 +306,6 @@ class PrimitiveValuationReport(Record):
     complete: bool                 # False when factoring budget ran out
     gcd_clean: bool                # every listed prime avoids f_i for i < n
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": [[p, v] for p, v in self.pairs],
-            "complete": self.complete,
-            "gcd_clean": self.gcd_clean,
-        }
-
 
 def primitive_part_valuations(a: int, n: int,
                               budget: FactorBudget | None = None) -> PrimitiveValuationReport:
@@ -387,15 +343,6 @@ class RadDivisibilityEvidence(Record):
     modulus: int
     conditions: dict
     certified: bool   # all three conditions hold: beta_{alpha,n} is not a square
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "modulus": self.modulus,
-            "conditions": dict(self.conditions),
-            "certified": self.certified,
-        }
 
 
 def _poly_is_square(f: IntPoly) -> bool:

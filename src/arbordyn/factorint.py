@@ -13,7 +13,8 @@ import itertools
 import math
 import random
 
-from ._record import Fresh, Record
+# DECIMAL_SAFE_BITS and int_text are defined with the JSON rule in _record.
+from ._record import DECIMAL_SAFE_BITS, Fresh, Record, int_text  # noqa: F401
 
 # Smallest composite not caught by the first twelve prime witnesses.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
@@ -77,15 +78,6 @@ def is_probable_prime(n: int, seed: int = 0, rounds: int = 64) -> bool:
         _mr_round(n, rng.randrange(2, n - 1), d, r) for _ in range(rounds)
     )
 
-
-# Integers wider than this are never converted to decimal: the conversion is
-# quadratic, and CPython refuses it past 4300 digits by default.
-DECIMAL_SAFE_BITS = 14000
-
-
-def int_text(v: int) -> str:
-    """v in decimal, or as "0x..."/"-0x..." hex when wider than DECIMAL_SAFE_BITS."""
-    return hex(v) if v.bit_length() > DECIMAL_SAFE_BITS else str(v)
 
 # A perfect square is a quadratic residue modulo every m; these moduli turn
 # away all but about one random non-square in 80000 before any square root is
@@ -157,14 +149,6 @@ class Factorization(Record):
         if self.cofactor_status == PROBABLE_PRIME:
             primes.append(self.cofactor)
         return primes
-
-    def to_dict(self) -> dict:
-        return {
-            "sign": self.sign,
-            "factors": [[p, e] for p, e in self.factors],
-            "cofactor": self.cofactor,
-            "cofactor_status": self.cofactor_status,
-        }
 
     def format(self) -> str:
         parts = []

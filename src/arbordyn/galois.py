@@ -108,10 +108,6 @@ class CascadeLevel(Record):
     #                          | isqrt_bracket | blocked | square_value
     witness: dict            # integer witness for -a (n = 1) or f_(n+1)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "status": self.status, "route": self.route,
-                "witness": dict(self.witness)}
-
 
 class CascadeReport(Record):
     a: int
@@ -125,10 +121,6 @@ class CascadeReport(Record):
                 break
             out = lvl.n
         return out
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "depth": self.depth,
-                "levels": [l.to_dict() for l in self.levels]}
 
 
 def irreducibility_cascade(a: int, depth: int) -> CascadeReport:
@@ -203,11 +195,6 @@ class DiscReport(Record):
     sign: Optional[int]        # from direct computation when feasible
     direct_match: Optional[bool]
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "n": self.n,
-                "absolute_value_bits": self.absolute_value.bit_length(),
-                "sign": self.sign, "direct_match": self.direct_match}
-
 
 def discriminant_recursion(a: int, n: int, direct_limit: int = 3) -> DiscReport:
     """|Disc(p_n)| by the closed recursion, cross-checked directly when cheap.
@@ -269,14 +256,6 @@ class LevelEvidence(Record):
     theta: Optional[dict]
     verdict: str  # maximal | unknown
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "irreducibility": dict(self.irreducibility),
-            "theta": dict(self.theta) if self.theta is not None else None,
-            "verdict": self.verdict,
-        }
-
 
 ALL_MAXIMAL = "all_maximal"
 PARTIAL = "partial"
@@ -292,15 +271,6 @@ class MaximalityCertificate(Record):
 
     def all_maximal(self) -> bool:
         return self.overall == ALL_MAXIMAL
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "depth": self.depth,
-            "overall": self.overall,
-            "maximal_levels": list(self.maximal_levels),
-            "levels": [l.to_dict() for l in self.levels],
-        }
 
 
 def maximality_certificate(a: int, depth: int,
@@ -383,17 +353,6 @@ class HypothesisReport(Record):
     shortcut: bool
     met: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "s1_witness": self.s1_witness,
-            "s1_target": self.s1_target,
-            "s2_witness": self.s2_witness,
-            "s2_target": self.s2_target,
-            "shortcut": self.shortcut,
-            "met": self.met,
-        }
-
 
 def _witness_search(targets: list[tuple[str, int]], wanted) -> tuple[Optional[int], Optional[str]]:
     best: tuple[int, str] | None = None
@@ -445,10 +404,6 @@ class ParametrizationReport(Record):
     alpha: Fraction
     checks: dict
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "a": self.a, "alpha": str(self.alpha),
-                "checks": dict(self.checks), "ok": self.ok}
 
 
 def alpha_parametrization(m: int) -> ParametrizationReport:
@@ -516,20 +471,6 @@ class ThetaCongruenceEvidence(Record):
     certified: bool
     direct_nonsquare: Optional[bool]
     agree: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n, "prime": self.prime, "case": self.case,
-            "pattern_ok": self.pattern_ok,
-            "product_class": self.product_class,
-            "final_class": self.final_class,
-            "expected_class": self.expected_class,
-            "nonresidue": self.nonresidue,
-            "bridge_applicable": self.bridge_applicable,
-            "certified": self.certified,
-            "direct_nonsquare": self.direct_nonsquare,
-            "agree": self.agree,
-        }
 
 
 def _legendre_nonresidue(c: int, p: int) -> bool:
@@ -646,16 +587,6 @@ class NonsquarefreeEvidence(Record):
     certified: bool
     partial: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a, "n": self.n, "k": self.k, "route": self.route,
-            "witness_modulus": self.witness_modulus,
-            "a_k_witness": self.a_k_witness,
-            "gcd_ok": self.gcd_ok, "congruence_ok": self.congruence_ok,
-            "conditions": self.conditions,
-            "certified": self.certified, "partial": self.partial,
-        }
-
 
 def nonsquarefree_theta_evidence(a: int, n: int,
                                  budget: FactorBudget | None = None) -> NonsquarefreeEvidence:
@@ -702,10 +633,6 @@ class StabilityReport(Record):
     case: str          # case1 | case2 | inconclusive
     valuations: dict
     alpha_periodic: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {"case": self.case, "valuations": dict(self.valuations),
-                "alpha_periodic": self.alpha_periodic}
 
 
 def _frac_valuation(x: Fraction, p: int):

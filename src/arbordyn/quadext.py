@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from ._record import fraction_text, plain
 from .factorint import small_factor_counts
 
 Rat = Union[int, Fraction]
@@ -165,11 +166,11 @@ class QuadExtElem:
 
     def __repr__(self) -> str:
         if self.y == 0:
-            return str(self.x)
+            return fraction_text(self.x)
         if self.x == 0:
-            return f"{self.y}*sqrt({self.s})"
+            return f"{fraction_text(self.y)}*sqrt({self.s})"
         op = "-" if self.y < 0 else "+"
-        return f"{self.x} {op} {abs(self.y)}*sqrt({self.s})"
+        return f"{fraction_text(self.x)} {op} {fraction_text(abs(self.y))}*sqrt({self.s})"
 
     def to_dict(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y), "s": self.s}
+        return plain({"x": self.x, "y": self.y, "s": self.s})

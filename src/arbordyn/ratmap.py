@@ -15,14 +15,13 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._record import Fresh, Record
+from ._record import Fresh, Record, int_text
 from .errors import (
     DegenerateMapError,
     DegreeTooSmallError,
     GrowthCapError,
     NotDefinedOverQError,
 )
-from .factorint import int_text
 from .fieldpoly import conjugate_pair
 from .intpoly import IntPoly, resultant
 from .quadext import QuadExtElem
@@ -44,6 +43,8 @@ class Infinity:
 
     def __repr__(self) -> str:
         return "inf"
+
+    to_dict = __repr__  # its JSON form is its text
 
 
 INF = Infinity()
@@ -97,6 +98,8 @@ class P1Point(Record, frozen=True):
         if self.den == 1:
             return int_text(self.num)
         return f"{int_text(self.num)}/{int_text(self.den)}"
+
+    to_dict = __str__  # its JSON form is its text, not its fields
 
 
 def _field_entries(entries):
@@ -173,12 +176,6 @@ class MobiusTransform(Record, frozen=True):
 
     def __repr__(self) -> str:
         return f"MobiusTransform({self.a}, {self.b}, {self.c}, {self.e})"
-
-    def to_dict(self) -> dict:
-        def enc(t):
-            return t.to_dict() if isinstance(t, QuadExtElem) else str(t)
-
-        return {"a": enc(self.a), "b": enc(self.b), "c": enc(self.c), "e": enc(self.e)}
 
 
 class IterateLadder(Record):
@@ -428,14 +425,6 @@ class OrbitRecord(Record):
     status: str  # preperiodic | escaped | budget_exhausted
     preperiod: int | None
     period: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "points": [str(p) for p in self.points],
-            "status": self.status,
-            "preperiod": self.preperiod,
-            "period": self.period,
-        }
 
 
 def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:

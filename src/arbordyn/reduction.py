@@ -122,14 +122,6 @@ class ModOrbit(Record):
     cycle_length: int
     visited: list[int]  # visited[tail_length + cycle_length] == visited[tail_length]
 
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "tail_length": self.tail_length,
-            "cycle_length": self.cycle_length,
-            "visited": list(self.visited),
-        }
-
 
 def orbit_mod_p(rmap: ReducedMap, start: int) -> ModOrbit:
     """Exhaustive forward orbit from ``start`` (0..p encoding, p = infinity).

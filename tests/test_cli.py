@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from arbordyn import cli
 from arbordyn.cli import main
+from arbordyn.errors import InvariantViolationError
 from arbordyn.parsing import ParseError, parse_map, parse_point, parse_poly
 from arbordyn.ratmap import P1Point, RationalMap
 
@@ -390,3 +392,23 @@ class TestBadCoefficientExitTwo:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "'1/0'" in err
+
+
+class TestInternalErrorExitSix:
+    """Any other exception from a command is one stderr line and exit 6."""
+
+    @pytest.mark.parametrize("error", [
+        InvariantViolationError("theta_3 is not integral\nsecond line"),
+        MemoryError(),
+    ], ids=lambda e: type(e).__name__)
+    def test_one_line_no_traceback(self, capsys, monkeypatch, error):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_orbit", broken)
+        code, out, err = run_cli(capsys, "orbit", "--map", "z^2", "--start", "0")
+        assert code == 6 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        assert lines[0].startswith(f"error: internal: {type(error).__name__}: ")
+        assert " ".join(str(error).split("\n")) in lines[0]

@@ -10,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from arbordyn.divisibility import f_sequence, theta
-from arbordyn.factorint import DECIMAL_SAFE_BITS
+from arbordyn.factorint import DECIMAL_SAFE_BITS, int_text
 from arbordyn.galois import DIGEST_BITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -136,6 +137,21 @@ class TestDeepCommands:
             assert as_int(point if point.startswith("0x") else int(point)) == x
         assert rec["points"][-1].startswith("0x")
 
+    def test_normal_form_with_a_wide_rational(self):
+        # a = 1/c^3 has a 38040-bit denominator; c itself has 3817 digits, which
+        # the parser accepts
+        c = 3 ** 8000
+        args = ("normal-form", "--map", f"({int_text(c)}z^2+1)/z^2")
+        proc = run(*args)
+        assert proc.returncode == 0
+        a = json.loads(proc.stdout)["normal_form"]["a"]
+        num, den = a.split("/")
+        assert num == "1" and den.startswith("0x")
+        assert Fraction(int(num, 0), int(den, 0)) == Fraction(1, c ** 3)
+        proc = run(*args, "--output", "text")
+        assert proc.returncode == 0
+        assert proc.stdout.decode().startswith("normal form: bicritical(a = 1/0x")
+
     def test_stdout_is_stable_across_runs(self):
         args = ("certify", "--a", "-98", "--depth", "15")
         assert run(*args).stdout == run(*args).stdout
@@ -165,13 +181,44 @@ PINNED_STDOUT = [
      "2e4fbe6f3c505dfaa49d76576ce40acc3f41ae8f92d9df38f65a55dae28ee0ab"),
     (("sequence", "--a", "-998", "--n", "11"),
      "79f82fc6315b13afc1abce99d6c3db158b8ab40a06a20dcc36f50cc5e0850875"),
+    # quadratic conjugator entries, and a collision value in Q(sqrt 2) with y = 0
+    (("normal-form", "--map", "(z^2+2)/(z^2+2z+2)"),
+     "33f24879b5ba82357d77c4c644a56c2b4167db4c8586b32b4445bef52e5ee9f1"),
+    (("critical", "--map", "(z^2+1)/(2z)"),
+     "ecf3fc12145430e616271b5a7592f6b4458c219f7b7b910e3a6c16ce5e749305"),
+    # Q(sqrt 5), no relation found
+    (("normal-form", "--map", "(z^2-2z)/(z^2+1)"),
+     "82bd895e52ee43f9a7b5c1174e3c6d821f529edc6da27d4727a0b468dfb9c3a7"),
+    (("certify", "--m", "5", "--depth", "3"),
+     "ef7a425ed1ecf8d8c9670c842cbe10d0dd3b399c319e435fe68ab4352b9c7d42"),
+    # --output text of the README commands; "conjugator mu: {...}" is a dict repr
+    (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6", "--output", "text"),
+     "fdc9e58402bfb3403fd881d6f41396a494b2022061387794a32796646b1e4c4b"),
+    (("critical", "--map", "(z^2+2)/(z^2+2z+2)", "--output", "text"),
+     "41b9bf2f12c5bdea51a16e904b58447c9357b85e4225ec1e9d7a9e12c385c83a"),
+    (("normal-form", "--map", "(z^2-98)/z^2", "--output", "text"),
+     "d84ed389ff84a53a4d400000843e6c20014a1f2625c09879160b8d4abbb78fc4"),
+    (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor", "--output", "text"),
+     "ad84edc469a59b751071469262fe04ec2cb3efa3af88037bca5d8df320508610"),
+    (("sequence", "--a", "-98", "--n", "5", "--output", "text"),
+     "8e4bf8e89998ca3f6117fbfdb12bffa9ccc7b107856051e5965eaab27c8c7817"),
+    (("certify", "--m", "2", "--depth", "8", "--output", "text"),
+     "46f6dfc2423d8ec25e1375318afaef13fdacb7c32804a17572ca2566f89f9fc4"),
+    (("certify", "--a", "-98", "--depth", "8", "--output", "text"),
+     "e1564e63fc94e527b01ac2bc4e7d1675326d13d6e7ff6a08cfe9285ac0445a1a"),
+    (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8",
+      "--output", "text"),
+     "ef6200d663175c50f1bce1e39912b445b3f0fde1a6a975d0af20a0f871a61b1c"),
 ]
+
+# Exit codes of the pinned commands that do not exit 0.
+PINNED_EXIT = {("certify", "--m", "5", "--depth", "3"): 4}
 
 
 @pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
 def test_pinned_stdout(args, digest):
     proc = run(*args)
-    assert proc.returncode == 0
+    assert proc.returncode == PINNED_EXIT.get(args, 0)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 

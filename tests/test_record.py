@@ -1,14 +1,19 @@
-"""The record contract: construction, equality, hashing and frozenness.
+"""The record contract: construction, equality, hashing, frozenness and JSON form.
 
 Records are plain classes on ``arbordyn._record.Record``; these tests pin the
-behaviour the library relies on, which is what ``@dataclass`` gave them.
+behaviour the library relies on, which is what ``@dataclass`` gave them, and
+the one generic serializer that writes every record.
 """
 
+import ast
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from arbordyn._record import Fresh, Record
+from arbordyn._record import Fresh, Record, plain
+from arbordyn.cli import CommandConfig
 from arbordyn.divisibility import RigidityReport, Violation
 from arbordyn.factorint import FactorBudget, Factorization
 from arbordyn.galois import CascadeLevel
@@ -120,3 +125,65 @@ class TestFrozen:
         fac = Factorization(1)
         fac.cofactor = 7
         assert fac.value() == 7
+
+
+class TestJsonForm:
+    def test_to_dict_is_plain_of_every_field(self):
+        fac = Factorization(-1, [(2, 3)], 2 ** 20000 + 1, "composite_unfactored")
+        assert fac.to_dict() == {"sign": -1, "factors": [[2, 3]],
+                                 "cofactor": hex(2 ** 20000 + 1),
+                                 "cofactor_status": "composite_unfactored"}
+        assert json.loads(json.dumps(fac.to_dict())) == fac.to_dict() == plain(fac)
+
+    def test_nested_records(self):
+        report = RigidityReport([2], [3], 6, 6, 100, [Violation(3, 1, (1, 2), "x")])
+        assert report.to_dict() == {
+            "excluded": [2], "checked_primes": [3], "depth": 6, "pool_depth": 6,
+            "trial_bound": 100, "status": "fail",
+            "violations": [{"prime": 3, "condition": 1, "indices": [1, 2], "detail": "x"}],
+        }
+
+    def test_config_has_the_six_budget_keys(self):
+        assert CommandConfig().to_dict() == {
+            "growth_cap_bits": 2 ** 24, "trial_bound": 10 ** 6, "rho_budget": 10 ** 8,
+            "orbit_max_steps": 64, "height_cap_bits": 4096, "seed": 0}
+
+    def test_points_are_written_as_text(self):
+        assert plain(P1Point(-3, 4)) == P1Point(-3, 4).to_dict() == "-3/4"
+        mu = MobiusTransform.make(1, Fraction(1, 2), 0, 1)
+        assert mu.to_dict() == {"a": "1", "b": "1/2", "c": "0", "e": "1"}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "arbordyn"
+
+
+def test_no_serializer_restates_its_fields():
+    """Apart from Record.to_dict, each to_dict on a record extends super().to_dict(),
+    so that a hand-written list of fields cannot come back."""
+    classes = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+
+    def is_record(name):
+        node = classes.get(name)
+        bases = [b.id for b in node.bases if isinstance(b, ast.Name)] if node else []
+        return "Record" in bases or any(is_record(b) for b in bases)
+
+    def calls_super_to_dict(fn):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "to_dict" and isinstance(n.func.value, ast.Call)
+                   and getattr(n.func.value.func, "id", None) == "super"
+                   for n in ast.walk(fn))
+
+    offenders = []
+    for name, node in classes.items():
+        if name == "Record" or not is_record(name):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "to_dict":
+                if not calls_super_to_dict(item):
+                    offenders.append(name)
+    assert is_record("RigidityReport") and is_record("P1Point")
+    assert offenders == []

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbordyn.cli import _encode
+from arbordyn._record import plain
+from arbordyn.critical import OrbitRelation
 from arbordyn.divisibility import f_sequence, theta
 from arbordyn.errors import InvariantViolationError
 from arbordyn.factorint import (
@@ -27,7 +28,8 @@ from arbordyn.galois import (
     maximality_certificate,
     verify_certificate,
 )
-from arbordyn.ratmap import RationalMap
+from arbordyn.quadext import QuadExtElem
+from arbordyn.ratmap import INF, P1Point, RationalMap
 
 
 @pytest.fixture
@@ -115,14 +117,27 @@ def test_int_text(default_digit_limit):
     assert fac.format() == f"-1 * 3^2 * [{hex(edge + 1)}:composite_unfactored]"
 
 
-def test_encode():
+def test_encode(default_digit_limit):
     edge = 2 ** DECIMAL_SAFE_BITS - 1
-    assert _encode(edge) == edge
-    assert _encode(edge + 1) == hex(edge + 1)
-    assert _encode(-edge - 1) == hex(-edge - 1) and _encode(-edge - 1).startswith("-0x")
+    assert plain(edge) == edge
+    assert plain(edge + 1) == hex(edge + 1)
+    assert plain(-edge - 1) == hex(-edge - 1) and plain(-edge - 1).startswith("-0x")
     doc = {"a": [True, None, "x", (edge + 1, 3)], "b": {"c": -(edge + 1)}}
-    assert _encode(doc) == {"a": [True, None, "x", [hex(edge + 1), 3]],
-                            "b": {"c": hex(-(edge + 1))}}
+    assert plain(doc) == {"a": [True, None, "x", [hex(edge + 1), 3]],
+                          "b": {"c": hex(-(edge + 1))}}
+    assert plain(Fraction(-7, 2)) == "-7/2" and plain(Fraction(4)) == "4"
+    assert plain(Fraction(1, edge + 1)) == "1/" + hex(edge + 1)
+    assert plain(Fraction(-edge, edge + 1)) == f"{-edge}/{hex(edge + 1)}"
+    assert plain(P1Point(edge + 1, 3)) == hex(edge + 1) + "/3"
+    assert plain([P1Point.infinity(), INF]) == ["inf", "inf"]
+    q = QuadExtElem(Fraction(1, edge + 1), -2, 5)
+    assert plain(q) == {"x": "1/" + hex(edge + 1), "y": "-2", "s": 5}
+    rel = OrbitRelation("collision", 12, n=2, value=q)
+    assert plain({"relation": rel})["relation"] == {
+        "kind": "collision", "search_bound": 12, "n": 2, "m": None, "lead": None,
+        "preperiod": None, "period": None, "value": plain(q), "height_capped": False,
+        "galois_consistent": None}
+    assert rel.to_dict() == plain(rel)
 
 
 def moebius_theta(fs, n):

@@ -116,8 +116,22 @@ class Record:
         return {name: plain(self.__dict__[name]) for name in self._fields}
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        body = ", ".join(f"{n}={_repr(v)}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({body})"
+
+
+def _repr(v) -> str:
+    """repr(v), except that integers, also inside a Fraction, a list or a
+    tuple, are written by int_text, so a wide one reads "0x..."."""
+    if isinstance(v, int):
+        return int_text(v)
+    if isinstance(v, Fraction):
+        return f"Fraction({int_text(v.numerator)}, {int_text(v.denominator)})"
+    if isinstance(v, list):
+        return f"[{', '.join(map(_repr, v))}]"
+    if isinstance(v, tuple):
+        return f"({', '.join(map(_repr, v))}{',' if len(v) == 1 else ''})"
+    return repr(v)
 
 
 def _refuse_assignment(self, name, value=None):

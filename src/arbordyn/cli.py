@@ -1,9 +1,12 @@
 """Command-line interface: reproducible, scriptable commands with JSON output.
 
 Exit codes are a stable contract: 0 success/pass, 1 budget or partial
-certificate, 2 parse failure or invalid option value, 3 non-bicritical input,
-4 hypotheses unmet, 5 rigidity violation, 6 internal error (any other
-exception, reported as one "error: internal: <Type>: <message>" line).
+certificate, 2 malformed command line (one "error: <message>" line: an
+option missing, unknown or out of range, both or neither of --a/--map, an
+unparsable map or point), 3 non-bicritical input, 4 hypotheses unmet, 5
+rigidity violation, 6 internal error (any other exception, reported as one
+"error: internal: <Type>: <message>" line); ``main`` alone maps exceptions
+to codes.
 JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Every value is written by ``_record.plain``: integers wider than
@@ -60,7 +63,7 @@ class CommandConfig(Record):
 
 
 def _config_from_args(args) -> CommandConfig:
-    config = CommandConfig(
+    return CommandConfig(
         growth_cap_bits=args.growth_cap_bits,
         trial_bound=args.trial_bound,
         rho_budget=args.rho_budget,
@@ -68,11 +71,6 @@ def _config_from_args(args) -> CommandConfig:
         height_cap_bits=args.height_cap_bits,
         seed=args.seed,
     )
-    budgets = (config.growth_cap_bits, config.trial_bound, config.rho_budget,
-               config.orbit_max_steps, config.height_cap_bits)
-    if any(b <= 0 for b in budgets):
-        raise SystemExit(_fail("all budgets must be positive", EXIT_PARSE))
-    return config
 
 
 def _emit(payload: dict, args, config: CommandConfig, text=None) -> None:
@@ -106,11 +104,8 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_orbit(args) -> int:
     config = _config_from_args(args)
-    try:
-        phi = parse_map(args.map)
-        start = parse_point(args.start)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    phi = parse_map(args.map)
+    start = parse_point(args.start)
     rec = phi.orbit(start, config.orbit_max_steps, config.height_cap_bits)
 
     def text():
@@ -139,22 +134,12 @@ def cmd_critical(args) -> int:
     from . import critical as crit
 
     config = _config_from_args(args)
-    if args.bound < 0:
-        return _fail("need --bound >= 0", EXIT_PARSE)
-    try:
-        phi = parse_map(args.map)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    try:
-        ok, data = crit.is_bicritical(phi)
-        if not ok:
-            return _fail(
-                f"map is not bicritical: {len(data.points)} critical points",
-                EXIT_NOT_BICRITICAL,
-            )
-        rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
-    except (NotBicriticalError, CriticalFieldError) as exc:
-        return _fail(str(exc), EXIT_NOT_BICRITICAL)
+    phi = parse_map(args.map)
+    ok, data = crit.is_bicritical(phi)
+    if not ok:
+        raise NotBicriticalError(
+            f"map is not bicritical: {len(data.points)} critical points")
+    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
     payload = {"critical": data, "relation": rel}
 
     def text():
@@ -173,17 +158,9 @@ def cmd_normal_form(args) -> int:
     from . import critical as crit
 
     config = _config_from_args(args)
-    if args.bound < 0:
-        return _fail("need --bound >= 0", EXIT_PARSE)
-    try:
-        phi = parse_map(args.map)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    try:
-        nf = crit.to_normal_form(phi)
-        rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
-    except (NotBicriticalError, CriticalFieldError) as exc:
-        return _fail(str(exc), EXIT_NOT_BICRITICAL)
+    phi = parse_map(args.map)
+    nf = crit.to_normal_form(phi)
+    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
     payload = {"normal_form": nf, "relation": rel}
 
     def text():
@@ -205,27 +182,13 @@ def cmd_sequence(args) -> int:
     from . import divisibility as divis
 
     config = _config_from_args(args)
-    if args.map is None and args.a is None:
-        return _fail("need --a or --map", EXIT_PARSE)
-    if args.n < 1:
-        return _fail("need --n >= 1", EXIT_PARSE)
-    family_a = args.a
-    try:
-        phi = divis.main_family(args.a) if args.map is None else parse_map(args.map)
-    except (ParseError, ValueError) as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    if args.map is not None:
-        # recognize the parametrized family to enable the f/theta columns
-        pc, qc = phi.homogeneous_coeffs()
-        if (phi.d == 2 and qc == (0, 0, 1) and pc[1] == 0 and pc[2] == 1
-                and pc[0] != 0):
-            family_a = pc[0]
+    phi = divis.main_family(args.a) if args.map is None else parse_map(args.map)
+    # recognize the family (z^2+a)/z^2 to enable the f/theta columns
+    pc, qc = phi.homogeneous_coeffs()
+    family_a = pc[0] if qc == (0, 0, 1) and pc[1:] == (0, 1) else None
     values, capped = phi.origin_values_capped(args.n, config.growth_cap_bits)
     status = "growth_capped" if capped else "complete"
-    pn0 = [u for u, _ in values]
-    rows = []
-    for idx, val in enumerate(pn0, start=1):
-        rows.append({"n": idx, "pn0": val})
+    rows = [{"n": idx, "pn0": u} for idx, (u, _) in enumerate(values, start=1)]
     if family_a is not None and rows:
         try:
             fs = divis.f_sequence(family_a, len(rows), config.growth_cap_bits)
@@ -263,10 +226,6 @@ def cmd_certify(args) -> int:
     from . import galois
 
     config = _config_from_args(args)
-    if (args.m is None) == (args.a is None):
-        return _fail("need exactly one of --m or --a", EXIT_PARSE)
-    if args.depth < 1:
-        return _fail("need --depth >= 1", EXIT_PARSE)
     payload: dict = {}
     hyp = param = cert = None
 
@@ -287,10 +246,7 @@ def cmd_certify(args) -> int:
         return lines
 
     if args.m is not None:
-        try:
-            hyp = galois.hypothesis_witnesses(args.m)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_PARSE)
+        hyp = galois.hypothesis_witnesses(args.m)
         payload["hypotheses"] = hyp
         if not hyp.met:
             payload["overall"] = "hypotheses_unmet"
@@ -301,11 +257,8 @@ def cmd_certify(args) -> int:
         a = param.a
     else:
         a = args.a
-    try:
-        cert = galois.maximality_certificate(
-            a, args.depth, growth_cap_bits=config.growth_cap_bits)
-    except GrowthCapError as exc:
-        return _fail(str(exc), EXIT_FAIL)
+    cert = galois.maximality_certificate(
+        a, args.depth, growth_cap_bits=config.growth_cap_bits)
     payload["certificate"] = cert
     payload["overall"] = cert.overall
     _emit(payload, args, config, text)
@@ -321,21 +274,7 @@ def cmd_rigid_check(args) -> int:
     from . import reduction
 
     config = _config_from_args(args)
-    if args.n < 1:
-        return _fail("need --n >= 1", EXIT_PARSE)
-    if args.pool_depth < 0:
-        return _fail("need --pool-depth >= 0", EXIT_PARSE)
-    try:
-        phi = parse_map(args.map)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    exclude = []
-    for chunk in args.exclude:
-        try:
-            exclude += [int(x) for x in chunk.split(",") if x]
-        except ValueError:
-            return _fail(f"--exclude takes comma-separated integers, got {chunk!r}",
-                         EXIT_PARSE)
+    phi = parse_map(args.map)
     warnings = []
     if phi.p.coeff(1) != 0 or phi.q.coeff(1) != 0:
         warnings.append(
@@ -353,7 +292,7 @@ def cmd_rigid_check(args) -> int:
     except RuntimeError:
         bad = None
     report = divis.verify_rigid_divisibility(
-        terms, exclude, args.pool_depth, config.trial_bound, config.budget()
+        terms, args.exclude, args.pool_depth, config.trial_bound, config.budget()
     )
     payload = {
         "report": report,
@@ -381,19 +320,52 @@ def cmd_rigid_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError (exit 2, one line) where argparse prints its usage."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _integer(need: str, ok):
+    """An argparse type: an integer for which ``ok`` holds, else "need <need>"."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _integer("an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = _integer("an integer >= 0", lambda v: v >= 0)
+
+
+def _integer_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integers ("2,7"; empty items skipped)."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need comma-separated integers, got {text!r}") from None
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--output", choices=("json", "text"), default="json")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--growth-cap-bits", type=int, default=DEFAULT_GROWTH_CAP_BITS)
-    sub.add_argument("--trial-bound", type=int, default=10 ** 6)
-    sub.add_argument("--rho-budget", type=int, default=10 ** 8)
-    sub.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS,
+    sub.add_argument("--growth-cap-bits", type=_POSITIVE, default=DEFAULT_GROWTH_CAP_BITS)
+    sub.add_argument("--trial-bound", type=_POSITIVE, default=10 ** 6)
+    sub.add_argument("--rho-budget", type=_POSITIVE, default=10 ** 8)
+    sub.add_argument("--steps", type=_POSITIVE, default=DEFAULT_MAX_STEPS,
                      help="orbit step budget")
-    sub.add_argument("--height-cap-bits", type=int, default=DEFAULT_HEIGHT_CAP_BITS)
+    sub.add_argument("--height-cap-bits", type=_POSITIVE, default=DEFAULT_HEIGHT_CAP_BITS)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="arbordyn",
         description="Exact arithmetic for bicritical rational maps over Q.",
     )
@@ -407,39 +379,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("critical", help="critical points and orbit relations")
     s.add_argument("--map", required=True)
-    s.add_argument("--bound", type=int, default=12,
+    s.add_argument("--bound", type=_NON_NEGATIVE, default=12,
                    help="orbit-relation search depth")
     _add_common(s)
     s.set_defaults(func=cmd_critical)
 
     s = subs.add_parser("normal-form", help="conjugate to a two-term normal form")
     s.add_argument("--map", required=True)
-    s.add_argument("--bound", type=int, default=12)
+    s.add_argument("--bound", type=_NON_NEGATIVE, default=12)
     _add_common(s)
     s.set_defaults(func=cmd_normal_form)
 
     s = subs.add_parser("sequence", help="origin iterate values and factorizations")
-    s.add_argument("--a", type=int, default=None,
-                   help="family parameter for (z^2+a)/z^2")
-    s.add_argument("--map", default=None)
-    s.add_argument("--n", type=int, required=True)
+    one = s.add_mutually_exclusive_group(required=True)
+    one.add_argument("--a", type=_integer("a nonzero integer", lambda v: v != 0),
+                     help="family parameter for (z^2+a)/z^2")
+    one.add_argument("--map")
+    s.add_argument("--n", type=_POSITIVE, required=True)
     s.add_argument("--factor", action="store_true")
     _add_common(s)
     s.set_defaults(func=cmd_sequence)
 
     s = subs.add_parser("certify", help="arboreal maximality certificates")
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--a", type=int, default=None)
-    s.add_argument("--depth", type=int, required=True)
+    one = s.add_mutually_exclusive_group(required=True)
+    one.add_argument("--m", type=_integer("an integer other than -1, 0, 1",
+                                          lambda v: abs(v) >= 2))
+    one.add_argument("--a", type=int)
+    s.add_argument("--depth", type=_POSITIVE, required=True)
     _add_common(s)
     s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("rigid-check", help="rigid divisibility of p_n(0)")
     s.add_argument("--map", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--exclude", action="append", default=[],
+    s.add_argument("--n", type=_POSITIVE, required=True)
+    s.add_argument("--exclude", type=_integer_list, action="extend", default=[],
                    help="comma-separated primes to exclude (repeatable)")
-    s.add_argument("--pool-depth", type=int, default=6,
+    s.add_argument("--pool-depth", type=_NON_NEGATIVE, default=6,
                    help="fully factor terms up to this index for the prime pool")
     _add_common(s)
     s.set_defaults(func=cmd_rigid_check)
@@ -470,15 +445,17 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
+        args = build_parser().parse_args(_attach_dash_values(argv))
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    except HypothesisError as exc:
-        return _fail(str(exc), EXIT_HYPOTHESES)
+    except ParseError as exc:
+        return _fail(str(exc), EXIT_PARSE)
     except (NotBicriticalError, CriticalFieldError) as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
+    except HypothesisError as exc:
+        return _fail(str(exc), EXIT_HYPOTHESES)
+    except GrowthCapError as exc:
+        return _fail(str(exc), EXIT_FAIL)
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         return _fail(f"internal: {type(exc).__name__}: {message}", EXIT_INTERNAL)

@@ -462,6 +462,14 @@ def _galois_swap(x: FieldValue) -> FieldValue:
     return x
 
 
+def _first_index(orbit: list[FieldValue]) -> dict:
+    """Each value of the orbit mapped to the first index where it occurs."""
+    first: dict = {}
+    for i, x in enumerate(orbit):
+        first.setdefault(x, i)
+    return first
+
+
 def critical_orbit_relation(
     map_: RationalMap,
     bound: int = 12,
@@ -484,26 +492,26 @@ def critical_orbit_relation(
     capped = n1 < bound or n2 < bound
     quad = data.field.kind == "quadratic"
 
-    # trailing: phi^n(g_i) = phi^m(g_j), n > m >= 0, i != j
-    for total in range(1, n1 + n2 + 1):
-        for n in range(total // 2 + 1, total + 1):
-            m = total - n
-            if n <= n1 and m <= n2 and _same_point(o1[n], o2[m]):
-                rel = OrbitRelation("trailing", bound, n=n, m=m, lead=1,
-                                    height_capped=capped)
-                if quad:
-                    rel.galois_consistent = (
-                        n <= n2 and m <= n1 and _same_point(o2[n], o1[m])
-                    )
-                return rel
-            if n <= n2 and m <= n1 and _same_point(o2[n], o1[m]):
-                rel = OrbitRelation("trailing", bound, n=n, m=m, lead=2,
-                                    height_capped=capped)
-                if quad:
-                    rel.galois_consistent = (
-                        n <= n1 and m <= n2 and _same_point(o1[n], o2[m])
-                    )
-                return rel
+    # trailing: phi^n(g_i) = phi^m(g_j), n > m >= 0, i != j.  The search
+    # order reports the least (n + m, n, lead), so for each n and lead only
+    # the first index m of the value in the other orbit can be reported.
+    first1, first2 = _first_index(o1), _first_index(o2)
+    candidates = []
+    for lead, orb, first in ((1, o1, first2), (2, o2, first1)):
+        for n, x in enumerate(orb):
+            m = first.get(x, n)
+            if m < n:
+                candidates.append((n + m, n, lead))
+    if candidates:
+        total, n, lead = min(candidates)
+        m = total - n
+        orb, other = (o1, o2) if lead == 1 else (o2, o1)
+        rel = OrbitRelation("trailing", bound, n=n, m=m, lead=lead, height_capped=capped)
+        if quad:
+            rel.galois_consistent = (
+                n < len(other) and m < len(orb) and _same_point(other[n], orb[m])
+            )
+        return rel
 
     # collision: phi^n(g_1) = phi^n(g_2), n >= 2
     for n in range(2, min(n1, n2) + 1):
@@ -514,21 +522,12 @@ def critical_orbit_relation(
                 rel.galois_consistent = _same_point(_galois_swap(o1[n]), o2[n])
             return rel
 
-    # single-orbit pre-periodicity
-    for which, orb in ((1, o1), (2, o2)):
-        seen: dict = {}
-        found = None
-        for i, x in enumerate(orb):
-            if isinstance(x, Infinity):
-                key: object = INF
-            else:
-                key = x
-            if key in seen:
-                found = (seen[key], i - seen[key])
-                break
-            seen[key] = i
-        if found:
-            t, per = found
+    # single-orbit pre-periodicity: the first revisit of an earlier point
+    for which, orb, first in ((1, o1, first1), (2, o2, first2)):
+        revisit = next((i for i, x in enumerate(orb) if first[x] < i), None)
+        if revisit is not None:
+            t = first[orb[revisit]]
+            per = revisit - t
             rel = OrbitRelation("single_orbit_preperiodic", bound, lead=which,
                                 preperiod=t, period=per, height_capped=capped)
             if quad:

@@ -192,7 +192,7 @@ class IterateLadder(Record):
         if not self.levels:
             self.levels.append((self.base.p, self.base.q))
         d = self.base.d
-        pc, qc = self.base.p.coeffs, self.base.q.coeffs
+        pc, qc = self.base.homogeneous_coeffs()
         while len(self.levels) < n:
             pn, qn = self.levels[-1]
             projected = 2 * max(pn.max_coeff_bits(), qn.max_coeff_bits()) + d + 4
@@ -201,39 +201,13 @@ class IterateLadder(Record):
                     f"growth cap exceeded at level {len(self.levels) + 1}: "
                     f"~{projected} bits > {growth_cap_bits}"
                 )
-            self.levels.append(_compose_level(pc, qc, d, pn, qn))
+            self.levels.append(_substitute(pc, qc, pn, qn))
 
     def level(self, n: int) -> tuple[IntPoly, IntPoly]:
         """(p_n, q_n), 1-indexed; the ladder must already reach level n."""
         if n < 1:
             raise ValueError("ladder levels are 1-indexed")
         return self.levels[n - 1]
-
-
-def _compose_level(pc: Sequence[int], qc: Sequence[int], d: int,
-                   pn: IntPoly, qn: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """One step of the iterate recursion: substitute (p_n, q_n) into the map.
-
-    Both sums run over the degree-d homogenization, which is exactly the
-    published recursion in either of its degree branches.
-    """
-    ppow = [IntPoly.one()]
-    qpow = [IntPoly.one()]
-    for _ in range(d):
-        ppow.append(ppow[-1] * pn)
-        qpow.append(qpow[-1] * qn)
-    new_p = IntPoly.zero()
-    new_q = IntPoly.zero()
-    for i in range(d + 1):
-        basis = None
-        if i < len(pc) and pc[i]:
-            basis = ppow[i] * qpow[d - i]
-            new_p = new_p + pc[i] * basis
-        if i < len(qc) and qc[i]:
-            if basis is None:
-                basis = ppow[i] * qpow[d - i]
-            new_q = new_q + qc[i] * basis
-    return new_p, new_q
 
 
 class RationalMap:
@@ -429,7 +403,8 @@ class OrbitRecord(Record):
 
 def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:
     """(P(u, v), Q(u, v)) for the degree-d homogenizations with coefficient
-    vectors pc, qc (index i is u^i v^(d-i)), exact for int and Fraction.
+    vectors pc, qc (index i is u^i v^(d-i)), exact for int, Fraction and
+    IntPoly; with (u, v) = (p_n, q_n) it is one step of the iterate ladder.
 
     The powers u^i and v^(d-i), and each product u^i v^(d-i), are formed once
     and shared by the two sums.
@@ -440,7 +415,7 @@ def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:
     for _ in range(d - 1):
         upow.append(upow[-1] * u)
         vpow.append(vpow[-1] * v)
-    new_u = new_v = 0
+    new_u = new_v = 0 * u
     for i in range(d + 1):
         if pc[i] or qc[i]:
             basis = upow[i] * vpow[d - i]

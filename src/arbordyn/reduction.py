@@ -92,26 +92,19 @@ def projective_resultant(map_: RationalMap) -> int:
     return abs(r)
 
 
-_bad_primes_cache: dict[RationalMap, tuple[int, ...]] = {}
-
-
 def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) -> tuple[int, ...]:
     """All primes of bad reduction, by factoring the projective resultant.
 
     Raises RuntimeError if the resultant cannot be fully factored within the
     budget (the list would be incomplete).
     """
-    if map_ in _bad_primes_cache:
-        return _bad_primes_cache[map_]
     r = projective_resultant(map_)
     fac = factor_integer(r, budget)
     if fac.cofactor_status == "composite_unfactored":
         raise RuntimeError(
             "projective resultant not fully factored; raise the effort budget"
         )
-    out = tuple(p for p in sorted(fac.prime_list()) if not has_good_reduction(map_, p))
-    _bad_primes_cache[map_] = out
-    return out
+    return tuple(p for p in sorted(fac.prime_list()) if not has_good_reduction(map_, p))
 
 
 class ModOrbit(Record):

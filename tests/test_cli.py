@@ -368,6 +368,44 @@ class TestBadArgumentsExitTwo:
         assert "--pool-depth" in err
 
 
+BUDGETS = ("--growth-cap-bits", "--trial-bound", "--rho-budget", "--steps",
+           "--height-cap-bits")
+
+# (command line, text the error line must contain: the option it names)
+BAD_COMMAND_LINES = [
+    *((("orbit", "--map", "z^2", "--start", "0", budget, "0"), budget)
+      for budget in BUDGETS),
+    (("sequence", "--a", "-98", "--n", "0"), "--n"),
+    (("sequence", "--a", "-98", "--n", "x"), "--n"),
+    (("sequence", "--a", "-98"), "--n"),
+    (("certify", "--a", "-98", "--depth", "0"), "--depth"),
+    (("critical", "--map", "z^2", "--bound", "-1"), "--bound"),
+    (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--pool-depth", "-1"),
+     "--pool-depth"),
+    (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--exclude", "2,x"),
+     "--exclude"),
+    (("certify", "--m", "1", "--depth", "3"), "--m"),
+    (("certify", "--m", "2", "--a", "-98", "--depth", "3"), "--m"),
+    (("certify", "--depth", "3"), "--m"),
+    (("sequence", "--a", "0", "--n", "3"), "--a"),
+    (("sequence", "--a", "-98", "--map", "(z^2+1)/(z^2+3)", "--n", "4"), "--map"),
+    (("frobnicate", "--n", "3"), "frobnicate"),
+]
+
+
+class TestMalformedCommandLine:
+    """Every malformed command line: exit 2, no stdout, one error line naming the option."""
+
+    @pytest.mark.parametrize("argv, names", BAD_COMMAND_LINES,
+                             ids=[" ".join(argv) for argv, _ in BAD_COMMAND_LINES])
+    def test_one_error_line(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert names in lines[0]
+
+
 MAP_COMMANDS = (
     ("orbit", "--start", "0"),
     ("critical",),

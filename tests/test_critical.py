@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbordyn.critical import (
+    _as_field_value,
+    _forward_orbit,
+    _same_point,
     critical_orbit_relation,
     critical_points,
     is_bicritical,
@@ -336,3 +341,62 @@ class TestCriticalOrbitRelation:
     def test_non_bicritical_rejected(self):
         with pytest.raises(NotBicriticalError):
             critical_orbit_relation(RationalMap.from_coeffs([0, 1, 0, 1], [1]))
+
+
+def nested_scan_trailing(o1, o2):
+    """The first trailing relation by scanning every (n, m) pair in search order."""
+    n1, n2 = len(o1) - 1, len(o2) - 1
+    for total in range(1, n1 + n2 + 1):
+        for n in range(total // 2 + 1, total + 1):
+            m = total - n
+            if n <= n1 and m <= n2 and _same_point(o1[n], o2[m]):
+                return n, m, 1
+            if n <= n2 and m <= n1 and _same_point(o2[n], o1[m]):
+                return n, m, 2
+    return None
+
+
+def assert_trailing_matches_nested_scan(phi, bound):
+    _, data = is_bicritical(phi)
+    s = data.field.s
+    o1, o2 = (_forward_orbit(phi, _as_field_value(pt.location, s), bound, 4096, s)
+              for pt in data.points)
+    expected = nested_scan_trailing(o1, o2)
+    rel = critical_orbit_relation(phi, bound)
+    if expected is None:
+        assert rel.kind != "trailing"
+    else:
+        assert rel.kind == "trailing"
+        assert (rel.n, rel.m, rel.lead) == expected
+    return rel, data
+
+
+class TestTrailingRelationAgainstNestedScan:
+    """The first-index search reports the relation the nested scan finds first."""
+
+    @pytest.mark.parametrize("pc, qc, field, expected", [
+        ([-98, 0, 1], [0, 0, 1], "rational", (1, 0, 1)),
+        ([-2, -4, -4], [-1, -4, -4], "rational", (1, 0, 1)),
+        ([1, 0, 4], [-1, 0, 1], "rational", (2, 0, 1)),
+        ([2, -3, 3], [-3, -6, 6], "rational", (1, 0, 2)),
+        ([-2, 3, -3], [-4, 3, -3], "rational", (2, 0, 2)),
+        ([4, 6, 0], [-3, 0, -4], "quadratic", (1, 0, 1)),
+    ])
+    def test_table(self, pc, qc, field, expected):
+        phi = RationalMap.from_coeffs(pc, qc)
+        rel, data = assert_trailing_matches_nested_scan(phi, 8)
+        assert data.field.kind == field
+        assert (rel.n, rel.m, rel.lead) == expected
+        if field == "quadratic":
+            assert rel.galois_consistent
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=6, max_size=6))
+    def test_random_degree_two_maps(self, coeffs):
+        try:
+            phi = RationalMap.from_coeffs(coeffs[:3], coeffs[3:])
+            ok, _ = is_bicritical(phi)
+        except ValueError:
+            return
+        if ok:
+            assert_trailing_matches_nested_scan(phi, 8)

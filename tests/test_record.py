@@ -14,10 +14,11 @@ import pytest
 
 from arbordyn._record import Fresh, Record, plain
 from arbordyn.cli import CommandConfig
+from arbordyn.critical import to_normal_form
 from arbordyn.divisibility import RigidityReport, Violation
 from arbordyn.factorint import FactorBudget, Factorization
 from arbordyn.galois import CascadeLevel
-from arbordyn.ratmap import MobiusTransform, P1Point
+from arbordyn.ratmap import MobiusTransform, P1Point, RationalMap
 
 
 class TestConstruction:
@@ -92,6 +93,19 @@ class TestEqualityAndRepr:
             "FactorBudget(trial_bound=1000000, rho_iterations=100000000, seed=0)")
         assert repr(Factorization(1)) == (
             "Factorization(sign=1, factors=[], cofactor=1, cofactor_status='unit')")
+
+    def test_repr_of_narrow_containers_is_plain_repr(self):
+        witness = {"value": -7, "pair": (Fraction(1, 2),), "xs": [3, None, True, ()]}
+        level = CascadeLevel(2, "certified", "negative", witness)
+        assert repr(level) == (
+            f"CascadeLevel(n=2, status='certified', route='negative', witness={witness!r})")
+
+    def test_repr_writes_wide_integers_in_hex(self):
+        # a field of this normal form is wider than the 4300-digit str limit
+        phi = RationalMap.from_coeffs([1, 0, 3 ** 8000], [0, 0, 1])
+        assert "0x" in repr(to_normal_form(phi))
+        wide = Factorization(1, [(3 ** 9000, 1)], Fraction(1, 3 ** 9000))
+        assert "0x" in repr(wide)
 
     def test_own_repr_wins(self):
         assert repr(MobiusTransform.identity()) == "MobiusTransform(1, 0, 0, 1)"

@@ -1,12 +1,12 @@
 """Command-line interface: reproducible, scriptable commands with JSON output.
 
-Exit codes are a stable contract: 0 success/pass, 1 budget or partial
-certificate, 2 malformed command line (one "error: <message>" line: an
-option missing, unknown or out of range, both or neither of --a/--map, an
-unparsable map or point), 3 non-bicritical input, 4 hypotheses unmet, 5
-rigidity violation, 6 internal error (any other exception, reported as one
-"error: internal: <Type>: <message>" line); ``main`` alone maps exceptions
-to codes.
+Exit codes are a stable contract: 0 success/pass, 1 budget, partial
+certificate or stdout closed early, 2 malformed command line (one "error:
+<message>" line: an option missing, unknown or out of range, both or neither
+of --a/--map, an unparsable map or point), 3 non-bicritical input, 4
+hypotheses unmet, 5 rigidity violation, 6 internal error (any other
+exception, reported as one "error: internal: <Type>: <message>" line);
+``main`` alone maps exceptions to codes.
 JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Every value is written by ``_record.plain``: integers wider than
@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from ._record import Record, fraction_text, int_text, plain
 from .errors import (
     CriticalFieldError,
+    FactoringBudgetError,
     GrowthCapError,
     HypothesisError,
     NotBicriticalError,
@@ -135,11 +137,8 @@ def cmd_critical(args) -> int:
 
     config = _config_from_args(args)
     phi = parse_map(args.map)
-    ok, data = crit.is_bicritical(phi)
-    if not ok:
-        raise NotBicriticalError(
-            f"map is not bicritical: {len(data.points)} critical points")
-    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
+    data = crit.critical_points(phi, config.budget())
+    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits, data)
     payload = {"critical": data, "relation": rel}
 
     def text():
@@ -159,8 +158,9 @@ def cmd_normal_form(args) -> int:
 
     config = _config_from_args(args)
     phi = parse_map(args.map)
-    nf = crit.to_normal_form(phi)
-    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits)
+    data = crit.critical_points(phi, config.budget())
+    nf = crit.to_normal_form(phi, data)
+    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits, data)
     payload = {"normal_form": nf, "relation": rel}
 
     def text():
@@ -246,7 +246,7 @@ def cmd_certify(args) -> int:
         return lines
 
     if args.m is not None:
-        hyp = galois.hypothesis_witnesses(args.m)
+        hyp = galois.hypothesis_witnesses(args.m, config.budget())
         payload["hypotheses"] = hyp
         if not hyp.met:
             payload["overall"] = "hypotheses_unmet"
@@ -289,7 +289,7 @@ def cmd_rigid_check(args) -> int:
         return _fail("a sequence term vanishes; rigidity undefined", EXIT_FAIL)
     try:
         bad = list(reduction.bad_reduction_primes(phi, config.budget()))
-    except RuntimeError:
+    except FactoringBudgetError:
         bad = None
     report = divis.verify_rigid_divisibility(
         terms, args.exclude, args.pool_depth, config.trial_bound, config.budget()
@@ -454,8 +454,12 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
     except HypothesisError as exc:
         return _fail(str(exc), EXIT_HYPOTHESES)
-    except GrowthCapError as exc:
+    except (GrowthCapError, FactoringBudgetError) as exc:
         return _fail(str(exc), EXIT_FAIL)
+    except BrokenPipeError:
+        # stdout closed early (as by "| head"): send the flush at exit nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         return _fail(f"internal: {type(exc).__name__}: {message}", EXIT_INTERNAL)

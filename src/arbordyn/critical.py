@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .errors import CriticalFieldError, HypothesisError, NotBicriticalError
-from .factorint import divisors
+from .factorint import FactorBudget, divisors
 from .fieldpoly import conjugate_pair, root_order, trim
 from .intpoly import IntPoly, squarefree_part
 from .quadext import QuadExtElem, squarefree_kernel
@@ -81,7 +81,7 @@ def ramification_index(map_: RationalMap, pt: Union[P1Point, QuadExtElem]) -> in
     return root_order(trim([c * qa - e * pa for c, e in zip(pc, qc)]), alpha)
 
 
-def _rational_roots(r: IntPoly) -> list[Fraction]:
+def _rational_roots(r: IntPoly, budget: FactorBudget | None = None) -> list[Fraction]:
     """All rational roots of a primitive squarefree polynomial."""
     roots = []
     work = r
@@ -90,9 +90,9 @@ def _rational_roots(r: IntPoly) -> list[Fraction]:
         work = work.exact_div(IntPoly.variable())
     if work.degree < 1:
         return roots
-    const, lead = abs(work.coeff(0)), abs(work.lc)
-    for u in divisors(const):
-        for v in divisors(lead):
+    denominators = divisors(abs(work.lc), budget)
+    for u in divisors(abs(work.coeff(0)), budget):
+        for v in denominators:
             for sign in (1, -1):
                 cand = Fraction(sign * u, v)
                 if work(cand) == 0 and cand not in roots:
@@ -100,19 +100,20 @@ def _rational_roots(r: IntPoly) -> list[Fraction]:
     return sorted(roots)
 
 
-def critical_points(map_: RationalMap) -> CriticalData:
+def critical_points(map_: RationalMap, budget: FactorBudget | None = None) -> CriticalData:
     """All critical points with ramification indices, over Q or one Q(sqrt s).
 
     Raises CriticalFieldError when the squarefree Wronskian part keeps a
     factor of degree >= 3 after rational roots are removed: the critical
     points then live outside any single quadratic extension we handle.
+    Integers are factored under ``budget``; FactoringBudgetError if incomplete.
     """
     d = map_.d
     w = wronskian(map_)
     if w.is_zero:
         raise CriticalFieldError("identically zero Wronskian")
     r = squarefree_part(w)
-    rational = _rational_roots(r)
+    rational = _rational_roots(r, budget)
     rest = r
     for root in rational:
         lin = IntPoly([-root.numerator, root.denominator])
@@ -122,7 +123,7 @@ def critical_points(map_: RationalMap) -> CriticalData:
     if rest.degree == 2:
         aa, bb = rest.lc, rest.coeff(1)
         disc = bb * bb - 4 * aa * rest.coeff(0)
-        s, m = squarefree_kernel(disc)
+        s, m = squarefree_kernel(disc, budget)
         c0 = Fraction(-bb, 2 * aa)
         c1 = Fraction(m, 2 * aa)
         if c1 < 0:
@@ -208,6 +209,18 @@ def _as_field_value(loc: Location, s: Optional[int]) -> FieldValue:
     x = loc.to_fraction()
     return QuadExtElem(x, 0, s) if s is not None else x
 
+
+def _critical_values(map_: RationalMap, data: Optional[CriticalData]):
+    """(data, s, g1, g2): a bicritical map's critical data (computed when not
+    given), the radicand of its field and its critical points as field values."""
+    if data is None:
+        data = critical_points(map_)
+    if len(data.points) != 2:
+        raise NotBicriticalError(
+            f"map is not bicritical: {len(data.points)} critical points")
+    s = data.field.s
+    return (data, s, *(_as_field_value(pt.location, s) for pt in data.points))
+
 def _lift(x, s: Optional[int]):
     if s is None or isinstance(x, (QuadExtElem, Infinity)):
         return x
@@ -252,22 +265,16 @@ def _pair_shape(pair, d) -> tuple:
     return at(ps, d), at(ps, 0), at(qs, d), at(qs, 0)
 
 
-def to_normal_form(map_: RationalMap) -> NormalForm:
+def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> NormalForm:
     """Conjugate a bicritical map to c z^d, c/z^d, or (z^d + a)/(z^d + b).
 
     The conjugator is returned; its entries (and a, b) lie in the critical
     field.  The two-sided uniqueness partner of the bicritical output can be
-    tested with normal_forms_conjugate.
+    tested with normal_forms_conjugate.  ``data`` is the map's
+    critical_points, computed here when not given.
     """
-    ok, data = is_bicritical(map_)
-    if not ok:
-        raise NotBicriticalError(
-            f"map has {len(data.points)} critical points, need exactly 2"
-        )
     d = map_.d
-    s = data.field.s
-    g1 = _as_field_value(data.points[0].location, s)
-    g2 = _as_field_value(data.points[1].location, s)
+    data, s, g1, g2 = _critical_values(map_, data)
     v1 = _eval_field(map_, g1, s)
     v2 = _eval_field(map_, g2, s)
 
@@ -474,18 +481,15 @@ def critical_orbit_relation(
     map_: RationalMap,
     bound: int = 12,
     height_cap_bits: int = DEFAULT_HEIGHT_CAP_BITS,
+    data: CriticalData | None = None,
 ) -> OrbitRelation:
     """Classify the first relation between the two critical orbits.
 
     Exact forward orbits to the given depth (heights capped); for quadratic
     critical fields the Galois-swapped relation is checked as well.
+    ``data`` is the map's critical_points, computed here when not given.
     """
-    ok, data = is_bicritical(map_)
-    if not ok:
-        raise NotBicriticalError("critical orbit relations need a bicritical map")
-    s = data.field.s
-    g1 = _as_field_value(data.points[0].location, s)
-    g2 = _as_field_value(data.points[1].location, s)
+    data, s, g1, g2 = _critical_values(map_, data)
     o1 = _forward_orbit(map_, g1, bound, height_cap_bits, s)
     o2 = _forward_orbit(map_, g2, bound, height_cap_bits, s)
     n1, n2 = len(o1) - 1, len(o2) - 1

@@ -27,6 +27,7 @@ from .errors import GrowthCapError, HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
     divisors,
+    factor_counts,
     factor_integer,
     is_perfect_square,
     mobius,
@@ -381,7 +382,8 @@ def rad_divisibility_conditions(
       (3) -1 is not a square modulo m.
     Structural hypotheses (even numerator and denominator, denominator a
     polynomial square, orbit avoiding 0 and infinity in the checked range)
-    are validated first and raise HypothesisError when they fail.
+    are validated first and raise HypothesisError when they fail; an m not
+    fully factored raises FactoringBudgetError.
     """
     if any(map_.p.coeff(i) or map_.q.coeff(i) for i in range(1, map_.d + 1, 2)):
         raise HypothesisError("hypothesis fails: p and q must be even polynomials")
@@ -408,10 +410,7 @@ def rad_divisibility_conditions(
     phik = orbit_vals[k - 1]
     phik1 = orbit_vals[k]
     conditions: dict = {}
-    m_fac = factor_integer(m)
-    if m_fac.cofactor_status == "composite_unfactored":
-        raise HypothesisError("modulus m could not be fully factored")
-    prime_factors = m_fac.prime_list()
+    prime_factors = factor_counts(m)
     cond1 = all(
         phik.numerator % ell != 0 and phik.denominator % ell != 0
         for ell in prime_factors

@@ -21,6 +21,10 @@ class GrowthCapError(ArborDynError, RuntimeError):
     """Projected coefficient size exceeds the configured growth cap."""
 
 
+class FactoringBudgetError(ArborDynError, RuntimeError):
+    """An integer whose every prime is needed was not fully factored within the budget."""
+
+
 class CompositeModulusError(ArborDynError, ValueError):
     """A prime modulus was required."""
 

@@ -9,38 +9,42 @@ which case a passing number is only ever labeled a *probable* prime.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 
 # DECIMAL_SAFE_BITS and int_text are defined with the JSON rule in _record.
 from ._record import DECIMAL_SAFE_BITS, Fresh, Record, int_text  # noqa: F401
+from .errors import FactoringBudgetError
 
 # Smallest composite not caught by the first twelve prime witnesses.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_sieve_cache: dict[int, list[int]] = {}
+# (top, every prime below top): one list, which a larger bound extends by
+# sieving only the numbers from top on, and from which smaller bounds are cut.
+_sieve: tuple[int, list[int]] = (3, [2])
 
 
 def primes_below(bound: int) -> list[int]:
     """All primes < bound by a cached sieve of Eratosthenes over the odd numbers."""
-    if bound in _sieve_cache:
-        return _sieve_cache[bound]
-    if bound <= 2:
-        return []
-    # sieve[i] stands for the odd number 2i + 1 < bound
-    half = bound // 2
-    sieve = bytearray([1]) * half
-    sieve[0] = 0
-    for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            sieve[start::p] = bytes(len(range(start, half, p)))
-    out = [2, *itertools.compress(range(1, bound, 2), sieve)]
-    _sieve_cache[bound] = out
-    return out
+    global _sieve
+    top, primes = _sieve
+    if bound > top:
+        root = math.isqrt(bound - 1)
+        if root >= top:  # the primes up to root come first
+            primes, top = primes_below(root + 1), root + 1
+        # sieve[i] stands for the odd number lo + 2i < bound
+        lo = top | 1
+        sieve = bytearray([1]) * len(range(lo, bound, 2))
+        for p in primes[1:bisect.bisect_right(primes, root)]:
+            first = max(p * p, -(-lo // p) * p)  # first multiple of p >= lo and >= p*p
+            i = (first + p * (first % 2 == 0) - lo) // 2  # index of the first odd one
+            sieve[i::p] = bytes(len(range(i, len(sieve), p)))
+        primes = primes + list(itertools.compress(range(lo, bound, 2), sieve))
+        _sieve = (bound, primes)
+    return primes if bound >= top else primes[:bisect.bisect_left(primes, bound)]
 
 
 def _mr_round(n: int, a: int, d: int, r: int) -> bool:
@@ -211,11 +215,11 @@ def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
 
     Divides out the primes below ``bound`` in increasing order, stopping once
     p*p exceeds what is left, so rest is 1, a prime, or free of primes below
-    ``bound``.
+    ``bound``.  The sieve goes no further than min(bound, isqrt(|n|) + 1).
     """
     n = abs(n)
     counts: dict[int, int] = {}
-    for p in primes_below(bound):
+    for p in primes_below(min(bound, math.isqrt(n) + 1)):
         if p * p > n:
             break
         while n % p == 0:
@@ -239,7 +243,9 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
         budget = FactorBudget()
     sign = 1 if n > 0 else -1
     counts, n = trial_division(n, budget.trial_bound)
-    rng = random.Random(budget.seed)
+    if 1 < n < budget.trial_bound ** 2:  # no prime factor below the bound: n is prime
+        counts[n], n = 1, 1
+    rng = random.Random(budget.seed) if n > 1 else None
     remaining = budget.rho_iterations
     leftovers: list[int] = []  # pieces we could not fully certify
     unsplit = 0  # how many leftovers Miller-Rabin found composite
@@ -276,6 +282,23 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
     return Factorization(sign=sign, factors=factors, cofactor=cofactor, cofactor_status=status)
 
 
+def factor_counts(n: int, budget: FactorBudget | None = None) -> dict[int, int]:
+    """Every prime of |n| with its exponent, for callers that need them all.
+
+    Factors by factor_integer; a probable-prime cofactor counts once.  Raises
+    FactoringBudgetError when the budget leaves a composite unfactored.
+    """
+    fac = factor_integer(n, budget)
+    if fac.cofactor_status == COMPOSITE_UNFACTORED:
+        raise FactoringBudgetError(
+            f"factoring left a composite of {fac.cofactor.bit_length()} bits unsplit; "
+            "raise the factoring budget (--trial-bound, --rho-budget)")
+    counts = dict(fac.factors)
+    if fac.cofactor_status == PROBABLE_PRIME:
+        counts[fac.cofactor] = 1
+    return counts
+
+
 def valuation(n: int, p: int) -> int:
     """v_p(n) for n != 0."""
     if n == 0:
@@ -288,33 +311,12 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def small_factor_counts(n: int) -> dict[int, int]:
-    """Prime factorization of |n| > 0 by simple trial division.
-
-    For the modest integers used in divisor lattices and Moebius values;
-    no budget handling.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    counts: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        counts[n] = counts.get(n, 0) + 1
-    return counts
-
-
-def divisors(n: int) -> list[int]:
+def divisors(n: int, budget: FactorBudget | None = None) -> list[int]:
     """Sorted positive divisors of n >= 1."""
     if n < 1:
         raise ValueError("divisors defined for n >= 1")
     out = [1]
-    for p, e in small_factor_counts(n).items():
+    for p, e in factor_counts(n, budget).items():
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
@@ -323,7 +325,7 @@ def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
     if n < 1:
         raise ValueError("mobius defined for n >= 1")
-    counts = small_factor_counts(n)
+    counts = factor_counts(n)
     if any(e > 1 for e in counts.values()):
         return 0
     return -1 if len(counts) % 2 else 1
@@ -333,7 +335,4 @@ def radical(n: int) -> int:
     """Product of the distinct primes dividing n >= 1."""
     if n < 1:
         raise ValueError("radical defined for n >= 1")
-    out = 1
-    for p in small_factor_counts(n):
-        out *= p
-    return out
+    return math.prod(factor_counts(n))

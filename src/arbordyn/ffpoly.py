@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import CompositeModulusError
-from .factorint import is_probable_prime, small_factor_counts
+from .factorint import factor_counts, is_probable_prime
 from .intpoly import IntPoly
 
 
@@ -174,7 +174,7 @@ def ffpoly_is_irreducible(f: PrimeFieldPoly) -> bool:
         frob.append(pow_mod(frob[-1], p, f))
     if not frob[n].sub(z).mod(f).is_zero:
         return False
-    for ell in small_factor_counts(n):
+    for ell in factor_counts(n):
         g = frob[n // ell].sub(z).gcd(f)
         if g.degree != 0:
             return False

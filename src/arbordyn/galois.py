@@ -25,13 +25,14 @@ from ._record import Fresh, Record
 from .errors import HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
+    factor_counts,
     factor_integer,
     is_perfect_square,
     is_square_candidate,
     is_probable_prime,
     mobius,
+    primes_below,
     radical,
-    small_factor_counts,
     valuation,
 )
 from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
@@ -173,8 +174,6 @@ def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]
     (degree must be preserved, so primes dividing the leading coefficient
     are skipped).
     """
-    from .factorint import primes_below
-
     for p in primes_below(bound):
         if f.lc % p == 0:
             continue
@@ -354,12 +353,13 @@ class HypothesisReport(Record):
     met: bool
 
 
-def _witness_search(targets: list[tuple[str, int]], wanted) -> tuple[Optional[int], Optional[str]]:
+def _witness_search(targets: list[tuple[str, int]], wanted,
+                    budget: FactorBudget | None) -> tuple[Optional[int], Optional[str]]:
     best: tuple[int, str] | None = None
     for name, value in targets:
         if value in (0, 1, -1):
             continue
-        for p in small_factor_counts(value):
+        for p in factor_counts(value, budget):
             if wanted(p) and (best is None or p < best[0]):
                 best = (p, name)
     if best is None:
@@ -367,17 +367,17 @@ def _witness_search(targets: list[tuple[str, int]], wanted) -> tuple[Optional[in
     return best
 
 
-def hypothesis_witnesses(m: int) -> HypothesisReport:
-    """Search the residue-condition witnesses for the parameter m."""
+def hypothesis_witnesses(m: int, budget: FactorBudget | None = None) -> HypothesisReport:
+    """Search the residue-condition witnesses for m, factoring under ``budget``."""
     if m in (-1, 0, 1):
         raise ValueError("m must avoid -1, 0, 1")
     s1_witness, s1_target = _witness_search(
         [("m-1", m - 1), ("m", m), ("m+1", m + 1)],
-        lambda p: p % 4 == 3,
+        lambda p: p % 4 == 3, budget,
     )
     s2_witness, s2_target = _witness_search(
         [("2m-1", 2 * m - 1), ("2m+1", 2 * m + 1)],
-        lambda p: p % 8 in (5, 7),
+        lambda p: p % 8 in (5, 7), budget,
     )
     if s1_witness is not None and not (
         is_probable_prime(s1_witness) and s1_witness % 4 == 3
@@ -426,7 +426,6 @@ def alpha_parametrization(m: int) -> ParametrizationReport:
     v3 = phi.eval_value(v2)
     checks["phi^3(alpha) = a+1"] = v3 == a + 1
     orbit_alpha = v3
-    orbit_zero: object = INF
     orbit_zero = phi.eval_value(Fraction(0))          # phi(0) = infinity
     orbit_zero = phi.eval_value(orbit_zero)           # phi^2(0)
     orbit_zero = phi.eval_value(orbit_zero)           # phi^3(0)
@@ -659,10 +658,7 @@ def eventual_stability_check(a, b, alpha, p: int, d: int) -> StabilityReport:
     vb = _frac_valuation(b, p)
     vd = _frac_valuation(a - b, p)
     valpha = _frac_valuation(alpha, p)
-    dd = d
-    while dd % p == 0:
-        dd //= p
-    d_is_p_power = dd == 1 and d > 1
+    d_is_p_power = d > 1 and p ** valuation(d, p) == d
     vals = {"v(a)": _enc(va), "v(b)": _enc(vb), "v(a-b)": _enc(vd),
             "v(alpha)": _enc(valpha), "d_power_of_p": d_is_p_power}
     # good polynomial reduction is the sharper conclusion, so test it first

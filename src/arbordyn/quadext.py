@@ -11,21 +11,19 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import fraction_text, plain
-from .factorint import small_factor_counts
+from .factorint import FactorBudget, factor_counts
 
 Rat = Union[int, Fraction]
 
 
-def squarefree_kernel(n: int) -> tuple[int, int]:
+def squarefree_kernel(n: int, budget: FactorBudget | None = None) -> tuple[int, int]:
     """Write n = s * m**2 with s squarefree (sign kept on s); returns (s, m).
 
-    n must be nonzero.  Factors by trial division; inputs here are small
-    (discriminants of quadratic factors).
+    n must be nonzero.  Factors by factor_counts under ``budget``, so an n
+    not fully factored within it raises FactoringBudgetError.
     """
-    if n == 0:
-        raise ValueError("squarefree kernel of 0")
     s, m = (1 if n > 0 else -1), 1
-    for p, e in small_factor_counts(n).items():
+    for p, e in factor_counts(n, budget).items():
         if e % 2:
             s *= p
         m *= p ** (e // 2)

@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .errors import BadReductionError, CompositeModulusError, InvariantViolationError
-from .factorint import FactorBudget, factor_integer, is_probable_prime, valuation
+from .factorint import FactorBudget, factor_counts, is_probable_prime, valuation
 from .ffpoly import PrimeFieldPoly
 from .intpoly import IntPoly, resultant
 from .ratmap import RationalMap
@@ -95,16 +95,11 @@ def projective_resultant(map_: RationalMap) -> int:
 def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) -> tuple[int, ...]:
     """All primes of bad reduction, by factoring the projective resultant.
 
-    Raises RuntimeError if the resultant cannot be fully factored within the
-    budget (the list would be incomplete).
+    Raises FactoringBudgetError if the resultant cannot be fully factored
+    within the budget (the list would be incomplete).
     """
-    r = projective_resultant(map_)
-    fac = factor_integer(r, budget)
-    if fac.cofactor_status == "composite_unfactored":
-        raise RuntimeError(
-            "projective resultant not fully factored; raise the effort budget"
-        )
-    return tuple(p for p in sorted(fac.prime_list()) if not has_good_reduction(map_, p))
+    primes = factor_counts(projective_resultant(map_), budget)
+    return tuple(p for p in sorted(primes) if not has_good_reduction(map_, p))
 
 
 class ModOrbit(Record):

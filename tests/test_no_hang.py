@@ -1,0 +1,61 @@
+"""Command lines that once ran past every budget, each with its exit code.
+
+Each row runs as its own process, with the interpreter's default digit limit,
+and must end within TIMEOUT_S.  A row with a byte count reads only that much
+of stdout and then closes it, as ``| head -c N`` does.  A command found to
+hang is added here as one more row.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCH = "import sys; from arbordyn.cli import main; sys.exit(main())"
+TIMEOUT_S = 20
+
+# (argv, bytes of stdout read before closing it or None for all, exit code)
+ROWS = [
+    (["critical", "--map", "(z^2+1000000000039)/(z^2+z+1)"], None, 0),
+    (["critical", "--map", "(z^3+1000000000000000000000007)/(z+1)"], None, 3),
+    (["certify", "--m", "1000000016000000063", "--depth", "2"], None, 0),
+    (["sequence", "--a", "-98", "--n", "18"], 100, 1),
+]
+
+
+def run_row(argv, head):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    timer = threading.Timer(TIMEOUT_S, proc.kill)
+    timer.start()
+    try:
+        if head is not None:
+            proc.stdout.read(head)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        else:
+            _, err = proc.communicate()
+        return proc.wait(), err.decode(), timer.is_alive()
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+
+
+IDS = [" ".join(argv) + (f" | head -c {head}" if head else "") for argv, head, _ in ROWS]
+
+
+@pytest.mark.parametrize("argv, head, code", ROWS, ids=IDS)
+def test_command_ends_with_its_exit_code(argv, head, code):
+    rc, err, in_time = run_row(argv, head)
+    assert in_time, f"still running after {TIMEOUT_S} s"
+    assert rc == code, err
+    assert "Traceback" not in err
+    if head is not None:
+        assert err == ""

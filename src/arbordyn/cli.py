@@ -7,12 +7,15 @@ of --a/--map, an unparsable map or point), 3 non-bicritical input, 4
 hypotheses unmet, 5 rigidity violation, 6 internal error (any other
 exception, reported as one "error: internal: <Type>: <message>" line);
 ``main`` alone maps exceptions to codes.
-JSON goes to stdout (schema tag "arbordyn/2", keys sorted, no timestamps,
+JSON goes to stdout (schema tag "arbordyn/3", keys sorted, no timestamps,
 so identical inputs produce byte-identical output); diagnostics go to
 stderr.  Every value is written by ``_record.plain``: integers wider than
 DECIMAL_SAFE_BITS become "0x..." hex strings, and rationals "num/den" with
 each part by the same rule, in JSON and text alike, so no wide integer is
 ever converted to decimal.
+Each command takes only the budget options it spends, each a row of
+BUDGETS, and ``config`` in its JSON holds exactly their values; any other
+budget option is unknown to it and exits 2.
 Each command imports the modules it needs when it runs, so starting the
 program loads only the parser and what it uses.
 """
@@ -25,7 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._record import Record, fraction_text, int_text, plain
+from ._record import fraction_text, int_text, plain
 from .errors import (
     CriticalFieldError,
     FactoringBudgetError,
@@ -33,7 +36,13 @@ from .errors import (
     HypothesisError,
     NotBicriticalError,
 )
-from .factorint import FactorBudget, factor_integer
+from .factorint import (
+    DEFAULT_RHO_BUDGET,
+    DEFAULT_SEED,
+    DEFAULT_TRIAL_BOUND,
+    FactorBudget,
+    factor_integer,
+)
 from .parsing import ParseError, parse_map, parse_point
 from .ratmap import (
     DEFAULT_GROWTH_CAP_BITS,
@@ -41,7 +50,7 @@ from .ratmap import (
     DEFAULT_MAX_STEPS,
 )
 
-SCHEMA = "arbordyn/2"
+SCHEMA = "arbordyn/3"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,38 +61,17 @@ EXIT_RIGIDITY = 5
 EXIT_INTERNAL = 6
 
 
-class CommandConfig(Record):
-    growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS
-    trial_bound: int = 10 ** 6
-    rho_budget: int = 10 ** 8
-    orbit_max_steps: int = DEFAULT_MAX_STEPS
-    height_cap_bits: int = DEFAULT_HEIGHT_CAP_BITS
-    seed: int = 0
-
-    def budget(self) -> FactorBudget:
-        return FactorBudget(self.trial_bound, self.rho_budget, self.seed)
-
-
-def _config_from_args(args) -> CommandConfig:
-    return CommandConfig(
-        growth_cap_bits=args.growth_cap_bits,
-        trial_bound=args.trial_bound,
-        rho_budget=args.rho_budget,
-        orbit_max_steps=args.steps,
-        height_cap_bits=args.height_cap_bits,
-        seed=args.seed,
-    )
-
-
-def _emit(payload: dict, args, config: CommandConfig, text=None) -> None:
+def _emit(payload: dict, args, text=None) -> None:
     """Print the payload as JSON, or as the lines ``text()`` builds for --output text.
 
-    The payload may hold records and any other value ``plain`` writes.
+    The payload may hold records and any other value ``plain`` writes;
+    ``config`` holds the value of each budget option the command takes.
     """
     if args.output == "text" and text is not None:
         for line in text():
             print(line)
         return
+    config = {key: getattr(args, key) for _, key, _, _ in BUDGETS if hasattr(args, key)}
     doc = {"schema": SCHEMA, "command": args.command, "config": config}
     doc.update(payload)
     print(json.dumps(plain(doc), sort_keys=True, indent=2))
@@ -105,10 +93,9 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_orbit(args) -> int:
-    config = _config_from_args(args)
     phi = parse_map(args.map)
     start = parse_point(args.start)
-    rec = phi.orbit(start, config.orbit_max_steps, config.height_cap_bits)
+    rec = phi.orbit(start, args.orbit_max_steps, args.height_cap_bits)
 
     def text():
         lines = [f"orbit of {start} under {args.map}:"]
@@ -118,7 +105,7 @@ def cmd_orbit(args) -> int:
                         if rec.status == "preperiodic" else ""))
         return lines
 
-    _emit({"orbit": rec}, args, config, text)
+    _emit({"orbit": rec}, args, text)
     return EXIT_OK
 
 
@@ -135,10 +122,10 @@ def _relation_summary(rel) -> str:
 def cmd_critical(args) -> int:
     from . import critical as crit
 
-    config = _config_from_args(args)
     phi = parse_map(args.map)
-    data = crit.critical_points(phi, config.budget())
-    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits, data)
+    budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
+    data = crit.critical_points(phi, budget)
+    rel = crit.critical_orbit_relation(phi, args.bound, args.height_cap_bits, data)
     payload = {"critical": data, "relation": rel}
 
     def text():
@@ -149,18 +136,18 @@ def cmd_critical(args) -> int:
         lines.append(f"orbit relation: {_relation_summary(rel)}")
         return lines
 
-    _emit(payload, args, config, text)
+    _emit(payload, args, text)
     return EXIT_OK
 
 
 def cmd_normal_form(args) -> int:
     from . import critical as crit
 
-    config = _config_from_args(args)
     phi = parse_map(args.map)
-    data = crit.critical_points(phi, config.budget())
+    budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
+    data = crit.critical_points(phi, budget)
     nf = crit.to_normal_form(phi, data)
-    rel = crit.critical_orbit_relation(phi, args.bound, config.height_cap_bits, data)
+    rel = crit.critical_orbit_relation(phi, args.bound, args.height_cap_bits, data)
     payload = {"normal_form": nf, "relation": rel}
 
     def text():
@@ -174,31 +161,30 @@ def cmd_normal_form(args) -> int:
                 f"conjugator mu: {nf.mu.to_dict()}",
                 f"orbit relation: {_relation_summary(rel)}"]
 
-    _emit(payload, args, config, text)
+    _emit(payload, args, text)
     return EXIT_OK
 
 
 def cmd_sequence(args) -> int:
     from . import divisibility as divis
 
-    config = _config_from_args(args)
     phi = divis.main_family(args.a) if args.map is None else parse_map(args.map)
     # recognize the family (z^2+a)/z^2 to enable the f/theta columns
     pc, qc = phi.homogeneous_coeffs()
     family_a = pc[0] if qc == (0, 0, 1) and pc[1:] == (0, 1) else None
-    values, capped = phi.origin_values_capped(args.n, config.growth_cap_bits)
+    values, capped = phi.origin_values_capped(args.n, args.growth_cap_bits)
     status = "growth_capped" if capped else "complete"
     rows = [{"n": idx, "pn0": u} for idx, (u, _) in enumerate(values, start=1)]
     if family_a is not None and rows:
         try:
-            fs = divis.f_sequence(family_a, len(rows), config.growth_cap_bits)
+            fs = divis.f_sequence(family_a, len(rows), args.growth_cap_bits)
             for idx, row in enumerate(rows, start=1):
                 row["f"] = fs[idx - 1]
                 row["theta"] = divis.theta(family_a, idx, fs)
         except GrowthCapError:
             status = "growth_capped"
     if args.factor:
-        budget = config.budget()
+        budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
         for row in rows:
             if row["pn0"] != 0:
                 fac = factor_integer(row["pn0"], budget)
@@ -218,14 +204,13 @@ def cmd_sequence(args) -> int:
             lines.append("  ".join(cells))
         return lines
 
-    _emit(payload, args, config, text)
+    _emit(payload, args, text)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     from . import galois
 
-    config = _config_from_args(args)
     payload: dict = {}
     hyp = param = cert = None
 
@@ -246,11 +231,12 @@ def cmd_certify(args) -> int:
         return lines
 
     if args.m is not None:
-        hyp = galois.hypothesis_witnesses(args.m, config.budget())
+        budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
+        hyp = galois.hypothesis_witnesses(args.m, budget)
         payload["hypotheses"] = hyp
         if not hyp.met:
             payload["overall"] = "hypotheses_unmet"
-            _emit(payload, args, config, text)
+            _emit(payload, args, text)
             return EXIT_HYPOTHESES
         param = galois.alpha_parametrization(args.m)
         payload["parametrization"] = param
@@ -258,10 +244,10 @@ def cmd_certify(args) -> int:
     else:
         a = args.a
     cert = galois.maximality_certificate(
-        a, args.depth, growth_cap_bits=config.growth_cap_bits)
+        a, args.depth, growth_cap_bits=args.growth_cap_bits)
     payload["certificate"] = cert
     payload["overall"] = cert.overall
-    _emit(payload, args, config, text)
+    _emit(payload, args, text)
     if cert.overall == galois.ALL_MAXIMAL:
         return EXIT_OK
     if cert.overall == galois.HYPOTHESES_UNMET:
@@ -273,27 +259,25 @@ def cmd_rigid_check(args) -> int:
     from . import divisibility as divis
     from . import reduction
 
-    config = _config_from_args(args)
     phi = parse_map(args.map)
     warnings = []
     if phi.p.coeff(1) != 0 or phi.q.coeff(1) != 0:
         warnings.append(
             "hypothesis p'(0) = q'(0) = 0 fails; checking empirically anyway"
         )
-    values, capped = phi.origin_values_capped(args.n, config.growth_cap_bits)
+    values, capped = phi.origin_values_capped(args.n, args.growth_cap_bits)
     if capped:
         return _fail(f"growth cap exceeded at term {len(values) + 1}: "
-                     f"origin value wider than {config.growth_cap_bits} bits", EXIT_FAIL)
+                     f"origin value wider than {args.growth_cap_bits} bits", EXIT_FAIL)
     terms = [u for u, _ in values]
     if any(t == 0 for t in terms):
         return _fail("a sequence term vanishes; rigidity undefined", EXIT_FAIL)
+    budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
     try:
-        bad = list(reduction.bad_reduction_primes(phi, config.budget()))
+        bad = list(reduction.bad_reduction_primes(phi, budget))
     except FactoringBudgetError:
         bad = None
-    report = divis.verify_rigid_divisibility(
-        terms, args.exclude, args.pool_depth, config.trial_bound, config.budget()
-    )
+    report = divis.verify_rigid_divisibility(terms, args.exclude, args.pool_depth, budget)
     payload = {
         "report": report,
         "bad_reduction_primes": bad,
@@ -311,7 +295,7 @@ def cmd_rigid_check(args) -> int:
             lines.append(f"  violation p={v.prime} condition {v.condition}: {v.detail}")
         return lines
 
-    _emit(payload, args, config, text)
+    _emit(payload, args, text)
     return EXIT_OK if report.status == "pass" else EXIT_RIGIDITY
 
 
@@ -353,15 +337,24 @@ def _integer_list(text: str) -> list[int]:
             f"need comma-separated integers, got {text!r}") from None
 
 
-def _add_common(sub) -> None:
+# Budget options: (option, its key in "config" and argparse dest, default, type).
+BUDGETS = (
+    ("--steps", "orbit_max_steps", DEFAULT_MAX_STEPS, _POSITIVE),
+    ("--height-cap-bits", "height_cap_bits", DEFAULT_HEIGHT_CAP_BITS, _POSITIVE),
+    ("--growth-cap-bits", "growth_cap_bits", DEFAULT_GROWTH_CAP_BITS, _POSITIVE),
+    ("--trial-bound", "trial_bound", DEFAULT_TRIAL_BOUND, _POSITIVE),
+    ("--rho-budget", "rho_budget", DEFAULT_RHO_BUDGET, _POSITIVE),
+    ("--seed", "seed", DEFAULT_SEED, int),
+)
+FACTORING = ("--trial-bound", "--rho-budget", "--seed")
+
+
+def _add_options(sub, *budgets: str) -> None:
+    """--output, and the named rows of BUDGETS."""
     sub.add_argument("--output", choices=("json", "text"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--growth-cap-bits", type=_POSITIVE, default=DEFAULT_GROWTH_CAP_BITS)
-    sub.add_argument("--trial-bound", type=_POSITIVE, default=10 ** 6)
-    sub.add_argument("--rho-budget", type=_POSITIVE, default=10 ** 8)
-    sub.add_argument("--steps", type=_POSITIVE, default=DEFAULT_MAX_STEPS,
-                     help="orbit step budget")
-    sub.add_argument("--height-cap-bits", type=_POSITIVE, default=DEFAULT_HEIGHT_CAP_BITS)
+    for option, key, default, kind in BUDGETS:
+        if option in budgets:
+            sub.add_argument(option, dest=key, default=default, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,20 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("orbit", help="iterate a rational point exactly")
     s.add_argument("--map", required=True)
     s.add_argument("--start", required=True)
-    _add_common(s)
+    _add_options(s, "--steps", "--height-cap-bits")
     s.set_defaults(func=cmd_orbit)
 
     s = subs.add_parser("critical", help="critical points and orbit relations")
     s.add_argument("--map", required=True)
     s.add_argument("--bound", type=_NON_NEGATIVE, default=12,
                    help="orbit-relation search depth")
-    _add_common(s)
+    _add_options(s, "--height-cap-bits", *FACTORING)
     s.set_defaults(func=cmd_critical)
 
     s = subs.add_parser("normal-form", help="conjugate to a two-term normal form")
     s.add_argument("--map", required=True)
     s.add_argument("--bound", type=_NON_NEGATIVE, default=12)
-    _add_common(s)
+    _add_options(s, "--height-cap-bits", *FACTORING)
     s.set_defaults(func=cmd_normal_form)
 
     s = subs.add_parser("sequence", help="origin iterate values and factorizations")
@@ -397,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--map")
     s.add_argument("--n", type=_POSITIVE, required=True)
     s.add_argument("--factor", action="store_true")
-    _add_common(s)
+    _add_options(s, "--growth-cap-bits", *FACTORING)
     s.set_defaults(func=cmd_sequence)
 
     s = subs.add_parser("certify", help="arboreal maximality certificates")
@@ -406,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           lambda v: abs(v) >= 2))
     one.add_argument("--a", type=int)
     s.add_argument("--depth", type=_POSITIVE, required=True)
-    _add_common(s)
+    _add_options(s, "--growth-cap-bits", *FACTORING)
     s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("rigid-check", help="rigid divisibility of p_n(0)")
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated primes to exclude (repeatable)")
     s.add_argument("--pool-depth", type=_NON_NEGATIVE, default=6,
                    help="fully factor terms up to this index for the prime pool")
-    _add_common(s)
+    _add_options(s, "--growth-cap-bits", *FACTORING)
     s.set_defaults(func=cmd_rigid_check)
 
     return ap

@@ -243,15 +243,15 @@ def verify_rigid_divisibility(
     terms: Sequence[int],
     exclude: Sequence[int] = (),
     pool_depth: int = 6,
-    trial_bound: int = 10 ** 6,
-    budget: FactorBudget | None = None,
+    budget: FactorBudget = FactorBudget(),
 ) -> RigidityReport:
     """Check the two rigid-divisibility conditions over an explicit prime pool.
 
     terms[k-1] is the k-th sequence term (1-based indices throughout).  The
-    pool collects every prime from full factorizations of the first
-    ``pool_depth`` terms plus trial division (below ``trial_bound``) of the
-    rest.  For a pool prime p outside ``exclude``:
+    pool collects every prime from factorizations under ``budget`` of the
+    first ``pool_depth`` terms, plus trial division (below
+    ``budget.trial_bound``) of the rest.  For a pool prime p outside
+    ``exclude``:
 
       (1) v_p(c_n) > 0  implies  v_p(c_kn) = v_p(c_n) for every kn <= N;
       (2) v_p(c_m) > 0 and v_p(c_n) > 0  imply  v_p(c_gcd(m,n)) > 0.
@@ -266,14 +266,14 @@ def verify_rigid_divisibility(
         if idx <= pool_depth:
             pool.update(factor_integer(t, budget).prime_list())
         else:
-            counts, rest = trial_division(t, trial_bound)
+            counts, rest = trial_division(t, budget.trial_bound)
             pool.update(counts)
-            if 1 < rest < trial_bound:
+            if 1 < rest < budget.trial_bound:
                 pool.add(rest)
 
     excluded = sorted(set(exclude))
     checked = sorted(pool - set(excluded))
-    report = RigidityReport(excluded, checked, n_terms, pool_depth, trial_bound)
+    report = RigidityReport(excluded, checked, n_terms, pool_depth, budget.trial_bound)
     for p in checked:
         vals = [valuation(t, p) for t in terms]
         for n in range(1, n_terms + 1):

@@ -18,6 +18,11 @@ import random
 from ._record import DECIMAL_SAFE_BITS, Fresh, Record, int_text  # noqa: F401
 from .errors import FactoringBudgetError
 
+# The default effort of a FactorBudget, and of the command-line options that set it.
+DEFAULT_TRIAL_BOUND = 10 ** 6
+DEFAULT_RHO_BUDGET = 10 ** 8
+DEFAULT_SEED = 0
+
 # Smallest composite not caught by the first twelve prime witnesses.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -116,9 +121,9 @@ class FactorBudget(Record, frozen=True):
           deterministic range, for reproducibility.
     """
 
-    trial_bound: int = 10 ** 6
-    rho_iterations: int = 10 ** 8
-    seed: int = 0
+    trial_bound: int = DEFAULT_TRIAL_BOUND
+    rho_iterations: int = DEFAULT_RHO_BUDGET
+    seed: int = DEFAULT_SEED
 
 
 #: cofactor classification in a Factorization

@@ -124,22 +124,6 @@ class PrimeFieldPoly(Record, frozen=True):
             a, b = b, a.mod(b)
         return a.monic()
 
-    def format(self, var: str = "z") -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{var}" if c == 1 else f"{c}*{var}")
-            else:
-                terms.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-        return " + ".join(terms)
-
 
 def pow_mod(base: PrimeFieldPoly, e: int, mod: PrimeFieldPoly) -> PrimeFieldPoly:
     """base**e reduced mod ``mod``."""

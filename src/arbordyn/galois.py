@@ -268,9 +268,6 @@ class MaximalityCertificate(Record):
     maximal_levels: list[int]
     levels: list[LevelEvidence] = Fresh(list)
 
-    def all_maximal(self) -> bool:
-        return self.overall == ALL_MAXIMAL
-
 
 def maximality_certificate(a: int, depth: int,
                            growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> MaximalityCertificate:

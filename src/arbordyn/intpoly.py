@@ -50,10 +50,6 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, c: int, k: int) -> "IntPoly":
         """c * z**k"""
         if c == 0:
@@ -87,9 +83,6 @@ class IntPoly:
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
         return math.gcd(*self.coeffs) if self.coeffs else 0
-
-    def max_coeff_bits(self) -> int:
-        return max((abs(c).bit_length() for c in self.coeffs), default=0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -4,6 +4,8 @@ Coefficients are integers or rationals (7/2), the variable is z, exponents
 use ^, and a map is numerator/denominator at the top level.  A '/' splits
 the map only when its right side involves z or a parenthesized group, so
 rational coefficients keep their plain meaning.  Whitespace never matters.
+An exponent above MAX_DEGREE is a parse error: a polynomial's coefficient
+list, and every resultant taken of it, grows with its degree.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from .ratmap import P1Point, RationalMap
 
+MAX_DEGREE = 1000
 
 class ParseError(ValueError):
     pass
@@ -99,6 +102,8 @@ def parse_poly(text: str) -> list[Fraction]:
             # only the interpreter's int-string digit limit rejects a matched term
             raise ParseError(f"term of {len(term)} characters exceeds the "
                              f"{sys.get_int_max_str_digits()}-digit limit") from None
+        if exp > MAX_DEGREE:
+            raise ParseError(f"exponent {exp} exceeds the degree limit {MAX_DEGREE}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
     degree = max(coeffs)
     return [coeffs.get(i, Fraction(0)) for i in range(degree + 1)]

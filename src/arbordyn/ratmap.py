@@ -193,13 +193,17 @@ class IterateLadder(Record):
             self.levels.append((self.base.p, self.base.q))
         d = self.base.d
         pc, qc = self.base.homogeneous_coeffs()
+        # Each coefficient of the next level is at most ||(pc, qc)||_1 times
+        # max(||p_n||_1, ||q_n||_1)^d in absolute value (1-norms).
+        base_bits = max(sum(map(abs, pc)), sum(map(abs, qc))).bit_length()
         while len(self.levels) < n:
             pn, qn = self.levels[-1]
-            projected = 2 * max(pn.max_coeff_bits(), qn.max_coeff_bits()) + d + 4
-            if projected > growth_cap_bits:
+            norm = max(sum(map(abs, pn.coeffs)), sum(map(abs, qn.coeffs)))
+            bound = d * norm.bit_length() + base_bits
+            if bound > growth_cap_bits:
                 raise GrowthCapError(
                     f"growth cap exceeded at level {len(self.levels) + 1}: "
-                    f"~{projected} bits > {growth_cap_bits}"
+                    f"up to {bound} bits > {growth_cap_bits}"
                 )
             self.levels.append(_substitute(pc, qc, pn, qn))
 

@@ -1,12 +1,14 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arbordyn import cli
 from arbordyn.cli import main
 from arbordyn.errors import InvariantViolationError
-from arbordyn.parsing import ParseError, parse_map, parse_point, parse_poly
+from arbordyn.parsing import MAX_DEGREE, ParseError, parse_map, parse_point, parse_poly
 from arbordyn.ratmap import P1Point, RationalMap
 
 
@@ -27,6 +29,11 @@ class TestPolynomialGrammar:
 
     def test_repeated_monomials_merge(self):
         assert parse_poly("z+z+1") == [1, 2]
+
+    def test_degree_limit(self):
+        assert len(parse_poly(f"z^{MAX_DEGREE}+1")) == MAX_DEGREE + 1
+        with pytest.raises(ParseError, match=f"exponent {MAX_DEGREE + 1} exceeds"):
+            parse_poly(f"z^{MAX_DEGREE + 1}+1")
 
     def test_garbage_rejected(self):
         for bad in ("z^2 + w", "", "z**2", "(z^2"):
@@ -73,7 +80,7 @@ class TestOrbitCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "arbordyn/2"
+        assert doc["schema"] == "arbordyn/3"
         assert doc["orbit"]["points"][:4] == ["0", "inf", "1", "-97"]
 
     def test_fixed_point(self, capsys):
@@ -368,13 +375,13 @@ class TestBadArgumentsExitTwo:
         assert "--pool-depth" in err
 
 
-BUDGETS = ("--growth-cap-bits", "--trial-bound", "--rho-budget", "--steps",
-           "--height-cap-bits")
-
 # (command line, text the error line must contain: the option it names)
 BAD_COMMAND_LINES = [
-    *((("orbit", "--map", "z^2", "--start", "0", budget, "0"), budget)
-      for budget in BUDGETS),
+    (("sequence", "--a", "-98", "--n", "3", "--growth-cap-bits", "0"), "--growth-cap-bits"),
+    (("critical", "--map", "z^2", "--trial-bound", "0"), "--trial-bound"),
+    (("certify", "--m", "2", "--depth", "3", "--rho-budget", "0"), "--rho-budget"),
+    (("orbit", "--map", "z^2", "--start", "0", "--steps", "0"), "--steps"),
+    (("orbit", "--map", "z^2", "--start", "0", "--height-cap-bits", "0"), "--height-cap-bits"),
     (("sequence", "--a", "-98", "--n", "0"), "--n"),
     (("sequence", "--a", "-98", "--n", "x"), "--n"),
     (("sequence", "--a", "-98"), "--n"),
@@ -404,6 +411,66 @@ class TestMalformedCommandLine:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert names in lines[0]
+
+
+# Each budget option, its key in "config", and the commands that spend it.
+BUDGET_OPTIONS = {
+    "--steps": ("orbit_max_steps", {"orbit"}),
+    "--height-cap-bits": ("height_cap_bits", {"orbit", "critical", "normal-form"}),
+    "--growth-cap-bits": ("growth_cap_bits", {"sequence", "certify", "rigid-check"}),
+    "--trial-bound": ("trial_bound", {"critical", "normal-form", "sequence", "certify",
+                                      "rigid-check"}),
+    "--rho-budget": ("rho_budget", {"critical", "normal-form", "sequence", "certify",
+                                    "rigid-check"}),
+    "--seed": ("seed", {"critical", "normal-form", "sequence", "certify", "rigid-check"}),
+}
+
+# A small command line of each command that exits 0.
+SMALL_COMMANDS = {
+    "orbit": ("orbit", "--map", "(z^2-98)/z^2", "--start", "0"),
+    "critical": ("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
+    "normal-form": ("normal-form", "--map", "(z^2-98)/z^2"),
+    "sequence": ("sequence", "--a", "-98", "--n", "3", "--factor"),
+    "certify": ("certify", "--m", "2", "--depth", "2"),
+    "rigid-check": ("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "4"),
+}
+
+
+def budget_keys(command: str) -> set[str]:
+    return {key for key, spenders in BUDGET_OPTIONS.values() if command in spenders}
+
+
+def readme_commands() -> list[list[str]]:
+    """The command lines of the README's CLI block, without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in readme.splitlines()
+            if line.startswith("arbordyn ")]
+
+
+class TestBudgetOptions:
+    """A command takes exactly the budget options it spends, and echoes exactly those."""
+
+    @pytest.mark.parametrize("command", SMALL_COMMANDS)
+    @pytest.mark.parametrize("option", BUDGET_OPTIONS)
+    def test_taken_exactly_when_spent(self, capsys, command, option):
+        key, spenders = BUDGET_OPTIONS[option]
+        code, out, err = run_cli(capsys, *SMALL_COMMANDS[command], option, "5000")
+        if command in spenders:
+            assert code == 0, err
+            assert json.loads(out)["config"][key] == 5000
+        else:
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert option in lines[0]
+
+    def test_readme_commands_echo_their_budget_keys(self, capsys):
+        commands = readme_commands()
+        assert len(commands) == 8
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert set(json.loads(out)["config"]) == budget_keys(argv[0])
 
 
 MAP_COMMANDS = (

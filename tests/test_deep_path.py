@@ -157,40 +157,40 @@ class TestDeepCommands:
         assert run(*args).stdout == run(*args).stdout
 
 
-# sha256 of stdout under schema arbordyn/2, so that any change to the bytes of
+# sha256 of stdout under schema arbordyn/3, so that any change to the bytes of
 # these payloads shows.
 PINNED_STDOUT = [
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"),
-     "c5ba27e81d6cc5fd324b3614e6929f1b15278e0b84732842679e3304022b8703"),
+     "5177196208722ddc408672989b3c9f7fc98670aecd364f05315b7d38e9f41e61"),
     (("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "d8ee8db753355dbd5946e1daba8b180238170c9d5602cda5fbfe995a117bb37b"),
+     "cc44fe1021c6d509459c07263259ed6febe1e1c2ccb2b1bcbd7de69247910902"),
     (("normal-form", "--map", "(z^2-98)/z^2"),
-     "f219d9e9c24aabbc4847c6e2a465cf82c677edd380ac1e4658160080bf905ada"),
+     "6bcaf4c325759d82f71b8d98e8c1e3d30731cb19767ab9283159a26df7d88fda"),
     (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor"),
-     "4c8801bf10e7038a88d028f3cba010c3a7f35208c5ac705970c19f9f4675dc86"),
+     "c90363c0c7b33fbdc1139a1e9cd1a6973bebe82d3a568754d223908533bc498f"),
     (("sequence", "--a", "-98", "--n", "5"),
-     "99915ec73b3884b2cc5ba1efb7312f41cea9c08522a1db248b4decaa0de4e4ba"),
+     "079b7edddc38b5c367685ba71e0218069fc5d087a645d21f3ca33a5d433cdd6f"),
     (("certify", "--m", "2", "--depth", "8"),
-     "f326c86ad114a47471508ae81420f32e9df841dd9fe34690d867244f270d76ee"),
+     "08d3af010953843d6fdd7c0160563df5c696009e2c98b4ea66d7913da75ddaa2"),
     (("certify", "--a", "-98", "--depth", "8"),
-     "d492da02e2f19e18d0f10e2b20c0cf9afd0ea8547dd64a71315a4b188f90a259"),
+     "93cf82033592a3d7fa21a0e3a0218d661d19259f0ca65fe80d2e35af2477fdce"),
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8"),
-     "a32efe815dec078d3f1a43b45d043dd9b441fe3da74f94846cd4f93d619985b2"),
+     "87820ffccbbc92afa8f4ab4e1a0e1b800a8ab2f3814544e5dff742fb618f6f2e"),
     # widest values just below the bound: f_13 (13598 bits), p_11(0) (13599 bits)
     (("certify", "--a", "-998", "--depth", "12"),
-     "2e4fbe6f3c505dfaa49d76576ce40acc3f41ae8f92d9df38f65a55dae28ee0ab"),
+     "7be90af7880b3035bef9145e94a8a69806d7475cae60d3f72a1dcc0db0728733"),
     (("sequence", "--a", "-998", "--n", "11"),
-     "79f82fc6315b13afc1abce99d6c3db158b8ab40a06a20dcc36f50cc5e0850875"),
+     "932a5c421cf40451a540568c7541076f93a62495f676b9a08a4243f21d6d1fa0"),
     # quadratic conjugator entries, and a collision value in Q(sqrt 2) with y = 0
     (("normal-form", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "33f24879b5ba82357d77c4c644a56c2b4167db4c8586b32b4445bef52e5ee9f1"),
+     "edcd938e4f722f4f430e221f4b71e2c954a00d1e7a0b294dcc58fa18a8c7f8eb"),
     (("critical", "--map", "(z^2+1)/(2z)"),
-     "ecf3fc12145430e616271b5a7592f6b4458c219f7b7b910e3a6c16ce5e749305"),
+     "bd3505d5ba46d52fe2812392e88c962aa19a252c72aec92055d75b3610712e48"),
     # Q(sqrt 5), no relation found
     (("normal-form", "--map", "(z^2-2z)/(z^2+1)"),
-     "82bd895e52ee43f9a7b5c1174e3c6d821f529edc6da27d4727a0b468dfb9c3a7"),
+     "bc982e79e9bd7a153ca23a98492f6e1aecf65a26661220eae84eea63d5ff7869"),
     (("certify", "--m", "5", "--depth", "3"),
-     "ef7a425ed1ecf8d8c9670c842cbe10d0dd3b399c319e435fe68ab4352b9c7d42"),
+     "4568a1d7af8571404fa741e9ea6289a38fb014d36ff6ba5d8534cc1f9a675798"),
     # --output text of the README commands; "conjugator mu: {...}" is a dict repr
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6", "--output", "text"),
      "fdc9e58402bfb3403fd881d6f41396a494b2022061387794a32796646b1e4c4b"),

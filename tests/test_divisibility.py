@@ -16,7 +16,7 @@ from arbordyn.divisibility import (
     verify_rigid_divisibility,
 )
 from arbordyn.errors import GrowthCapError, HypothesisError
-from arbordyn.factorint import is_perfect_square
+from arbordyn.factorint import FactorBudget, is_perfect_square
 from arbordyn.ratmap import RationalMap
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
@@ -146,6 +146,15 @@ class TestRigidDivisibility:
     def test_zero_term_rejected(self):
         with pytest.raises(ValueError):
             verify_rigid_divisibility([1, 0, 3])
+
+    def test_pool_trial_division_uses_the_budget_bound(self):
+        # term 2 is 2 * 101 * 103: only primes below the bound reach the pool
+        terms = [1, 2 * 101 * 103]
+        rep = verify_rigid_divisibility(terms, pool_depth=0,
+                                        budget=FactorBudget(trial_bound=100))
+        assert (rep.trial_bound, rep.checked_primes) == (100, [2])
+        rep = verify_rigid_divisibility(terms, pool_depth=0)
+        assert (rep.trial_bound, rep.checked_primes) == (10 ** 6, [2, 101, 103])
 
 
 class TestIterateIdentities:

@@ -1,8 +1,9 @@
 """Every named definition in the library is used somewhere.
 
 Each module-level function and class, and each non-dunder method, of
-src/arbordyn must occur at least twice across src/arbordyn, tests/ and
-README.md; its own definition is one occurrence.
+src/arbordyn must be referenced as an identifier in src/arbordyn, tests/ or
+a code block of README.md: a name, an attribute, or an imported name.  Words
+in strings, comments and docstrings do not count, nor does the definition.
 """
 
 import ast
@@ -26,12 +27,44 @@ def defined_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def referenced_names(tree: ast.AST) -> Counter:
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            refs.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return refs
+
+
+def readme_code() -> list[str]:
+    """The README's fenced code blocks that parse as Python."""
+    blocks = re.findall(r"^```\w*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    out = []
+    for block in blocks:
+        try:
+            ast.parse(block)
+        except SyntaxError:
+            continue
+        out.append(block)
+    return out
+
+
 def test_every_definition_is_referenced():
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    words = Counter()
-    for path in paths + [ROOT / "README.md"]:
-        words.update(re.findall(r"\w+", path.read_text()))
+    refs = Counter()
+    for source in [path.read_text() for path in paths] + readme_code():
+        refs.update(referenced_names(ast.parse(source)))
     names = set()
     for path in SRC.glob("*.py"):
         names |= defined_names(ast.parse(path.read_text()))
-    assert sorted(name for name in names if words[name] < 2) == []
+    assert sorted(name for name in names if not refs[name]) == []
+
+
+def test_a_name_only_in_strings_does_not_count():
+    source = '"""ghost is mentioned here."""\nx = "ghost"\n# ghost\nused.attr\n'
+    refs = referenced_names(ast.parse(source))
+    assert refs["ghost"] == 0 and refs["used"] == 1 and refs["attr"] == 1

@@ -24,6 +24,7 @@ ROWS = [
     (["critical", "--map", "(z^3+1000000000000000000000007)/(z+1)"], None, 3),
     (["certify", "--m", "1000000016000000063", "--depth", "2"], None, 0),
     (["sequence", "--a", "-98", "--n", "18"], 100, 1),
+    (["orbit", "--map", "z^1000000+1", "--start", "0"], None, 2),
 ]
 
 

@@ -94,6 +94,19 @@ class TestLadder:
         with pytest.raises(GrowthCapError):
             phi.ladder(30, growth_cap_bits=200)
 
+    @pytest.mark.parametrize("pc, qc", [([3, 0, 0, 5], [7, 0, 0, 1]),
+                                        ([1, 1, 0, 3], [2, 0, 0, 1]),
+                                        ([-98, 0, 1], [0, 0, 1])],
+                             ids=["cubic", "cubic-with-linear-term", "family"])
+    def test_growth_cap_bounds_every_level_built(self, pc, qc):
+        # a projection of 2*bits + d + 4 built a 360-bit level of the first map
+        phi = RationalMap.from_coeffs(pc, qc)
+        with pytest.raises(GrowthCapError):
+            phi.ladder(6, growth_cap_bits=250)
+        widest = max(abs(c).bit_length() for level in phi.ladder(1).levels
+                     for poly in level for c in poly.coeffs)
+        assert widest <= 250
+
     def test_ladder_values_match_polynomials(self):
         phi = family(-6)
         x = Fraction(2, 3)

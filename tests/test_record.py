@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from arbordyn._record import Fresh, Record, plain
-from arbordyn.cli import CommandConfig
+from arbordyn.cli import main
 from arbordyn.critical import to_normal_form
 from arbordyn.divisibility import RigidityReport, Violation
 from arbordyn.factorint import FactorBudget, Factorization
@@ -157,10 +157,18 @@ class TestJsonForm:
             "violations": [{"prime": 3, "condition": 1, "indices": [1, 2], "detail": "x"}],
         }
 
-    def test_config_has_the_six_budget_keys(self):
-        assert CommandConfig().to_dict() == {
-            "growth_cap_bits": 2 ** 24, "trial_bound": 10 ** 6, "rho_budget": 10 ** 8,
-            "orbit_max_steps": 64, "height_cap_bits": 4096, "seed": 0}
+    @pytest.mark.parametrize("argv, config", [
+        (("orbit", "--map", "z^2", "--start", "0"),
+         {"orbit_max_steps": 64, "height_cap_bits": 4096}),
+        (("normal-form", "--map", "(z^2-98)/z^2"),
+         {"trial_bound": 10 ** 6, "rho_budget": 10 ** 8, "seed": 0, "height_cap_bits": 4096}),
+        (("certify", "--a", "-98", "--depth", "1"),
+         {"growth_cap_bits": 2 ** 24, "trial_bound": 10 ** 6, "rho_budget": 10 ** 8,
+          "seed": 0}),
+    ], ids=["orbit", "normal-form", "certify"])
+    def test_config_has_the_default_of_each_budget_taken(self, capsys, argv, config):
+        assert main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == config
 
     def test_points_are_written_as_text(self):
         assert plain(P1Point(-3, 4)) == P1Point(-3, 4).to_dict() == "-3/4"

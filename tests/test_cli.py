@@ -413,16 +413,16 @@ class TestMalformedCommandLine:
         assert names in lines[0]
 
 
+FACTORING_COMMANDS = {"critical", "normal-form", "sequence", "certify", "rigid-check"}
+
 # Each budget option, its key in "config", and the commands that spend it.
 BUDGET_OPTIONS = {
     "--steps": ("orbit_max_steps", {"orbit"}),
     "--height-cap-bits": ("height_cap_bits", {"orbit", "critical", "normal-form"}),
     "--growth-cap-bits": ("growth_cap_bits", {"sequence", "certify", "rigid-check"}),
-    "--trial-bound": ("trial_bound", {"critical", "normal-form", "sequence", "certify",
-                                      "rigid-check"}),
-    "--rho-budget": ("rho_budget", {"critical", "normal-form", "sequence", "certify",
-                                    "rigid-check"}),
-    "--seed": ("seed", {"critical", "normal-form", "sequence", "certify", "rigid-check"}),
+    "--trial-bound": ("trial_bound", FACTORING_COMMANDS),
+    "--rho-budget": ("rho_budget", FACTORING_COMMANDS),
+    "--seed": ("seed", FACTORING_COMMANDS),
 }
 
 # A small command line of each command that exits 0.

@@ -17,16 +17,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ArborDynError", "BadReductionError", "CompositeModulusError",
-        "CriticalFieldError", "DegenerateMapError", "DegreeTooSmallError",
-        "GrowthCapError", "HypothesisError", "InvariantViolationError",
-        "NotBicriticalError", "NotDefinedOverQError", "ZeroPolynomialError",
+        "DegenerateMapError", "DegreeTooSmallError", "GrowthCapError",
+        "HypothesisError", "InvariantViolationError", "NotBicriticalError",
+        "NotDefinedOverQError", "ZeroPolynomialError",
     ),
     "factorint": (
         "FactorBudget", "Factorization", "divisors", "factor_integer",
         "is_perfect_square", "is_probable_prime", "mobius",
     ),
     "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),
-    "intpoly": ("IntPoly", "discriminant", "poly_gcd", "resultant", "squarefree_part"),
+    "intpoly": ("IntPoly", "discriminant", "resultant"),
     "quadext": ("QuadExtElem",),
     "ratmap": ("INF", "IterateLadder", "MobiusTransform", "OrbitRecord", "P1Point",
                "RationalMap"),

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from ._record import fraction_text, int_text, plain
 from .errors import (
-    CriticalFieldError,
     FactoringBudgetError,
     GrowthCapError,
     HypothesisError,
@@ -443,7 +442,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
-    except (NotBicriticalError, CriticalFieldError) as exc:
+    except NotBicriticalError as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
     except HypothesisError as exc:
         return _fail(str(exc), EXIT_HYPOTHESES)

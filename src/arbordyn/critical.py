@@ -3,22 +3,24 @@
 The finite critical points of phi = p/q are the roots of the Wronskian
 p'q - q'p, with ramification index one more than the root multiplicity; the
 point at infinity is critical exactly when the Wronskian falls short of
-degree 2d-2, by the same amount.  Root resolution is purely algebraic:
-rational root extraction plus the quadratic formula on what remains, so every
-critical point lives in Q or a single explicit quadratic extension, or the
-map is rejected as inaccessible.
+degree 2d-2, by the same amount.  A map of degree d is bicritical exactly
+when its Wronskian is c*R^(d-1) with R of degree 2 (two finite critical
+points) or of degree 1 (one finite, and infinity), both with e = d.  That
+shape is read off the top coefficients and checked in O(d) steps; the
+critical points are the roots of R, in Q or in Q(sqrt disc R).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .errors import CriticalFieldError, HypothesisError, NotBicriticalError
-from .factorint import FactorBudget, divisors
+from .errors import HypothesisError, NotBicriticalError
+from .factorint import FactorBudget, is_perfect_square
 from .fieldpoly import conjugate_pair, root_order, trim
-from .intpoly import IntPoly, squarefree_part
+from .intpoly import IntPoly
 from .quadext import QuadExtElem, squarefree_kernel
 from .ratmap import (
     DEFAULT_HEIGHT_CAP_BITS,
@@ -81,85 +83,70 @@ def ramification_index(map_: RationalMap, pt: Union[P1Point, QuadExtElem]) -> in
     return root_order(trim([c * qa - e * pa for c, e in zip(pc, qc)]), alpha)
 
 
-def _rational_roots(r: IntPoly, budget: FactorBudget | None = None) -> list[Fraction]:
-    """All rational roots of a primitive squarefree polynomial."""
-    roots = []
-    work = r
-    if work.coeff(0) == 0:
-        roots.append(Fraction(0))
-        work = work.exact_div(IntPoly.variable())
-    if work.degree < 1:
-        return roots
-    denominators = divisors(abs(work.lc), budget)
-    for u in divisors(abs(work.coeff(0)), budget):
-        for v in denominators:
-            for sign in (1, -1):
-                cand = Fraction(sign * u, v)
-                if work(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
+def _root_poly(w: IntPoly, d: int) -> Optional[IntPoly]:
+    """The primitive R with positive leading coefficient and w = c*R^(d-1), R
+    of degree 1 or 2, or None when w has no such shape.
+
+    With k = d - 1, w/lc(w) = R^k begins z^(mk) + k*beta*z^(mk-1) +
+    (k*gamma + C(k,2)*beta^2)*z^(mk-2) for R = z^m + beta*z^(m-1) + gamma*z^(m-2),
+    so the top coefficients of w fix R.  Then w = c*R^k exactly when
+    w'R = k*R'w, since (w/R^k)' = R^(k-1)*(w'R - k*R'w)/R^(2k).  A quadratic R
+    has distinct roots: a double root would be critical with e = 2d - 1 > d.
+    """
+    k = d - 1
+    n = w.degree
+    if n not in (k, 2 * k):
+        return None
+    beta = Fraction(w.coeff(n - 1), k * w.lc)
+    if n == k:
+        monic = [beta, Fraction(1)]
+    else:
+        gamma = (Fraction(w.coeff(n - 2), w.lc) - k * (k - 1) // 2 * beta ** 2) / k
+        monic = [gamma, beta, Fraction(1)]
+    den = math.lcm(*(c.denominator for c in monic))
+    r = IntPoly([(c * den).numerator for c in monic])
+    if w.derivative() * r != k * (r.derivative() * w):
+        return None
+    return r
 
 
 def critical_points(map_: RationalMap, budget: FactorBudget | None = None) -> CriticalData:
-    """All critical points with ramification indices, over Q or one Q(sqrt s).
+    """The two critical points of a bicritical map, each with e = d, over Q or
+    one Q(sqrt s): the roots of R with Wronskian c*R^(d-1), and infinity when
+    R is linear.
 
-    Raises CriticalFieldError when the squarefree Wronskian part keeps a
-    factor of degree >= 3 after rational roots are removed: the critical
-    points then live outside any single quadratic extension we handle.
-    Integers are factored under ``budget``; FactoringBudgetError if incomplete.
+    Order: rational roots ascending, else the conjugate pair with positive
+    sqrt(s) part first; infinity last.  Raises NotBicriticalError when the
+    Wronskian has any other shape.  Only disc R is factored, under ``budget``
+    (FactoringBudgetError if incomplete), and only when it is not a square.
     """
     d = map_.d
     w = wronskian(map_)
-    if w.is_zero:
-        raise CriticalFieldError("identically zero Wronskian")
-    r = squarefree_part(w)
-    rational = _rational_roots(r, budget)
-    rest = r
-    for root in rational:
-        lin = IntPoly([-root.numerator, root.denominator])
-        rest = rest.exact_div(lin)
-    quad_points: list[QuadExtElem] = []
-    s = None
-    if rest.degree == 2:
-        aa, bb = rest.lc, rest.coeff(1)
-        disc = bb * bb - 4 * aa * rest.coeff(0)
-        s, m = squarefree_kernel(disc, budget)
-        c0 = Fraction(-bb, 2 * aa)
-        c1 = Fraction(m, 2 * aa)
-        if c1 < 0:
-            c1 = -c1
-        quad_points = [QuadExtElem(c0, c1, s), QuadExtElem(c0, -c1, s)]
-    elif rest.degree >= 3 or rest.degree == 1:
-        raise CriticalFieldError(
-            f"critical points outside quadratic extensions "
-            f"(unresolved factor of degree {rest.degree})"
-        )
-
-    points: list[CriticalPoint] = []
-    resolved_orders = 0
-    for root in rational:
-        e = root_order(list(w.coeffs), root) + 1
-        resolved_orders += e - 1
-        if e >= 2:
-            points.append(CriticalPoint(P1Point.from_fraction(root), e))
-    if quad_points:
-        e = root_order(list(w.coeffs), quad_points[0]) + 1
-        resolved_orders += 2 * (e - 1)
-        if e >= 2:
-            points.extend(CriticalPoint(g, e) for g in quad_points)
-    if resolved_orders != w.degree:
-        raise AssertionError("unaccounted Wronskian roots")  # unreachable
-    inf_defect = 2 * d - 2 - w.degree
-    if inf_defect > 0:
-        points.append(CriticalPoint(P1Point.infinity(), inf_defect + 1))
-    field = FieldDescriptor("quadratic", s) if quad_points else RATIONAL_FIELD
-    return CriticalData(tuple(points), field)
+    r = _root_poly(w, d)
+    if r is None:
+        raise NotBicriticalError(
+            f"map is not bicritical: its Wronskian of degree {w.degree} is not "
+            f"c*R^{d - 1} with R of degree 1 or 2")
+    field = RATIONAL_FIELD
+    if r.degree == 1:
+        locations = [P1Point.of(-r.coeff(0), r.lc), P1Point.infinity()]
+    else:
+        aa, bb = r.lc, r.coeff(1)
+        disc = bb * bb - 4 * aa * r.coeff(0)
+        square, m = is_perfect_square(disc)
+        if square:
+            locations = [P1Point.of(-bb + sign * m, 2 * aa) for sign in (-1, 1)]
+        else:
+            s, m = squarefree_kernel(disc, budget)
+            c0, c1 = Fraction(-bb, 2 * aa), Fraction(m, 2 * aa)
+            locations = [QuadExtElem(c0, c1, s), QuadExtElem(c0, -c1, s)]
+            field = FieldDescriptor("quadratic", s)
+    return CriticalData(tuple(CriticalPoint(loc, d) for loc in locations), field)
 
 
-def is_bicritical(map_: RationalMap) -> tuple[bool, CriticalData]:
+def is_bicritical(map_: RationalMap) -> bool:
     """Whether the map has exactly two critical points (then both have e = d)."""
-    data = critical_points(map_)
-    return len(data.points) == 2, data
+    return _root_poly(wronskian(map_), map_.d) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +202,6 @@ def _critical_values(map_: RationalMap, data: Optional[CriticalData]):
     given), the radicand of its field and its critical points as field values."""
     if data is None:
         data = critical_points(map_)
-    if len(data.points) != 2:
-        raise NotBicriticalError(
-            f"map is not bicritical: {len(data.points)} critical points")
     s = data.field.s
     return (data, s, *(_as_field_value(pt.location, s) for pt in data.points))
 
@@ -343,12 +327,13 @@ class QuadraticForm(Record, frozen=True):
         )
 
 
-def quadratic_conjugate_form(map_: RationalMap, c2_limit: int = 16) -> QuadraticForm:
+# Hard stop for the auxiliary-parameter scan, which succeeds within seven values.
+_C2_LIMIT = 16
+
+
+def quadratic_conjugate_form(map_: RationalMap) -> QuadraticForm:
     """Conjugate over Q a quadratic map with quadratic critical field to
     (z^2 + az + r)/(z^2 + bz + r), with critical points +-sqrt(r).
-
-    The candidate scan for the auxiliary parameter is guaranteed to succeed
-    within seven values; c2_limit is a hard safety stop.
     """
     if map_.d != 2:
         raise HypothesisError("quadratic_conjugate_form requires degree 2")
@@ -373,7 +358,7 @@ def quadratic_conjugate_form(map_: RationalMap, c2_limit: int = 16) -> Quadratic
 
     v = inf_image(pair)
     if isinstance(v, Infinity) or v == 0:
-        for c2 in range(c2_limit):
+        for c2 in range(_C2_LIMIT):
             mu2 = MobiusTransform.make(Fraction(c2), Fraction(-s), Fraction(1), Fraction(-c2))
             cand = conjugate_pair(pair[0], pair[1], 2, mu2.entries())
             v = inf_image(cand)

@@ -41,10 +41,6 @@ class NotBicriticalError(ArborDynError, ValueError):
     """The map does not have exactly two critical points."""
 
 
-class CriticalFieldError(ArborDynError, ValueError):
-    """Critical points do not lie in Q or a single quadratic extension."""
-
-
 class HypothesisError(ArborDynError, ValueError):
     """A structural hypothesis of the requested check fails.
 

@@ -49,17 +49,6 @@ class IntPoly:
     def one(cls) -> "IntPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        """c * z**k"""
-        if c == 0:
-            return cls(())
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def variable(cls) -> "IntPoly":
-        return cls((0, 1))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -150,18 +139,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def primitive(self) -> "IntPoly":
-        """Divide out the content.  Sign of the leading coefficient is kept."""
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return IntPoly(tuple(x // c for x in self.coeffs))
-
-    def monic_normalize(self) -> "IntPoly":
-        """Primitive part with positive leading coefficient."""
-        p = self.primitive()
-        return -p if p.lc < 0 else p
-
     def scalar_exact_div(self, c: int) -> "IntPoly":
         """Divide every coefficient by c, which must divide exactly."""
         if c == 0:
@@ -172,22 +149,6 @@ class IntPoly:
             if r:
                 raise ValueError("inexact scalar division")
             out.append(q)
-        return IntPoly(out)
-
-    def exact_div(self, g: "IntPoly") -> "IntPoly":
-        """Exact quotient self / g in Z[z]; raises if it does not divide."""
-        if g.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return IntPoly(())
-        q, r = fraction_divmod(self, g)
-        if any(c != 0 for c in r):
-            raise ValueError("polynomial division is not exact")
-        out = []
-        for c in q:
-            if c.denominator != 1:
-                raise ValueError("quotient is not integral")
-            out.append(c.numerator)
         return IntPoly(out)
 
     def reverse(self, n: int | None = None) -> "IntPoly":
@@ -228,31 +189,12 @@ def format_poly(f: IntPoly, var: str = "z") -> str:
     return text
 
 
-def fraction_divmod(f: IntPoly, g: IntPoly) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of f by g over Q, as Fraction coefficient lists."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in f.coeffs]
-    dg = g.degree
-    glc = Fraction(g.lc)
-    if len(rem) - 1 < dg:
-        return [], rem
-    quot = [Fraction(0)] * (len(rem) - dg)
-    for k in reversed(range(len(quot))):
-        c = rem[k + dg] / glc
-        quot[k] = c
-        if c:
-            for i, gc in enumerate(g.coeffs):
-                rem[k + i] -= c * gc
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
 def pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Pseudo-division: lc(g)**(deg f - deg g + 1) * f = q*g + r, deg r < deg g.
 
-    Pure integer arithmetic; requires deg f >= deg g >= 0.
+    Pure integer arithmetic; requires deg f >= deg g >= 0.  Long division of
+    the scaled f by g: every quotient coefficient is a coefficient of the
+    integral q, so each division by lc(g) is exact.
     """
     if g.is_zero:
         raise ZeroDivisionError("pseudo-division by zero polynomial")
@@ -260,36 +202,16 @@ def pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     if df < dg:
         raise ValueError("pseudo-division needs deg f >= deg g")
     c = g.lc
-    q = IntPoly(())
-    r = f
-    e = df - dg + 1
-    while not r.is_zero and r.degree >= dg:
-        t = IntPoly.monomial(r.lc, r.degree - dg)
-        q = c * q + t
-        r = c * r - t * g
-        e -= 1
-    scale = c ** e
-    return scale * q, scale * r
-
-
-def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    return pseudo_divmod(f, g)[1]
-
-
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd in Z[z], normalized primitive with positive leading coefficient."""
-    if f.is_zero:
-        return g.monic_normalize()
-    if g.is_zero:
-        return f.monic_normalize()
-    cont = math.gcd(f.content(), g.content())
-    a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = pseudo_rem(a, b)
-        a, b = b, r.primitive()
-    return (cont * a).monic_normalize()
+    scale = c ** (df - dg + 1)
+    rem = [x * scale for x in f.coeffs]
+    quot = [0] * (df - dg + 1)
+    for k in reversed(range(df - dg + 1)):
+        t = rem[k + dg] // c
+        if t:
+            quot[k] = t
+            for i, gc in enumerate(g.coeffs):
+                rem[k + i] -= t * gc
+    return IntPoly(quot), IntPoly(rem[:dg])
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -318,7 +240,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         delta = da - db
         if (da & 1) and (db & 1):
             sign = -sign
-        r = pseudo_rem(a, b)
+        r = pseudo_divmod(a, b)[1]
         if r.is_zero:
             return 0
         a = b
@@ -344,14 +266,3 @@ def discriminant(f: IntPoly) -> Fraction:
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return Fraction(sign * res, f.lc)
 
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f / gcd(f, f'), made primitive with positive leading coefficient."""
-    if f.is_zero:
-        raise ZeroPolynomialError("squarefree part of zero polynomial")
-    if f.degree == 0:
-        return IntPoly.one()
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return f.monic_normalize()
-    return f.exact_div(g).monic_normalize()

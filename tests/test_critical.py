@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arbordyn.critical import (
     _as_field_value,
     _forward_orbit,
+    _root_poly,
     _same_point,
     critical_orbit_relation,
     critical_points,
@@ -20,7 +21,7 @@ from arbordyn.critical import (
     wronskian,
 )
 from arbordyn.errors import HypothesisError, NotBicriticalError
-from arbordyn.intpoly import IntPoly, squarefree_part
+from arbordyn.intpoly import IntPoly
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import MobiusTransform, P1Point, RationalMap
 
@@ -51,7 +52,7 @@ class TestWronskian:
     def test_collider(self):
         w = wronskian(COLLIDER)
         assert w == IntPoly([-4, 0, 2])
-        assert squarefree_part(w) == IntPoly([-2, 0, 1])
+        assert _root_poly(w, 2) == IntPoly([-2, 0, 1])
 
 
 class TestRamificationIndex:
@@ -115,24 +116,99 @@ class TestCriticalPoints:
         assert [(str(p.location), p.index) for p in data.points] == [("0", 3), ("inf", 3)]
 
     def test_not_bicritical(self):
-        ok, data = is_bicritical(RationalMap.from_coeffs([0, 1, 0, 1], [1]))
-        assert not ok
-        assert len(data.points) == 3
+        # z^3 + z: its Wronskian 3z^2 + 1 has degree d - 1 but is no c*(z - t)^2
+        phi = RationalMap.from_coeffs([0, 1, 0, 1], [1])
+        assert not is_bicritical(phi)
+        with pytest.raises(NotBicriticalError, match="Wronskian of degree 2"):
+            critical_points(phi)
 
     def test_degree_three_bicritical(self):
-        ok, data = is_bicritical(RationalMap.from_coeffs([1, 0, 0, 1], [2, 0, 0, 1]))
-        assert ok
+        phi = RationalMap.from_coeffs([1, 0, 0, 1], [2, 0, 0, 1])
+        assert is_bicritical(phi)
+        data = critical_points(phi)
         assert {str(p.location) for p in data.points} == {"0", "inf"}
 
     def test_riemann_hurwitz(self):
         rng = random.Random(31)
-        maps = [FAM98, COLLIDER,
-                RationalMap.from_coeffs([0, 1, 0, 1], [1]),
-                RationalMap.from_coeffs([7], [0, 0, 0, 1])]
+        maps = [FAM98, COLLIDER, RationalMap.from_coeffs([7], [0, 0, 0, 1])]
         maps += [random_quadratic_map(rng) for _ in range(30)]
         for phi in maps:
             data = critical_points(phi)
             assert data.ramification_defect() == 2 * phi.d - 2
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+small = st.integers(-6, 6)
+nonzero_fraction = st.fractions(-9, 9, max_denominator=4).filter(bool)
+
+
+@st.composite
+def random_maps(draw):
+    d = draw(st.integers(2, 5))
+    p = draw(st.lists(small, min_size=d + 1, max_size=d + 1))
+    q = draw(st.lists(small, min_size=1, max_size=d + 1))
+    try:
+        return RationalMap.from_coeffs(p, q)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def two_term_conjugates(draw):
+    """A Moebius conjugate of (z^d + a)/(z^d + b), which is bicritical."""
+    d = draw(st.integers(2, 5))
+    a, b = draw(st.lists(nonzero_fraction, min_size=2, max_size=2, unique=True))
+    entries = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    base = RationalMap.from_fractions([a] + [0] * (d - 1) + [1], [b] + [0] * (d - 1) + [1])
+    return base.conjugate(MobiusTransform.make(*entries))
+
+
+class TestShapeAgainstSympy:
+    """Bicritical exactly when the Wronskian W has 2 - [deg W < 2d - 2] distinct
+    roots over the algebraic closure (infinity is the other critical point when
+    deg W < 2d - 2); then the points found are roots of W with e = d."""
+
+    def check(self, sympy, phi):
+        z = sympy.Symbol("z")
+        d, w = phi.d, wronskian(phi)
+        wz = sympy.Poly(list(reversed(w.coeffs)), z)
+        inf_critical = w.degree < 2 * d - 2
+        bicritical = wz.sqf_part().degree() == 2 - inf_critical
+        assert is_bicritical(phi) == bicritical
+        if not bicritical:
+            with pytest.raises(NotBicriticalError):
+                critical_points(phi)
+            return
+        data = critical_points(phi)
+        locs = [pt.location for pt in data.points]
+        assert len(set(locs)) == 2
+        assert any(isinstance(loc, P1Point) and loc.is_infinity for loc in locs) == inf_critical
+        for pt in data.points:
+            assert pt.index == d == ramification_index(phi, pt.location)
+            loc = pt.location
+            if isinstance(loc, QuadExtElem):
+                x, norm = 2 * loc.x, loc.x ** 2 - loc.y ** 2 * loc.s
+                minimal = sympy.Poly([1, -sympy.Rational(x.numerator, x.denominator),
+                                      sympy.Rational(norm.numerator, norm.denominator)], z)
+                assert wz.rem(minimal).is_zero
+            elif not loc.is_infinity:
+                assert wz.eval(sympy.Rational(loc.num, loc.den)) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_maps())
+    def test_random_maps(self, sympy, phi):
+        self.check(sympy, phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_term_conjugates())
+    def test_two_term_conjugates(self, sympy, phi):
+        assert is_bicritical(phi)
+        self.check(sympy, phi)
 
 
 class TestNormalForm:
@@ -218,9 +294,8 @@ class TestQuadraticConjugateForm:
         back = qf.map().conjugate(qf.mu.inverse())
         assert back == COLLIDER
         # critical points of the output really are +-sqrt(r)
-        w = squarefree_part(wronskian(qf.map()))
-        scaled = IntPoly([-qf.r.numerator, 0, qf.r.denominator]).monic_normalize()
-        assert w == scaled
+        r = _root_poly(wronskian(qf.map()), 2)
+        assert r == IntPoly([-qf.r.numerator, 0, qf.r.denominator])
 
     def test_already_in_form(self):
         qf = quadratic_conjugate_form(COLLIDER)
@@ -357,7 +432,7 @@ def nested_scan_trailing(o1, o2):
 
 
 def assert_trailing_matches_nested_scan(phi, bound):
-    _, data = is_bicritical(phi)
+    data = critical_points(phi)
     s = data.field.s
     o1, o2 = (_forward_orbit(phi, _as_field_value(pt.location, s), bound, 4096, s)
               for pt in data.points)
@@ -395,7 +470,7 @@ class TestTrailingRelationAgainstNestedScan:
     def test_random_degree_two_maps(self, coeffs):
         try:
             phi = RationalMap.from_coeffs(coeffs[:3], coeffs[3:])
-            ok, _ = is_bicritical(phi)
+            ok = is_bicritical(phi)
         except ValueError:
             return
         if ok:

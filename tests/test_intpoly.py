@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbordyn.errors import ZeroPolynomialError
-from arbordyn.intpoly import (
-    IntPoly,
-    discriminant,
-    poly_gcd,
-    pseudo_divmod,
-    resultant,
-    squarefree_part,
-)
+from arbordyn.intpoly import IntPoly, discriminant, pseudo_divmod, resultant
 from arbordyn.quadext import QuadExtElem
 
 
@@ -98,13 +91,16 @@ class TestResultant:
         assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
 
     def test_zero_iff_common_factor(self):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
         rng = random.Random(7)
         for _ in range(60):
             f = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))] + [1])
             g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))] + [1])
             shared = IntPoly([rng.randint(-4, 4), 1])
             assert resultant(f * shared, g * shared) == 0
-            common = poly_gcd(f, g).degree > 0
+            fz, gz = (sympy.Poly(list(reversed(h.coeffs)), z) for h in (f, g))
+            common = sympy.gcd(fz, gz).degree() > 0
             assert (resultant(f, g) == 0) == common
 
 
@@ -136,27 +132,6 @@ class TestDiscriminant:
             done += 1
 
 
-class TestSquarefreePart:
-    def test_strips_multiplicity(self):
-        f = IntPoly([-1, 1]) ** 2 * IntPoly([2, 1])
-        assert squarefree_part(f) == IntPoly([-2, 1, 1])
-
-    def test_wronskian_monomial(self):
-        assert squarefree_part(IntPoly([0, 196])) == IntPoly([0, 1])
-        assert squarefree_part(IntPoly([0, -196])) == IntPoly([0, 1])
-
-    def test_idempotent_on_squarefree(self):
-        f = IntPoly([-2, 0, 1])
-        assert squarefree_part(f) == f
-        assert squarefree_part(squarefree_part(f * f)) == squarefree_part(f * f)
-
-    def test_normalization(self):
-        f = -3 * (IntPoly([1, 1]) ** 3)
-        out = squarefree_part(f)
-        assert out == IntPoly([1, 1])
-        assert out.content() == 1 and out.lc > 0
-
-
 class TestPolyArithmetic:
     def test_pseudo_division_identity(self):
         rng = random.Random(3)
@@ -168,18 +143,10 @@ class TestPolyArithmetic:
             assert scale * f == q * g + r
             assert r.is_zero or r.degree < g.degree
 
-    def test_gcd_contains_common_factor(self):
-        shared = IntPoly([1, 2, 1])
-        f = shared * IntPoly([3, 1])
-        g = shared * IntPoly([-1, 1])
-        assert poly_gcd(f, g) == shared
-
-    def test_gcd_of_coprime_is_constant(self):
-        assert poly_gcd(IntPoly([1, 0, 1]), IntPoly([3, 0, 1])).degree == 0
-
-    def test_exact_div_errors_when_inexact(self):
+    def test_scalar_exact_div_errors_when_inexact(self):
+        assert IntPoly([2, 0, 4]).scalar_exact_div(2) == IntPoly([1, 0, 2])
         with pytest.raises(ValueError):
-            IntPoly([1, 0, 1]).exact_div(IntPoly([1, 1]))
+            IntPoly([2, 0, 3]).scalar_exact_div(2)
 
     def test_evaluation_exact_on_fractions(self):
         f = IntPoly([1, -3, 2])

@@ -22,6 +22,8 @@ TIMEOUT_S = 20
 ROWS = [
     (["critical", "--map", "(z^2+1000000000039)/(z^2+z+1)"], None, 0),
     (["critical", "--map", "(z^3+1000000000000000000000007)/(z+1)"], None, 3),
+    (["critical", "--map", "(z^1000+z+1)/(z^999+2)"], None, 3),
+    (["critical", "--map", "(z^3+32589158477190044730)/(z+1)"], None, 3),
     (["certify", "--m", "1000000016000000063", "--depth", "2"], None, 0),
     (["sequence", "--a", "-98", "--n", "18"], 100, 1),
     (["orbit", "--map", "z^1000000+1", "--start", "0"], None, 2),
@@ -60,3 +62,20 @@ def test_command_ends_with_its_exit_code(argv, head, code):
     assert "Traceback" not in err
     if head is not None:
         assert err == ""
+
+
+def test_shape_test_factors_nothing(monkeypatch):
+    """Bicriticality is decided from the Wronskian's shape, with no factoring."""
+    from arbordyn import critical, factorint
+    from arbordyn.errors import NotBicriticalError
+    from arbordyn.parsing import parse_map
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_integer called")
+
+    monkeypatch.setattr(factorint, "factor_integer", refuse)
+    for text in ("(z^1000+z+1)/(z^999+2)", "(z^3+32589158477190044730)/(z+1)"):
+        with pytest.raises(NotBicriticalError):
+            critical.critical_points(parse_map(text))
+    data = critical.critical_points(parse_map("(z^1000+5)/(z^1000+3)"))
+    assert [pt.index for pt in data.points] == [1000, 1000]

@@ -197,29 +197,18 @@ def _as_field_value(loc: Location, s: Optional[int]) -> FieldValue:
     return QuadExtElem(x, 0, s) if s is not None else x
 
 
-def _critical_values(map_: RationalMap, data: Optional[CriticalData]):
-    """(data, s, g1, g2): a bicritical map's critical data (computed when not
-    given), the radicand of its field and its critical points as field values."""
-    if data is None:
-        data = critical_points(map_)
-    s = data.field.s
-    return (data, s, *(_as_field_value(pt.location, s) for pt in data.points))
-
 def _lift(x, s: Optional[int]):
     if s is None or isinstance(x, (QuadExtElem, Infinity)):
         return x
     return QuadExtElem(Fraction(x), 0, s)
 
 
-def _same_point(x: FieldValue, y: FieldValue) -> bool:
-    xi, yi = isinstance(x, Infinity), isinstance(y, Infinity)
-    if xi or yi:
-        return xi and yi
-    return x == y
-
-
-def _eval_field(map_: RationalMap, x: FieldValue, s: Optional[int]) -> FieldValue:
-    return _lift(map_.eval_value(x), s)
+def _orbit_step(map_: RationalMap, s: Optional[int]):
+    """The map on critical locations: on P1Points over Q, and on values of
+    Q(sqrt s), where an image of INF is lifted back into the field."""
+    if s is None:
+        return map_
+    return lambda x: _lift(map_(x), s)
 
 
 def _mu_to_zero_inf(g1: FieldValue, g2: FieldValue, s: Optional[int]) -> MobiusTransform:
@@ -258,18 +247,21 @@ def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> Norma
     critical_points, computed here when not given.
     """
     d = map_.d
-    data, s, g1, g2 = _critical_values(map_, data)
-    v1 = _eval_field(map_, g1, s)
-    v2 = _eval_field(map_, g2, s)
+    if data is None:
+        data = critical_points(map_)
+    s = data.field.s
+    l1, l2 = (pt.location for pt in data.points)
+    step = _orbit_step(map_, s)
+    v1, v2 = step(l1), step(l2)
 
-    mu = _mu_to_zero_inf(g1, g2, s)
+    mu = _mu_to_zero_inf(_as_field_value(l1, s), _as_field_value(l2, s), s)
     pair = conjugate_pair(list(map_.p.coeffs), list(map_.q.coeffs), d, mu.entries())
     c1, a, c2, b = _pair_shape(pair, d)
 
-    if _same_point(v1, g1) and _same_point(v2, g2):
+    if v1 == l1 and v2 == l2:
         c = c1 / b
         return NormalForm(POWER, d, mu, data.field, c=_rationalize(c))
-    if _same_point(v1, g2) and _same_point(v2, g1):
+    if v1 == l2 and v2 == l1:
         c = a / c2
         return NormalForm(INVERSE_POWER, d, mu, data.field, c=_rationalize(c))
 
@@ -428,33 +420,26 @@ class OrbitRelation(Record):
     galois_consistent: Optional[bool] = None
 
 
-def _height(x: FieldValue) -> int:
-    if isinstance(x, Infinity):
-        return 0
-    if isinstance(x, QuadExtElem):
-        return x.height_bits()
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
-
-
-def _forward_orbit(map_: RationalMap, start: FieldValue, bound: int,
-                   height_cap_bits: int, s: Optional[int]) -> list[FieldValue]:
+def _forward_orbit(step, start, bound: int, height_cap_bits: int) -> list:
+    """start and up to ``bound`` images under ``step``, cut before the first
+    image higher than the cap."""
     out = [start]
     x = start
     for _ in range(bound):
-        x = _eval_field(map_, x, s)
-        if _height(x) > height_cap_bits:
+        x = step(x)
+        if x.height_bits() > height_cap_bits:
             break
         out.append(x)
     return out
 
 
-def _galois_swap(x: FieldValue) -> FieldValue:
+def _galois_swap(x):
     if isinstance(x, QuadExtElem):
         return x.conjugate()
     return x
 
 
-def _first_index(orbit: list[FieldValue]) -> dict:
+def _first_index(orbit: list) -> dict:
     """Each value of the orbit mapped to the first index where it occurs."""
     first: dict = {}
     for i, x in enumerate(orbit):
@@ -470,13 +455,16 @@ def critical_orbit_relation(
 ) -> OrbitRelation:
     """Classify the first relation between the two critical orbits.
 
-    Exact forward orbits to the given depth (heights capped); for quadratic
-    critical fields the Galois-swapped relation is checked as well.
-    ``data`` is the map's critical_points, computed here when not given.
+    Exact forward orbits to the given depth (heights capped): of P1Points
+    over Q, of field values over Q(sqrt s), where the Galois-swapped relation
+    is checked as well.  ``data`` is the map's critical_points, computed here
+    when not given.
     """
-    data, s, g1, g2 = _critical_values(map_, data)
-    o1 = _forward_orbit(map_, g1, bound, height_cap_bits, s)
-    o2 = _forward_orbit(map_, g2, bound, height_cap_bits, s)
+    if data is None:
+        data = critical_points(map_)
+    step = _orbit_step(map_, data.field.s)
+    o1, o2 = (_forward_orbit(step, pt.location, bound, height_cap_bits)
+              for pt in data.points)
     n1, n2 = len(o1) - 1, len(o2) - 1
     capped = n1 < bound or n2 < bound
     quad = data.field.kind == "quadratic"
@@ -498,17 +486,17 @@ def critical_orbit_relation(
         rel = OrbitRelation("trailing", bound, n=n, m=m, lead=lead, height_capped=capped)
         if quad:
             rel.galois_consistent = (
-                n < len(other) and m < len(orb) and _same_point(other[n], orb[m])
+                n < len(other) and m < len(orb) and other[n] == orb[m]
             )
         return rel
 
     # collision: phi^n(g_1) = phi^n(g_2), n >= 2
     for n in range(2, min(n1, n2) + 1):
-        if _same_point(o1[n], o2[n]):
+        if o1[n] == o2[n]:
             rel = OrbitRelation("collision", bound, n=n, value=o1[n],
                                 height_capped=capped)
             if quad:
-                rel.galois_consistent = _same_point(_galois_swap(o1[n]), o2[n])
+                rel.galois_consistent = _galois_swap(o1[n]) == o2[n]
             return rel
 
     # single-orbit pre-periodicity: the first revisit of an earlier point
@@ -523,7 +511,7 @@ def critical_orbit_relation(
                 other = o2 if which == 1 else o1
                 rel.galois_consistent = (
                     t + per <= len(other) - 1
-                    and _same_point(other[t + per], other[t])
+                    and other[t + per] == other[t]
                 )
             return rel
 

@@ -43,7 +43,7 @@ from .divisibility import (
     rad_divisibility_conditions,
     theta,
 )
-from .ratmap import DEFAULT_GROWTH_CAP_BITS, INF, Infinity, P1Point, RationalMap
+from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point, RationalMap
 from .reduction import point_mod_p, reduce_mod_p
 
 # Witness integers up to this width are recorded verbatim, wider ones as digests.
@@ -207,10 +207,10 @@ def discriminant_recursion(a: int, n: int, direct_limit: int = 3) -> DiscReport:
     if n < 1:
         raise ValueError("need n >= 1")
     phi = main_family(a)
-    value: object = INF
+    value = P1Point.infinity()
     for i in range(1, n + 1):
-        value = phi.eval_value(value)
-        if not isinstance(value, Infinity) and value == 0:
+        value = phi(value)
+        if value == P1Point.of(0):
             raise HypothesisError(
                 f"hypothesis fails: phi^{i}(infinity) = 0"
             )
@@ -416,20 +416,18 @@ def alpha_parametrization(m: int) -> ParametrizationReport:
     alpha = Fraction(2 * m * m - 1, m)
     phi = main_family(a)
     checks = {}
-    v1 = phi.eval_value(alpha)
-    checks["phi(alpha) = 1-2m^2"] = v1 == 1 - 2 * m * m
-    v2 = phi.eval_value(v1)
-    checks["phi^2(alpha) = -1"] = v2 == -1
-    v3 = phi.eval_value(v2)
-    checks["phi^3(alpha) = a+1"] = v3 == a + 1
+    v1 = phi(P1Point.from_fraction(alpha))
+    checks["phi(alpha) = 1-2m^2"] = v1 == P1Point.of(1 - 2 * m * m)
+    v2 = phi(v1)
+    checks["phi^2(alpha) = -1"] = v2 == P1Point.of(-1)
+    v3 = phi(v2)
+    checks["phi^3(alpha) = a+1"] = v3 == P1Point.of(a + 1)
     orbit_alpha = v3
-    orbit_zero = phi.eval_value(Fraction(0))          # phi(0) = infinity
-    orbit_zero = phi.eval_value(orbit_zero)           # phi^2(0)
-    orbit_zero = phi.eval_value(orbit_zero)           # phi^3(0)
+    orbit_zero = phi(phi(phi(P1Point.of(0))))         # 0 -> infinity -> 1 -> a + 1
     for i in (3, 4, 5):
         checks[f"phi^{i}(alpha) = phi^{i}(0)"] = orbit_alpha == orbit_zero
-        orbit_alpha = phi.eval_value(orbit_alpha)
-        orbit_zero = phi.eval_value(orbit_zero)
+        orbit_alpha = phi(orbit_alpha)
+        orbit_zero = phi(orbit_zero)
     ok = all(checks.values())
     if not ok:
         raise InvariantViolationError(f"parametrization checks failed: {checks}")

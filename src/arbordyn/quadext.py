@@ -116,8 +116,9 @@ class QuadExtElem:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no squaring past the top bit: no product outgrows the result
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -1,12 +1,16 @@
 """Rational maps on the projective line as coprime integer polynomial pairs.
 
 A map phi = p/q is stored canonically: integer coefficients, joint content 1,
-positive leading coefficient on the higher-degree member.  Iterates are
-computed through the homogeneous substitution recursion and memoized in an
-append-only ladder, since level n has degree d**n and is expensive to rebuild.
+positive leading coefficient on the higher-degree member, and ``res``, the
+absolute resultant of the two degree-d forms P(Z, W) and Q(Z, W).
 
-Points of P^1(Q) are normalized integer pairs (num, den) with den >= 0 and
-gcd 1; infinity is (1, 0).
+``_substitute`` is the one evaluator: (P(u, v), Q(u, v)) for ints, for
+polynomials (a step of the iterate ladder, memoized since level n has degree
+d**n) and for quadratic-field values, visiting only the nonzero
+coefficients.  Points of P^1(Q) are normalized integer pairs (num, den) with
+den >= 0 and gcd 1; infinity is (1, 0).  For coprime (u, v) the gcd of
+P(u, v) and Q(u, v) divides ``res`` (Silverman, GTM 241, section 2.4), so
+normalizing an image takes one gcd with a small operand.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ class Infinity:
         return "inf"
 
     to_dict = __repr__  # its JSON form is its text
+
+    def height_bits(self) -> int:
+        return 0
 
 
 INF = Infinity()
@@ -217,7 +224,7 @@ class IterateLadder(Record):
 class RationalMap:
     """Degree-d rational self-map of P^1 over Q, d >= 2, as a canonical pair."""
 
-    __slots__ = ("p", "q", "d", "_ladder")
+    __slots__ = ("p", "q", "d", "res", "_ladder")
 
     def __init__(self, p: IntPoly, q: IntPoly):
         if p.is_zero or q.is_zero:
@@ -232,11 +239,15 @@ class RationalMap:
         d = max(p.degree, q.degree)
         if d < 2:
             raise DegreeTooSmallError("degree too small: need max(deg p, deg q) >= 2")
-        if resultant(p, q) == 0:
+        res = resultant(p, q)
+        if res == 0:
             raise DegenerateMapError("degenerate map: p and q share a root")
+        # the resultant of the degree-d forms; its primes are the bad primes
+        res *= lead.lc ** (d - min(p.degree, q.degree))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "res", abs(res))
         object.__setattr__(self, "_ladder", None)
 
     def __setattr__(self, name, value):
@@ -284,24 +295,20 @@ class RationalMap:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, pt: P1Point) -> P1Point:
+    def __call__(self, x):
+        """phi(x): a P1Point to a P1Point; a QuadExtElem, or INF, to a field
+        value (a Fraction for INF), with a pole going to INF."""
         pc, qc = self.homogeneous_coeffs()
-        return P1Point.of(*_substitute(pc, qc, pt.num, pt.den))
-
-    def eval_value(self, x: FieldValue) -> FieldValue:
-        """Evaluate at an exact field value (Fraction or QuadExtElem) or INF."""
+        if isinstance(x, P1Point):
+            u, v = _substitute(pc, qc, x.num, x.den)
+            if v == 0:
+                return P1Point(1, 0)
+            g = math.gcd(u % self.res, self.res, v)  # gcd(u, v) divides res
+            return P1Point(u // g, v // g) if v > 0 else P1Point(-u // g, -v // g)
         if isinstance(x, Infinity):
-            pc = self.p.coeff(self.d)
-            qc = self.q.coeff(self.d)
-            if qc == 0:
-                return INF
-            return Fraction(pc, qc)
-        if not isinstance(x, QuadExtElem):
-            x = Fraction(x)
-        pv, qv = self.p(x), self.q(x)
-        if qv == 0:
-            return INF
-        return pv / qv
+            return INF if qc[-1] == 0 else Fraction(pc[-1], qc[-1])
+        u, v = _substitute(pc, qc, x, 1)
+        return INF if v == 0 else u / v
 
     def ladder(self, n: int, growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> IterateLadder:
         """The memoized iterate ladder, extended to hold levels 1..n."""
@@ -320,8 +327,8 @@ class RationalMap:
     def ladder_values(self, x, n: int) -> list[tuple]:
         """[(p_k(x), q_k(x)) for k = 1..n] by the value-level recursion.
 
-        Exact Fractions (integers stay integers); avoids building the
-        polynomial ladder when only evaluations are needed.
+        Exact (integers stay integers, a Fraction x gives Fractions); avoids
+        building the polynomial ladder when only evaluations are needed.
         """
         return self._values(x, n, None)[0]
 
@@ -342,22 +349,18 @@ class RationalMap:
         than ``growth_cap_bits`` (None: no cap); returns (values, capped).
 
         Each step is one ``_substitute`` of (u, v) into the homogenized map,
-        and no step runs past the n-th term.
+        starting from (x, 1), and no step runs past the n-th term.
         """
         pc, qc = self.homogeneous_coeffs()
-        if not isinstance(x, int):
-            x = Fraction(x)
-        u, v = self.p(x), self.q(x)
+        u, v = (x if isinstance(x, int) else Fraction(x)), 1
         out: list[tuple] = []
         while len(out) < n:
+            u, v = _substitute(pc, qc, u, v)
             # the cap is only given for x = 0, where every value is an int
             if (growth_cap_bits is not None
                     and max(abs(u).bit_length(), abs(v).bit_length()) > growth_cap_bits):
                 return out, True
             out.append((u, v))
-            if len(out) == n:
-                break
-            u, v = _substitute(pc, qc, u, v)
         return out, False
 
     # -- orbits ----------------------------------------------------------------
@@ -407,27 +410,40 @@ class OrbitRecord(Record):
 
 def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:
     """(P(u, v), Q(u, v)) for the degree-d homogenizations with coefficient
-    vectors pc, qc (index i is u^i v^(d-i)), exact for int, Fraction and
-    IntPoly; with (u, v) = (p_n, q_n) it is one step of the iterate ladder.
+    vectors pc, qc (index i is u^i v^(d-i)), exact for int, Fraction, IntPoly
+    and QuadExtElem; with (u, v) = (p_n, q_n) it is one step of the iterate
+    ladder.
 
-    The powers u^i and v^(d-i), and each product u^i v^(d-i), are formed once
-    and shared by the two sums.
+    Only the exponents i with a nonzero coefficient are visited.  The powers
+    u^i and v^(d-i), and each product u^i v^(d-i), are formed once and shared
+    by the two sums: a dense map takes one product per power, a two-term map
+    (z^d + a)/(z^d + b) forms just u^d and v^d.
     """
     d = len(pc) - 1
-    upow = [1, u]
-    vpow = [1, v]
-    for _ in range(d - 1):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
+    exps = [i for i in range(d + 1) if pc[i] or qc[i]]
+    upow = _powers(u, exps)
+    vpow = _powers(v, [d - i for i in reversed(exps)])[::-1]
     new_u = new_v = 0 * u
-    for i in range(d + 1):
-        if pc[i] or qc[i]:
-            basis = upow[i] * vpow[d - i]
-            if pc[i]:
-                new_u += pc[i] * basis
-            if qc[i]:
-                new_v += qc[i] * basis
+    for i, a, b in zip(exps, upow, vpow):
+        basis = b if a is None else a if b is None else a * b
+        if pc[i]:
+            new_u += pc[i] * basis
+        if qc[i]:
+            new_v += qc[i] * basis
     return new_u, new_v
+
+
+def _powers(x, exps: list[int]) -> list:
+    """[x^e for e in exps], exps ascending, None standing for x^0; each power
+    is the one before times x^gap, so consecutive exponents cost one product
+    each."""
+    out, power, last = [], None, 0
+    for e in exps:
+        if e > last:
+            step = x if e - last == 1 else x ** (e - last)
+            power, last = step if power is None else power * step, e
+        out.append(power)
+    return out
 
 
 def map_from_field_pair(p_coeffs: list, q_coeffs: list) -> RationalMap:

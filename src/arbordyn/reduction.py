@@ -16,7 +16,7 @@ from ._record import Record
 from .errors import BadReductionError, CompositeModulusError, InvariantViolationError
 from .factorint import FactorBudget, factor_counts, is_probable_prime, valuation
 from .ffpoly import PrimeFieldPoly
-from .intpoly import IntPoly, resultant
+from .intpoly import IntPoly
 from .ratmap import RationalMap
 
 
@@ -80,25 +80,14 @@ def has_good_reduction(map_: RationalMap, prime: int) -> bool:
     return reduce_mod_p(map_, prime).good
 
 
-def projective_resultant(map_: RationalMap) -> int:
-    """|Res| of the degree-d homogenizations; its prime divisors are exactly
-    the bad-reduction primes of a canonical pair."""
-    p, q = map_.p, map_.q
-    d = map_.d
-    if p.degree == d:
-        r = resultant(p, q) * p.lc ** (d - q.degree)
-    else:
-        r = resultant(p, q) * q.lc ** (d - p.degree)
-    return abs(r)
-
-
 def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) -> tuple[int, ...]:
-    """All primes of bad reduction, by factoring the projective resultant.
+    """All primes of bad reduction, by factoring the projective resultant
+    ``map_.res``, whose prime divisors are exactly the bad-reduction primes.
 
     Raises FactoringBudgetError if the resultant cannot be fully factored
     within the budget (the list would be incomplete).
     """
-    primes = factor_counts(projective_resultant(map_), budget)
+    primes = factor_counts(map_.res, budget)
     return tuple(p for p in sorted(primes) if not has_good_reduction(map_, p))
 
 

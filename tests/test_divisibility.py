@@ -17,7 +17,7 @@ from arbordyn.divisibility import (
 )
 from arbordyn.errors import GrowthCapError, HypothesisError
 from arbordyn.factorint import FactorBudget, is_perfect_square
-from arbordyn.ratmap import RationalMap
+from arbordyn.ratmap import P1Point, RationalMap
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
 
@@ -92,8 +92,8 @@ class TestBeta:
     def test_parametrized_basepoint(self):
         phi = main_family(-98)
         alpha = Fraction(7, 2)
-        assert phi.eval_value(alpha) == -7
-        assert phi.eval_value(Fraction(-7)) == -1
+        assert phi(P1Point.from_fraction(alpha)) == P1Point.of(-7)
+        assert phi(P1Point.of(-7)) == P1Point.of(-1)
         vals = phi.ladder_values(alpha, 2)
         expected = Fraction(vals[1][0]) / Fraction(vals[0][0])
         assert beta(phi, alpha, 2) == expected

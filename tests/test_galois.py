@@ -19,6 +19,7 @@ from arbordyn.galois import (
     verify_certificate,
 )
 from arbordyn.intpoly import discriminant
+from arbordyn.ratmap import P1Point
 
 
 class TestIrreducibilityCascade:
@@ -153,9 +154,9 @@ class TestAlphaParametrization:
         assert rep.alpha == Fraction(7, 2)
         assert rep.ok
         phi = main_family(-98)
-        assert phi.eval_value(rep.alpha) == -7
-        assert phi.eval_value(Fraction(-7)) == -1
-        assert phi.eval_value(Fraction(-1)) == -97
+        assert phi(P1Point.from_fraction(rep.alpha)) == P1Point.of(-7)
+        assert phi(P1Point.of(-7)) == P1Point.of(-1)
+        assert phi(P1Point.of(-1)) == P1Point.of(-97)
 
     def test_m_three(self):
         rep = alpha_parametrization(3)
@@ -167,7 +168,7 @@ class TestAlphaParametrization:
         assert rep.a == -98
         assert rep.alpha == Fraction(-7, 2)
         phi = main_family(-98)
-        assert phi.eval_value(rep.alpha) == phi.eval_value(Fraction(7, 2))
+        assert phi(P1Point.from_fraction(rep.alpha)) == phi(P1Point.of(7, 2))
 
 
 class TestSquarefreeThetaEvidence:

@@ -152,6 +152,25 @@ class TestPolyArithmetic:
         f = IntPoly([1, -3, 2])
         assert f(Fraction(1, 2)) == Fraction(0)
 
+    def test_pow_forms_no_product_wider_than_its_result(self, monkeypatch):
+        degrees = []
+        mul = IntPoly.__mul__
+
+        def recording_mul(self, other):
+            out = mul(self, other)
+            degrees.append(out.degree)
+            return out
+
+        monkeypatch.setattr(IntPoly, "__mul__", recording_mul)
+        f = IntPoly([3, -1, 2])
+        expected = IntPoly.one()
+        for e in range(40):
+            degrees.clear()
+            power = f ** e
+            assert power == expected
+            assert max(degrees, default=0) <= power.degree == 2 * e
+            expected = mul(expected, f)
+
     def test_degree_and_lc(self):
         assert IntPoly([0, 0, 0]).is_zero
         assert IntPoly([0, 0, 0]).degree == -1

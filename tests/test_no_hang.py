@@ -27,6 +27,9 @@ ROWS = [
     (["certify", "--m", "1000000016000000063", "--depth", "2"], None, 0),
     (["sequence", "--a", "-98", "--n", "18"], 100, 1),
     (["orbit", "--map", "z^1000000+1", "--start", "0"], None, 2),
+    (["critical", "--map", "(z^1000+5)/(z^1000+3)"], None, 0),
+    (["normal-form", "--map", "(z^1000+5)/(z^1000+3)"], None, 0),
+    (["orbit", "--map", "(z^1000+5)/(z^1000+3)", "--start", "1", "--steps", "3"], None, 0),
 ]
 
 

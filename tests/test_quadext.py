@@ -32,6 +32,25 @@ class TestArithmetic:
         assert q2(1, 1) ** 0 == 1
         assert q2(1, 1) ** -1 == q2(-1, 1)  # 1/(1+sqrt2) = sqrt2 - 1
 
+    def test_pow_forms_no_product_wider_than_its_result(self, monkeypatch):
+        heights = []
+        mul = QuadExtElem.__mul__
+
+        def recording_mul(self, other):
+            out = mul(self, other)
+            heights.append(out.height_bits())
+            return out
+
+        monkeypatch.setattr(QuadExtElem, "__mul__", recording_mul)
+        x = QuadExtElem(3, 2, 7)
+        expected = QuadExtElem(1, 0, 7)
+        for e in range(1, 40):
+            expected = mul(expected, x)
+            heights.clear()
+            power = x ** e
+            assert power == expected
+            assert max(heights, default=0) <= power.height_bits()
+
     def test_norm_and_conjugate(self):
         a = q2(3, 5)
         assert a.norm() == 9 - 2 * 25

@@ -154,10 +154,10 @@ class TestEvaluation:
                 assert whole == phi(fold(phi, start, n - 1))
                 assert whole == fold(phi, phi(start), n - 1)
 
-    def test_eval_value_infinity_handling(self):
+    def test_field_value_infinity_handling(self):
         phi = family(-98)
-        assert isinstance(phi.eval_value(Fraction(0)), Infinity)
-        assert phi.eval_value(INF) == 1
+        assert phi(QuadExtElem(0, 0, 2)) is INF
+        assert phi(INF) == 1
 
 
 class TestP1Point:

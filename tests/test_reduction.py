@@ -14,7 +14,6 @@ from arbordyn.reduction import (
     normalize_pair,
     orbit_mod_p,
     point_mod_p,
-    projective_resultant,
     reduce_mod_p,
 )
 
@@ -61,7 +60,7 @@ class TestGoodReduction:
         # the pairs are normalized and of full degree, so Res(p, q) carries
         # exactly the bad primes
         for phi in (EX13, FAM98):
-            res = projective_resultant(phi)
+            res = phi.res
             bad = set(bad_reduction_primes(phi))
             assert all(res % p == 0 for p in bad)
             for p in primes_below(120):

@@ -202,12 +202,12 @@ class TestValueRecursion:
         phi = RationalMap.from_coeffs(p, q)
         x = Fraction(-2, 3)
         vals = phi.ladder_values(x, 4)
-        pt = x
+        pt = P1Point.from_fraction(x)
         for u, v in vals:
             if v == 0:
                 break
-            pt = phi.eval_value(pt)
-            assert Fraction(u) / Fraction(v) == pt
+            pt = phi(pt)
+            assert Fraction(u) / Fraction(v) == pt.to_fraction()
 
     def test_short_requests(self):
         phi = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])

@@ -8,6 +8,13 @@ when its Wronskian is c*R^(d-1) with R of degree 2 (two finite critical
 points) or of degree 1 (one finite, and infinity), both with e = d.  That
 shape is read off the top coefficients and checked in O(d) steps; the
 critical points are the roots of R, in Q or in Q(sqrt disc R).
+
+Moving the critical points to 0 and infinity by mu forces the conjugate
+mu . phi . mu^-1 into the shape (c1 Z^d + a W^d, c2 Z^d + b W^d), so the
+normal form is read from two evaluations of the map's homogeneous pair
+(``ratmap._substitute``): at mu^-1(inf) = (e, -c) and mu^-1(0) = (-b, a),
+representatives of the two critical points, for mu = (a, b; c, e).
+``verify_normal_form`` checks mu . phi = N . mu at 2d + 1 points instead.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Optional, Union
 from ._record import Record
 from .errors import HypothesisError, NotBicriticalError
 from .factorint import FactorBudget, is_perfect_square
-from .fieldpoly import conjugate_pair, root_order, trim
+from .fieldpoly import root_order, trim
 from .intpoly import IntPoly
 from .quadext import QuadExtElem, squarefree_kernel
 from .ratmap import (
@@ -30,7 +37,7 @@ from .ratmap import (
     MobiusTransform,
     P1Point,
     RationalMap,
-    map_from_field_pair,
+    _substitute,
 )
 
 Location = Union[P1Point, QuadExtElem]
@@ -176,15 +183,14 @@ class NormalForm(Record, frozen=True):
     b: Optional[object] = None
 
     def form_pair(self):
-        """Field coefficient lists (numerator, denominator) of the named form."""
-        d = self.degree
+        """Homogeneous coefficient vectors (numerator, denominator) of the
+        named form, index i for Z^i W^(d-i)."""
+        zeros = [0] * (self.degree - 1)
         if self.kind == POWER:
-            return [0] * d + [self.c], [1]
+            return [0, *zeros, self.c], [1, *zeros, 0]
         if self.kind == INVERSE_POWER:
-            return [self.c], [0] * d + [1]
-        num = [self.a] + [0] * (d - 1) + [1]
-        den = [self.b] + [0] * (d - 1) + [1]
-        return num, den
+            return [self.c, *zeros, 0], [0, *zeros, 1]
+        return [self.a, *zeros, 1], [self.b, *zeros, 1]
 
 
 def _as_field_value(loc: Location, s: Optional[int]) -> FieldValue:
@@ -222,20 +228,11 @@ def _mu_to_zero_inf(g1: FieldValue, g2: FieldValue, s: Optional[int]) -> MobiusT
     return MobiusTransform.make(one, -g1, one, -g2)
 
 
-def _pair_shape(pair, d) -> tuple:
-    """Coefficients (c1, a, c2, b) of ((c1 z^d + a), (c2 z^d + b)).
-
-    Raises if any middle coefficient is nonzero; for a bicritical map with
-    critical points 0 and infinity the shape is forced.
-    """
-    ps, qs = pair
-    for cs in (ps, qs):
-        for i, c in enumerate(cs):
-            if 0 < i < d and c != 0:
-                raise AssertionError("conjugated pair not in two-term form")
-    def at(cs, i):
-        return cs[i] if i < len(cs) else 0
-    return at(ps, d), at(ps, 0), at(qs, d), at(qs, 0)
+def _after_mu(mu: MobiusTransform, pc, qc, z, w) -> tuple:
+    """M.Phi(z, w): the homogeneous pair of mu . phi at (z, w), for the
+    map's coefficient vectors pc, qc and M = (a, b; c, e)."""
+    p, q = _substitute(pc, qc, z, w)
+    return mu.a * p + mu.b * q, mu.c * p + mu.e * q
 
 
 def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> NormalForm:
@@ -255,8 +252,11 @@ def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> Norma
     v1, v2 = step(l1), step(l2)
 
     mu = _mu_to_zero_inf(_as_field_value(l1, s), _as_field_value(l2, s), s)
-    pair = conjugate_pair(list(map_.p.coeffs), list(map_.q.coeffs), d, mu.entries())
-    c1, a, c2, b = _pair_shape(pair, d)
+    # mu . phi . mu^-1 = M.Phi(eZ - bW, -cZ + aW) = (c1 Z^d + a W^d,
+    # c2 Z^d + b W^d): its values at (1, 0) and (0, 1) give all four
+    pc, qc = map_.homogeneous_coeffs()
+    c1, c2 = _after_mu(mu, pc, qc, mu.e, -mu.c)
+    a, b = _after_mu(mu, pc, qc, -mu.b, mu.a)
 
     if v1 == l1 and v2 == l2:
         c = c1 / b
@@ -291,13 +291,23 @@ def _rationalize(x):
 
 
 def verify_normal_form(map_: RationalMap, nf: NormalForm) -> bool:
-    """Conjugating the named form by mu^-1 must reproduce the input exactly."""
-    s = nf.field.s
-    num, den = nf.form_pair()
-    num = [_lift(Fraction(c) if not isinstance(c, QuadExtElem) else c, s) for c in num]
-    den = [_lift(Fraction(c) if not isinstance(c, QuadExtElem) else c, s) for c in den]
-    back = conjugate_pair(num, den, nf.degree, nf.mu.inverse().entries())
-    return map_from_field_pair(*back) == map_
+    """Whether mu . phi = N . mu for the named form N.
+
+    Both sides are pairs of degree-d forms, so L0*R1 - L1*R0 is a binary form
+    of degree 2d; it is zero when it vanishes at the 2d + 1 points (t, 1),
+    t = 0..2d.  With mu invertible, the two pairs are then proportional.
+    """
+    mu = nf.mu
+    if mu.det() == 0:
+        return False
+    pc, qc = map_.homogeneous_coeffs()
+    nc, dc = nf.form_pair()
+    for t in range(2 * nf.degree + 1):
+        l0, l1 = _after_mu(mu, pc, qc, t, 1)
+        r0, r1 = _substitute(nc, dc, mu.a * t + mu.b, mu.c * t + mu.e)
+        if l0 * r1 != l1 * r0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,42 +346,30 @@ def quadratic_conjugate_form(map_: RationalMap) -> QuadraticForm:
     gamma = next(p.location for p in data.points if isinstance(p.location, QuadExtElem))
     c0, c1 = gamma.x, abs(gamma.y)
 
-    mu1 = MobiusTransform.make(Fraction(1), -c0, 0, c1)  # z -> (z - c0)/c1
-    pair = conjugate_pair(list(map_.p.coeffs), list(map_.q.coeffs), 2, mu1.entries())
-    mu = mu1
-
-    def inf_image(pr):
-        ps, qs = pr
-        top_p = ps[2] if len(ps) > 2 else Fraction(0)
-        top_q = qs[2] if len(qs) > 2 else Fraction(0)
-        if top_q == 0:
-            return INF
-        return top_p / top_q
-
-    v = inf_image(pair)
+    mu1 = MobiusTransform.make(1, -c0, 0, c1)  # z -> (z - c0)/c1
+    psi, mu = map_.conjugate(mu1), mu1
+    v = psi(INF)
     if isinstance(v, Infinity) or v == 0:
         for c2 in range(_C2_LIMIT):
-            mu2 = MobiusTransform.make(Fraction(c2), Fraction(-s), Fraction(1), Fraction(-c2))
-            cand = conjugate_pair(pair[0], pair[1], 2, mu2.entries())
-            v = inf_image(cand)
+            mu2 = MobiusTransform.make(c2, -s, 1, -c2)
+            cand = psi.conjugate(mu2)
+            v = cand(INF)
             if not isinstance(v, Infinity) and v != 0:
-                pair = cand
-                mu = mu2.compose(mu)
+                psi, mu = cand, mu2.compose(mu)
                 break
         else:
             raise AssertionError("no admissible auxiliary parameter found")
     c3 = 1 / v
-    mu3 = MobiusTransform.make(c3, 0, 0, Fraction(1))  # z -> c3 * z
-    pair = conjugate_pair(pair[0], pair[1], 2, mu3.entries())
-    mu = mu3.compose(mu)
+    mu3 = MobiusTransform.make(c3, 0, 0, 1)  # z -> c3 * z
+    psi, mu = psi.conjugate(mu3), mu3.compose(mu)
 
-    ps, qs = pair
-    if len(ps) < 3 or len(qs) < 3 or ps[2] == 0 or qs[2] == 0:
+    ps, qs = psi.p, psi.q
+    if ps.degree < 2 or qs.degree < 2:
         raise AssertionError("scaled pair lost degree")  # unreachable
-    a = ps[1] / ps[2]
-    rp = ps[0] / ps[2]
-    b = qs[1] / qs[2]
-    rq = qs[0] / qs[2]
+    a = Fraction(ps.coeff(1), ps.lc)
+    rp = Fraction(ps.coeff(0), ps.lc)
+    b = Fraction(qs.coeff(1), qs.lc)
+    rq = Fraction(qs.coeff(0), qs.lc)
     r = c3 * c3 * s
     if rp != r or rq != r:
         raise AssertionError("constant terms disagree with r")  # unreachable

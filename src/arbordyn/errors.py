@@ -34,7 +34,8 @@ class BadReductionError(ArborDynError, ValueError):
 
 
 class NotDefinedOverQError(ArborDynError, ValueError):
-    """A conjugated map was requested over Q but has irrational coefficients."""
+    """A map over Q was asked to be conjugated by a Moebius transform with an
+    irrational entry."""
 
 
 class NotBicriticalError(ArborDynError, ValueError):

@@ -22,7 +22,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._record import Fresh, Record
-from .errors import HypothesisError, InvariantViolationError
+from .errors import (
+    DegreeTooSmallError,
+    GrowthCapError,
+    HypothesisError,
+    InvariantViolationError,
+)
 from .factorint import (
     FactorBudget,
     factor_counts,
@@ -547,8 +552,8 @@ def squarefree_theta_evidence(m: int, n: int, prime: int, case: str) -> ThetaCon
         th = theta(a, n)
         direct = not is_perfect_square(abs(th))[0]
         agree = (direct is True) if certified else (direct is False)
-    except Exception:
-        pass
+    except GrowthCapError:
+        pass  # theta too wide to build: no direct test, the congruence stands
     if certified and direct is False:
         raise InvariantViolationError(
             f"congruence route contradicts direct square test at n={n}"
@@ -672,8 +677,8 @@ def eventual_stability_check(a, b, alpha, p: int, d: int) -> StabilityReport:
         )
         rec = phi.orbit(P1Point.of(alpha.numerator, alpha.denominator), max_steps=32)
         periodic = rec.status == "preperiodic" and rec.preperiod == 0
-    except Exception:
-        pass
+    except DegreeTooSmallError:
+        pass  # d < 2: no map to probe
     return StabilityReport(case, vals, periodic)
 
 

@@ -6,11 +6,11 @@ absolute resultant of the two degree-d forms P(Z, W) and Q(Z, W).
 
 ``_substitute`` is the one evaluator: (P(u, v), Q(u, v)) for ints, for
 polynomials (a step of the iterate ladder, memoized since level n has degree
-d**n) and for quadratic-field values, visiting only the nonzero
-coefficients.  Points of P^1(Q) are normalized integer pairs (num, den) with
-den >= 0 and gcd 1; infinity is (1, 0).  For coprime (u, v) the gcd of
-P(u, v) and Q(u, v) divides ``res`` (Silverman, GTM 241, section 2.4), so
-normalizing an image takes one gcd with a small operand.
+d**n, and a Moebius conjugate) and for quadratic-field values, visiting only
+the nonzero coefficients.  Points of P^1(Q) are normalized integer pairs
+(num, den) with den >= 0 and gcd 1; infinity is (1, 0).  For coprime (u, v)
+the gcd of P(u, v) and Q(u, v) divides ``res`` (Silverman, GTM 241, section
+2.4), so normalizing an image takes one gcd with a small operand.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     GrowthCapError,
     NotDefinedOverQError,
 )
-from .fieldpoly import conjugate_pair
 from .intpoly import IntPoly, resultant
 from .quadext import QuadExtElem
 
@@ -392,13 +391,24 @@ class RationalMap:
     def conjugate(self, mu: MobiusTransform) -> "RationalMap":
         """mu . phi . mu^-1 as a canonical pair over Q.
 
-        Raises NotDefinedOverQError if mu has quadratic entries and the
-        conjugated coefficients fail to be rational.
+        The entries of mu must be rational; a QuadExtElem entry with zero
+        sqrt part stands for its rational value, and any other raises
+        NotDefinedOverQError before any work.  Scaled to integers (which
+        leaves mu unchanged), the conjugate is M.(P, Q)(e z - b, a - c z)
+        with M = (a, b; c, e): one ``_substitute`` of two linear polynomials.
         """
-        new_p, new_q = conjugate_pair(
-            list(self.p.coeffs), list(self.q.coeffs), self.d, mu.entries()
-        )
-        return map_from_field_pair(new_p, new_q)
+        entries = []
+        for t in mu.entries():
+            if isinstance(t, QuadExtElem):
+                if not t.is_rational:
+                    raise NotDefinedOverQError(f"conjugator entry {t!r} is not rational")
+                t = t.as_fraction()
+            entries.append(Fraction(t))
+        den = math.lcm(*(t.denominator for t in entries))
+        a, b, c, e = (int(t * den) for t in entries)
+        pc, qc = self.homogeneous_coeffs()
+        pu, qu = _substitute(pc, qc, IntPoly([-b, e]), IntPoly([a, -c]))
+        return RationalMap(a * pu + b * qu, c * pu + e * qu)
 
 
 class OrbitRecord(Record):
@@ -412,7 +422,8 @@ def _substitute(pc: Sequence[int], qc: Sequence[int], u, v) -> tuple:
     """(P(u, v), Q(u, v)) for the degree-d homogenizations with coefficient
     vectors pc, qc (index i is u^i v^(d-i)), exact for int, Fraction, IntPoly
     and QuadExtElem; with (u, v) = (p_n, q_n) it is one step of the iterate
-    ladder.
+    ladder.  The coefficients are ints, except where a normal form over the
+    critical field is evaluated (Fraction or QuadExtElem).
 
     Only the exponents i with a nonzero coefficient are visited.  The powers
     u^i and v^(d-i), and each product u^i v^(d-i), are formed once and shared
@@ -444,37 +455,3 @@ def _powers(x, exps: list[int]) -> list:
             power, last = step if power is None else power * step, e
         out.append(power)
     return out
-
-
-def map_from_field_pair(p_coeffs: list, q_coeffs: list) -> RationalMap:
-    """Validate a field-coefficient pair as a map over Q and canonicalize it.
-
-    The pair is only defined projectively, so a common irrational scalar is
-    harmless: everything is divided by a pivot coefficient first.  If some
-    ratio still has a nonzero irrational part the map is genuinely not
-    rational and NotDefinedOverQError is raised.
-    """
-    pivot = None
-    for c in reversed(p_coeffs):
-        if c != 0:
-            pivot = c
-            break
-    if pivot is None:
-        for c in reversed(q_coeffs):
-            if c != 0:
-                pivot = c
-                break
-    if pivot is None:
-        raise NotDefinedOverQError("zero pair")
-    rats = []
-    for cs in (p_coeffs, q_coeffs):
-        row = []
-        for c in cs:
-            ratio = c / pivot
-            if isinstance(ratio, QuadExtElem):
-                if not ratio.is_rational:
-                    raise NotDefinedOverQError("result not defined over Q")
-                ratio = ratio.as_fraction()
-            row.append(Fraction(ratio))
-        rats.append(row)
-    return RationalMap.from_fractions(rats[0], rats[1])

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from arbordyn.divisibility import f_sequence, main_family, theta
-from arbordyn.errors import HypothesisError
+from arbordyn.errors import GrowthCapError, HypothesisError, InvariantViolationError
 from arbordyn.galois import (
     alpha_parametrization,
     discriminant_recursion,
@@ -19,7 +20,7 @@ from arbordyn.galois import (
     verify_certificate,
 )
 from arbordyn.intpoly import discriminant
-from arbordyn.ratmap import P1Point
+from arbordyn.ratmap import P1Point, RationalMap
 
 
 class TestIrreducibilityCascade:
@@ -209,6 +210,18 @@ class TestSquarefreeThetaEvidence:
             ev = squarefree_theta_evidence(2, n, p, case)
             assert ev.agree
 
+    def test_growth_cap_leaves_direct_test_open(self):
+        with mock.patch("arbordyn.galois.theta", side_effect=GrowthCapError("cap")):
+            ev = squarefree_theta_evidence(2, 3, 5, "odd")
+        assert ev.certified
+        assert ev.direct_nonsquare is None and ev.agree is None
+
+    def test_invariant_violation_propagates(self):
+        with mock.patch("arbordyn.galois.theta",
+                        side_effect=InvariantViolationError("theta_3 is not integral")):
+            with pytest.raises(InvariantViolationError):
+                squarefree_theta_evidence(2, 3, 5, "odd")
+
 
 class TestNonsquarefreeThetaEvidence:
     def test_modulus_four_route(self):
@@ -245,6 +258,16 @@ class TestEventualStability:
     def test_rejects_equal_parameters(self):
         with pytest.raises(ValueError):
             eventual_stability_check(1, 1, 0, 2, 2)
+
+    def test_degree_below_two_has_no_orbit_probe(self):
+        rep = eventual_stability_check(2, 1, 0, 2, 1)
+        assert rep.case == "case2" and rep.alpha_periodic is None
+
+    def test_orbit_probe_errors_propagate(self):
+        with mock.patch.object(RationalMap, "orbit",
+                               side_effect=InvariantViolationError("orbit")):
+            with pytest.raises(InvariantViolationError):
+                eventual_stability_check(2, 1, 0, 2, 2)
 
 
 class TestCertificateDigests:

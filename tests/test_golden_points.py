@@ -1,15 +1,40 @@
 """Golden outputs of orbit, critical and normal-form on a fixed table.
 
 Each row is a command line, the sha256 of its stdout and its exit code, as
-the evaluator that used Fraction Horner steps printed them.  Any evaluator of
-points of P^1 must reproduce every row byte for byte.
+the evaluator that used Fraction Horner steps printed them; the normal forms
+of dense conjugates and of degree 500 were printed by the pipeline that
+expanded the conjugate in full.  Any evaluator of points of P^1 must
+reproduce every row byte for byte.
 """
 
 import hashlib
+import math
 
 import pytest
 
 from arbordyn.cli import main
+
+
+def _poly_text(cs: list[int]) -> str:
+    terms = []
+    for k in range(len(cs) - 1, -1, -1):
+        if cs[k]:
+            var = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+            terms.append(f"{'-' if cs[k] < 0 else '+'}{abs(cs[k])}{var}")
+    return "".join(terms).lstrip("+")
+
+
+def dense_conjugate_text(d: int) -> str:
+    """mu . phi . mu^-1 for phi = (z^d+5)/(z^d+3) and mu = (2z-1)/(z+3), in
+    integer arithmetic: mu^-1 = (3z+1)/(2-z), so the pair is M.(P, Q) at
+    (3z+1, 2-z) with M = (2, -1; 1, 3)."""
+    zd = [math.comb(d, k) * 3 ** k for k in range(d + 1)]                # (3z+1)^d
+    wd = [math.comb(d, k) * (-1) ** k * 2 ** (d - k) for k in range(d + 1)]  # (2-z)^d
+    p = [x + 5 * y for x, y in zip(zd, wd)]
+    q = [x + 3 * y for x, y in zip(zd, wd)]
+    num = [2 * x - y for x, y in zip(p, q)]
+    den = [x + 3 * y for x, y in zip(p, q)]
+    return f"({_poly_text(num)})/({_poly_text(den)})"
 
 ROWS = [
     # degree 2, rational critical points: the family, collisions at -1/2 and
@@ -107,10 +132,26 @@ ROWS = [
      "15ebfaa3d3d161afb021b94475c7079f2859d8654ae0f190321ec52c7d6537a1", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)", "--bound", "3", "--height-cap-bits", "40"],
      "2f1bb93e0b7956307d839c20baf9fffcbc94102eff0366e4f68ff6f5eeac0441", 0),
+    # normal forms of dense conjugates of (z^d+5)/(z^d+3), and of degree 500
+    (["normal-form", "--map", dense_conjugate_text(5)],
+     "7aafa928c3e19875aa110f984be37aa090614170640a512a6145e8d24abc3a47", 0),
+    (["normal-form", "--map", dense_conjugate_text(12)],
+     "34ee302882ba0f22df10ac742e052c52abeb7ebb352d1e78e6c0af227bc47afb", 0),
+    (["normal-form", "--map", dense_conjugate_text(25)],
+     "1b945268b16e6e6648cbc13e2203a90cd3125f2933814158225bf8c4143a62fb", 0),
+    (["normal-form", "--map", dense_conjugate_text(60)],
+     "9377638f0c7bc57d8155ef1963583f53d6302fe91213d4114ca5d55eef88ee87", 0),
+    (["normal-form", "--map", "(z^500+5)/(z^500+3)"],
+     "471beeb3ee1bdba20525e64d98d566fa07c5eea827106c8ae74d2869e8803fee", 0),
 ]
 
 
-@pytest.mark.parametrize("argv, digest, code", ROWS, ids=[" ".join(a) for a, _, _ in ROWS])
+def _row_id(argv: list[str]) -> str:
+    """The command line, with a long map abbreviated to its head and length."""
+    return " ".join(a if len(a) <= 60 else f"{a[:24]}...[{len(a)} chars]" for a in argv)
+
+
+@pytest.mark.parametrize("argv, digest, code", ROWS, ids=[_row_id(a) for a, _, _ in ROWS])
 def test_output_is_byte_identical(argv, digest, code, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out

@@ -4,6 +4,10 @@ Each module-level function and class, and each non-dunder method, of
 src/arbordyn must be referenced as an identifier in src/arbordyn, tests/ or
 a code block of README.md: a name, an attribute, or an imported name.  Words
 in strings, comments and docstrings do not count, nor does the definition.
+
+Each name a module of src/arbordyn imports at module level must be used in
+that module, unless the import is a deliberate re-export marked
+``# noqa: F401``.
 """
 
 import ast
@@ -68,3 +72,34 @@ def test_a_name_only_in_strings_does_not_count():
     source = '"""ghost is mentioned here."""\nx = "ghost"\n# ghost\nused.attr\n'
     refs = referenced_names(ast.parse(source))
     assert refs["ghost"] == 0 and refs["used"] == 1 and refs["attr"] == 1
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of ``source`` that it never
+    reads, skipping ``__future__`` and statements marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_every_import_is_used():
+    unused = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport json\nfrom a import b, c as d\n"
+              "from e import f  # noqa: F401\n"
+              "json.dumps(d)\n")
+    assert unused_imports(source) == ["b", "os"]

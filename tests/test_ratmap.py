@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arbordyn.errors import (
@@ -250,17 +251,26 @@ class TestConjugation:
         with pytest.raises(NotDefinedOverQError):
             phi.conjugate(mu)
 
-    def test_quadratic_entries_with_rational_result(self):
-        # conjugating by z + sqrt2 and back lands in Q again
+    @given(st.lists(st.fractions(max_denominator=5), min_size=4, max_size=4),
+           st.integers(0, 3), st.sampled_from([2, 3, -1, -7]),
+           st.fractions(max_denominator=5).filter(bool))
+    def test_irrational_entry_raises(self, rats, pos, s, y):
+        # any entry with a nonzero sqrt part is refused before any work, even
+        # where the conjugate would be rational again
+        entries = [QuadExtElem(x, 0, s) for x in rats]
+        entries[pos] = QuadExtElem(rats[pos], y, s)
+        mu = MobiusTransform(*entries)
+        assume(mu.det() != 0)
         phi = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
-        root2 = QuadExtElem(0, 1, 2)
-        mu = MobiusTransform.make(QuadExtElem(1, 0, 2), root2,
-                                  QuadExtElem(0, 0, 2), QuadExtElem(1, 0, 2))
-        from arbordyn.fieldpoly import conjugate_pair
-        pair = conjugate_pair(list(phi.p.coeffs), list(phi.q.coeffs), 2, mu.entries())
-        back = conjugate_pair(pair[0], pair[1], 2, mu.inverse().entries())
-        from arbordyn.ratmap import map_from_field_pair
-        assert map_from_field_pair(*back) == phi
+        with mock.patch("arbordyn.ratmap._substitute", side_effect=AssertionError):
+            with pytest.raises(NotDefinedOverQError):
+                phi.conjugate(mu)
+
+    def test_rational_quadratic_entries_are_their_values(self):
+        phi = RationalMap.from_coeffs([1, 2, 1], [3, 0, 1])
+        rats = (Fraction(2, 3), Fraction(-1), Fraction(1, 2), Fraction(5))
+        lifted = MobiusTransform.make(*(QuadExtElem(x, 0, 2) for x in rats))
+        assert phi.conjugate(lifted) == phi.conjugate(MobiusTransform.make(*rats))
 
 
 class TestMobius:

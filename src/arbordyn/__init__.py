@@ -28,12 +28,11 @@ _EXPORTS = {
     "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),
     "intpoly": ("IntPoly", "discriminant", "resultant"),
     "quadext": ("QuadExtElem",),
-    "ratmap": ("INF", "IterateLadder", "MobiusTransform", "OrbitRecord", "P1Point",
-               "RationalMap"),
+    "ratmap": ("INF", "MobiusTransform", "OrbitRecord", "P1Point", "RationalMap"),
     "reduction": (
         "ModOrbit", "ReducedMap", "bad_reduction_primes",
-        "good_reduction_origin_valuations", "has_good_reduction", "normalize_pair",
-        "orbit_mod_p", "reduce_mod_p",
+        "good_reduction_origin_valuations", "has_good_reduction", "orbit_mod_p",
+        "reduce_mod_p",
     ),
     "critical": (
         "CriticalData", "NormalForm", "OrbitRelation", "QuadraticForm",

@@ -171,8 +171,8 @@ def cmd_sequence(args) -> int:
     # recognize the family (z^2+a)/z^2 to enable the f/theta columns
     pc, qc = phi.homogeneous_coeffs()
     family_a = pc[0] if qc == (0, 0, 1) and pc[1:] == (0, 1) else None
-    values, capped = phi.origin_values_capped(args.n, args.growth_cap_bits)
-    status = "growth_capped" if capped else "complete"
+    values = phi.origin_values(args.n, args.growth_cap_bits)
+    status = "growth_capped" if len(values) < args.n else "complete"
     rows = [{"n": idx, "pn0": u} for idx, (u, _) in enumerate(values, start=1)]
     if family_a is not None and rows:
         try:
@@ -264,8 +264,8 @@ def cmd_rigid_check(args) -> int:
         warnings.append(
             "hypothesis p'(0) = q'(0) = 0 fails; checking empirically anyway"
         )
-    values, capped = phi.origin_values_capped(args.n, args.growth_cap_bits)
-    if capped:
+    values = phi.origin_values(args.n, args.growth_cap_bits)
+    if len(values) < args.n:
         return _fail(f"growth cap exceeded at term {len(values) + 1}: "
                      f"origin value wider than {args.growth_cap_bits} bits", EXIT_FAIL)
     terms = [u for u, _ in values]

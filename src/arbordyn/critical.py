@@ -247,21 +247,20 @@ def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> Norma
     if data is None:
         data = critical_points(map_)
     s = data.field.s
-    l1, l2 = (pt.location for pt in data.points)
-    step = _orbit_step(map_, s)
-    v1, v2 = step(l1), step(l2)
-
-    mu = _mu_to_zero_inf(_as_field_value(l1, s), _as_field_value(l2, s), s)
+    l1, l2 = (_as_field_value(pt.location, s) for pt in data.points)
+    mu = _mu_to_zero_inf(l1, l2, s)
     # mu . phi . mu^-1 = M.Phi(eZ - bW, -cZ + aW) = (c1 Z^d + a W^d,
-    # c2 Z^d + b W^d): its values at (1, 0) and (0, 1) give all four
+    # c2 Z^d + b W^d): its values at (1, 0) and (0, 1) give all four.  It
+    # sends 0 to (a : b) and infinity to (c1 : c2), the images of the
+    # critical points l1 and l2.
     pc, qc = map_.homogeneous_coeffs()
     c1, c2 = _after_mu(mu, pc, qc, mu.e, -mu.c)
     a, b = _after_mu(mu, pc, qc, -mu.b, mu.a)
 
-    if v1 == l1 and v2 == l2:
+    if a == 0 and c2 == 0:  # both critical points fixed
         c = c1 / b
         return NormalForm(POWER, d, mu, data.field, c=_rationalize(c))
-    if v1 == l2 and v2 == l1:
+    if b == 0 and c1 == 0:  # the critical points swapped
         c = a / c2
         return NormalForm(INVERSE_POWER, d, mu, data.field, c=_rationalize(c))
 

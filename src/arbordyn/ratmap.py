@@ -5,12 +5,12 @@ positive leading coefficient on the higher-degree member, and ``res``, the
 absolute resultant of the two degree-d forms P(Z, W) and Q(Z, W).
 
 ``_substitute`` is the one evaluator: (P(u, v), Q(u, v)) for ints, for
-polynomials (a step of the iterate ladder, memoized since level n has degree
-d**n, and a Moebius conjugate) and for quadratic-field values, visiting only
-the nonzero coefficients.  Points of P^1(Q) are normalized integer pairs
-(num, den) with den >= 0 and gcd 1; infinity is (1, 0).  For coprime (u, v)
-the gcd of P(u, v) and Q(u, v) divides ``res`` (Silverman, GTM 241, section
-2.4), so normalizing an image takes one gcd with a small operand.
+polynomials (a step of the iterate ladder, and a Moebius conjugate) and for
+quadratic-field values, visiting only the nonzero coefficients.  Points of
+P^1(Q) are normalized integer pairs (num, den) with den >= 0 and gcd 1;
+infinity is (1, 0).  For coprime (u, v) the gcd of P(u, v) and Q(u, v)
+divides ``res`` (Silverman, GTM 241, section 2.4), so normalizing an image
+takes one gcd with a small operand.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._record import Fresh, Record, int_text
+from ._record import Record, int_text
 from .errors import (
     DegenerateMapError,
     DegreeTooSmallError,
@@ -184,46 +184,10 @@ class MobiusTransform(Record, frozen=True):
         return f"MobiusTransform({self.a}, {self.b}, {self.c}, {self.e})"
 
 
-class IterateLadder(Record):
-    """Memoized iterate numerators/denominators; levels[n-1] = (p_n, q_n).
-
-    Extension is append-only and single-writer; completed levels are immutable
-    pairs safe to share.
-    """
-
-    base: "RationalMap"
-    levels: list[tuple[IntPoly, IntPoly]] = Fresh(list)
-
-    def extend(self, n: int, growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> None:
-        if not self.levels:
-            self.levels.append((self.base.p, self.base.q))
-        d = self.base.d
-        pc, qc = self.base.homogeneous_coeffs()
-        # Each coefficient of the next level is at most ||(pc, qc)||_1 times
-        # max(||p_n||_1, ||q_n||_1)^d in absolute value (1-norms).
-        base_bits = max(sum(map(abs, pc)), sum(map(abs, qc))).bit_length()
-        while len(self.levels) < n:
-            pn, qn = self.levels[-1]
-            norm = max(sum(map(abs, pn.coeffs)), sum(map(abs, qn.coeffs)))
-            bound = d * norm.bit_length() + base_bits
-            if bound > growth_cap_bits:
-                raise GrowthCapError(
-                    f"growth cap exceeded at level {len(self.levels) + 1}: "
-                    f"up to {bound} bits > {growth_cap_bits}"
-                )
-            self.levels.append(_substitute(pc, qc, pn, qn))
-
-    def level(self, n: int) -> tuple[IntPoly, IntPoly]:
-        """(p_n, q_n), 1-indexed; the ladder must already reach level n."""
-        if n < 1:
-            raise ValueError("ladder levels are 1-indexed")
-        return self.levels[n - 1]
-
-
 class RationalMap:
     """Degree-d rational self-map of P^1 over Q, d >= 2, as a canonical pair."""
 
-    __slots__ = ("p", "q", "d", "res", "_ladder")
+    __slots__ = ("p", "q", "d", "res", "pc", "qc")
 
     def __init__(self, p: IntPoly, q: IntPoly):
         if p.is_zero or q.is_zero:
@@ -247,7 +211,9 @@ class RationalMap:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "res", abs(res))
-        object.__setattr__(self, "_ladder", None)
+        # coefficient vectors padded to length d+1 (index i is Z^i W^(d-i))
+        object.__setattr__(self, "pc", tuple(p.coeff(i) for i in range(d + 1)))
+        object.__setattr__(self, "qc", tuple(q.coeff(i) for i in range(d + 1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMap is immutable")
@@ -288,16 +254,15 @@ class RationalMap:
 
     def homogeneous_coeffs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coefficient vectors padded to length d+1 (index i is Z^i W^(d-i))."""
-        pc = tuple(self.p.coeff(i) for i in range(self.d + 1))
-        qc = tuple(self.q.coeff(i) for i in range(self.d + 1))
-        return pc, qc
+        return self.pc, self.qc
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
-        """phi(x): a P1Point to a P1Point; a QuadExtElem, or INF, to a field
-        value (a Fraction for INF), with a pole going to INF."""
-        pc, qc = self.homogeneous_coeffs()
+        """phi(x): a P1Point to a P1Point; an int or a Fraction (read as a
+        Fraction), a QuadExtElem, or INF to a field value, with a pole going
+        to INF.  Any other argument, a float included, raises TypeError."""
+        pc, qc = self.pc, self.qc
         if isinstance(x, P1Point):
             u, v = _substitute(pc, qc, x.num, x.den)
             if v == 0:
@@ -306,22 +271,46 @@ class RationalMap:
             return P1Point(u // g, v // g) if v > 0 else P1Point(-u // g, -v // g)
         if isinstance(x, Infinity):
             return INF if qc[-1] == 0 else Fraction(pc[-1], qc[-1])
+        if isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+            u, v = _substitute(pc, qc, x.numerator, x.denominator)
+            return INF if v == 0 else Fraction(u, v)
+        if not isinstance(x, QuadExtElem):
+            raise TypeError(f"cannot evaluate a map at {type(x).__name__} {x!r}")
         u, v = _substitute(pc, qc, x, 1)
         return INF if v == 0 else u / v
 
-    def ladder(self, n: int, growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> IterateLadder:
-        """The memoized iterate ladder, extended to hold levels 1..n."""
-        lad = self._ladder
-        if lad is None:
-            lad = IterateLadder(self)
-            object.__setattr__(self, "_ladder", lad)
-        lad.extend(n, growth_cap_bits)
-        return lad
+    def ladder(self, n: int,
+               growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> list[tuple[IntPoly, IntPoly]]:
+        """[(p_1, q_1), ..., (p_n, q_n)]: the iterate numerators and
+        denominators, (p_1, q_1) = (p, q).
+
+        Raises GrowthCapError before building a level whose coefficients could
+        be wider than ``growth_cap_bits``.
+        """
+        pc, qc = self.pc, self.qc
+        # Each coefficient of the next level is at most ||(pc, qc)||_1 times
+        # max(||p_n||_1, ||q_n||_1)^d in absolute value (1-norms).
+        base_bits = max(sum(map(abs, pc)), sum(map(abs, qc))).bit_length()
+        levels = [(self.p, self.q)]
+        while len(levels) < n:
+            pn, qn = levels[-1]
+            norm = max(sum(map(abs, pn.coeffs)), sum(map(abs, qn.coeffs)))
+            bound = self.d * norm.bit_length() + base_bits
+            if bound > growth_cap_bits:
+                raise GrowthCapError(
+                    f"growth cap exceeded at level {len(levels) + 1}: "
+                    f"up to {bound} bits > {growth_cap_bits}"
+                )
+            levels.append(_substitute(pc, qc, pn, qn))
+        return levels[:n]
 
     def iterate_polys(self, n: int,
                       growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> tuple[IntPoly, IntPoly]:
         """(p_n, q_n) for a single level n >= 1."""
-        return self.ladder(n, growth_cap_bits).level(n)
+        if n < 1:
+            raise ValueError("ladder levels are 1-indexed")
+        return self.ladder(n, growth_cap_bits)[-1]
 
     def ladder_values(self, x, n: int) -> list[tuple]:
         """[(p_k(x), q_k(x)) for k = 1..n] by the value-level recursion.
@@ -329,28 +318,22 @@ class RationalMap:
         Exact (integers stay integers, a Fraction x gives Fractions); avoids
         building the polynomial ladder when only evaluations are needed.
         """
-        return self._values(x, n, None)[0]
+        return self._values(x, n, None)
 
-    def origin_values(self, n: int) -> list[tuple[int, int]]:
-        """[(p_k(0), q_k(0))] for k = 1..n, exact integers."""
-        return self._values(0, n, None)[0]
-
-    def origin_values_capped(self, n: int,
-                             growth_cap_bits: int) -> tuple[list[tuple[int, int]], bool]:
-        """Origin values up to n or the growth cap, whichever comes first.
-
-        Returns (values, capped); values may be a strict prefix.
-        """
+    def origin_values(self, n: int, growth_cap_bits: int | None = None) -> list[tuple[int, int]]:
+        """[(p_k(0), q_k(0))] for k = 1..n, exact integers, cut before the
+        first pair wider than ``growth_cap_bits`` (None: no cap); the list is
+        shorter than n exactly when the cap cut it."""
         return self._values(0, n, growth_cap_bits)
 
-    def _values(self, x, n: int, growth_cap_bits) -> tuple[list[tuple], bool]:
+    def _values(self, x, n: int, growth_cap_bits) -> list[tuple]:
         """[(p_k(x), q_k(x)) for k = 1..n], cut before the first pair wider
-        than ``growth_cap_bits`` (None: no cap); returns (values, capped).
+        than ``growth_cap_bits`` (None: no cap).
 
         Each step is one ``_substitute`` of (u, v) into the homogenized map,
         starting from (x, 1), and no step runs past the n-th term.
         """
-        pc, qc = self.homogeneous_coeffs()
+        pc, qc = self.pc, self.qc
         u, v = (x if isinstance(x, int) else Fraction(x)), 1
         out: list[tuple] = []
         while len(out) < n:
@@ -358,9 +341,9 @@ class RationalMap:
             # the cap is only given for x = 0, where every value is an int
             if (growth_cap_bits is not None
                     and max(abs(u).bit_length(), abs(v).bit_length()) > growth_cap_bits):
-                return out, True
+                break
             out.append((u, v))
-        return out, False
+        return out
 
     # -- orbits ----------------------------------------------------------------
 
@@ -406,8 +389,7 @@ class RationalMap:
             entries.append(Fraction(t))
         den = math.lcm(*(t.denominator for t in entries))
         a, b, c, e = (int(t * den) for t in entries)
-        pc, qc = self.homogeneous_coeffs()
-        pu, qu = _substitute(pc, qc, IntPoly([-b, e]), IntPoly([a, -c]))
+        pu, qu = _substitute(self.pc, self.qc, IntPoly([-b, e]), IntPoly([a, -c]))
         return RationalMap(a * pu + b * qu, c * pu + e * qu)
 
 

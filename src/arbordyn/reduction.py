@@ -1,11 +1,12 @@
 """Reduction of rational maps modulo primes and mod-p orbit analysis.
 
-Over Z a pair is normalized at every prime exactly when its joint content is
-1, so canonical maps reduce coefficient-wise.  Good reduction at p means the
-reduced pair keeps degree d and acquires no common projective root; we decide
-it by degree preservation plus a gcd over F_p, with no algebraic closure
-machinery.  Points of P^1(F_p) are encoded as integers 0..p, with p standing
-for infinity, so orbits can use a flat visited array.
+A canonical map has joint content 1, so it is normalized at every prime and
+reduces coefficient-wise.  Good reduction at p means the reduced pair keeps
+degree d and acquires no common projective root, which holds exactly when p
+does not divide ``RationalMap.res``, the resultant of the two degree-d forms
+(Silverman, GTM 241, section 2.4); the bad primes are the primes of ``res``.
+Points of P^1(F_p) are encoded as integers 0..p, with p standing for
+infinity, so orbits can use a flat visited array.
 """
 
 from __future__ import annotations
@@ -16,18 +17,7 @@ from ._record import Record
 from .errors import BadReductionError, CompositeModulusError, InvariantViolationError
 from .factorint import FactorBudget, factor_counts, is_probable_prime, valuation
 from .ffpoly import PrimeFieldPoly
-from .intpoly import IntPoly
 from .ratmap import RationalMap
-
-
-def normalize_pair(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Divide out the joint content, normalizing the pair at every prime."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("cannot normalize the zero pair")
-    c = math.gcd(p.content(), q.content())
-    if c <= 1:
-        return p, q
-    return p.scalar_exact_div(c), q.scalar_exact_div(c)
 
 
 class ReducedMap(Record, frozen=True):
@@ -36,16 +26,8 @@ class ReducedMap(Record, frozen=True):
     modulus: int
     p_red: PrimeFieldPoly
     q_red: PrimeFieldPoly
-    degree: int        # degree d of the map upstairs
-    degree_drop: int   # d - max(deg p_red, deg q_red)
-
-    @property
-    def good(self) -> bool:
-        if self.degree_drop != 0:
-            return False
-        if self.p_red.is_zero or self.q_red.is_zero:
-            return False
-        return self.p_red.gcd(self.q_red).degree == 0
+    degree: int   # degree d of the map upstairs
+    good: bool    # good reduction: the prime does not divide the map's res
 
     def eval_point(self, t: int) -> int:
         """Image of a point of P^1(F_p) in the 0..p encoding (p = infinity)."""
@@ -66,13 +48,12 @@ class ReducedMap(Record, frozen=True):
 
 
 def reduce_mod_p(map_: RationalMap, prime: int) -> ReducedMap:
-    """Coefficient-wise reduction; records any degree drop, good or not."""
+    """Coefficient-wise reduction, good or not."""
     if not is_probable_prime(prime):
         raise CompositeModulusError(f"{prime} is not prime")
     p_red = PrimeFieldPoly.from_intpoly(map_.p, prime)
     q_red = PrimeFieldPoly.from_intpoly(map_.q, prime)
-    drop = map_.d - max(p_red.degree, q_red.degree)
-    return ReducedMap(prime, p_red, q_red, map_.d, drop)
+    return ReducedMap(prime, p_red, q_red, map_.d, map_.res % prime != 0)
 
 
 def has_good_reduction(map_: RationalMap, prime: int) -> bool:
@@ -81,14 +62,12 @@ def has_good_reduction(map_: RationalMap, prime: int) -> bool:
 
 
 def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) -> tuple[int, ...]:
-    """All primes of bad reduction, by factoring the projective resultant
-    ``map_.res``, whose prime divisors are exactly the bad-reduction primes.
+    """All primes of bad reduction: the prime divisors of ``map_.res``.
 
     Raises FactoringBudgetError if the resultant cannot be fully factored
     within the budget (the list would be incomplete).
     """
-    primes = factor_counts(map_.res, budget)
-    return tuple(p for p in sorted(primes) if not has_good_reduction(map_, p))
+    return tuple(sorted(factor_counts(map_.res, budget)))
 
 
 class ModOrbit(Record):

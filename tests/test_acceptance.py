@@ -104,7 +104,7 @@ def test_criterion_3_sequence_identity_suite(capsys):
         values = phi.origin_values(depth)
         ladder = phi.ladder(depth)
         for n in range(1, depth + 1):
-            pn, _ = ladder.level(n)
+            pn, _ = ladder[n - 1]
             pn0 = values[n - 1][0]
             assert pn0 == a ** (2 ** (n - 1)) * fs[n - 1]
             assert fs[n - 1] % abs(a) == 1 % abs(a)

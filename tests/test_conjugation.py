@@ -13,7 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arbordyn.critical import NormalForm, to_normal_form, verify_normal_form
+from arbordyn.critical import (
+    BICRITICAL,
+    INVERSE_POWER,
+    POWER,
+    NormalForm,
+    _orbit_step,
+    critical_points,
+    to_normal_form,
+    verify_normal_form,
+)
 from arbordyn.parsing import parse_map
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import MobiusTransform, RationalMap, _substitute
@@ -116,13 +125,29 @@ def test_conjugate_equals_dense_reference(phi, mu):
     assert phi.conjugate(mu) == map_of_pair(*dense_conjugate(pc, qc, phi.d, mu))
 
 
+def kind_by_stepping(phi):
+    """The normal form's kind read by stepping both critical points once:
+    both fixed is a power map, swapped an inverse power map."""
+    data = critical_points(phi)
+    step = _orbit_step(phi, data.field.s)
+    l1, l2 = (pt.location for pt in data.points)
+    v1, v2 = step(l1), step(l2)
+    if v1 == l1 and v2 == l2:
+        return POWER
+    if v1 == l2 and v2 == l1:
+        return INVERSE_POWER
+    return BICRITICAL
+
+
 def check_two_term(phi, field_kind=None):
     """The reference conjugate by the normal form's mu has only the Z^d and
     W^d terms, and they are M.Phi at (e, -c) and at (-b, a), the two
-    evaluations the pipeline reads, in the ratios of the named form."""
+    evaluations the pipeline reads, in the ratios of the named form; the
+    form's kind is the one read by stepping the critical points."""
     nf = to_normal_form(phi)
     if field_kind is not None:
         assert nf.field.kind == field_kind
+    assert nf.kind == kind_by_stepping(phi)
     d, mu = nf.degree, nf.mu
     pc, qc = phi.homogeneous_coeffs()
     ps, qs = dense_conjugate(pc, qc, d, mu)
@@ -197,6 +222,26 @@ def test_quadratic_critical_field_reads_two_evaluations(d, lam, s, sign):
     phi = quadratic_field_conjugate(d, lam, s, sign)
     nf = check_two_term(phi, "quadratic")
     assert nf.field.s == s
+
+
+# each kind over Q and over a quadratic critical field
+KIND_MAPS = [
+    ("(z^2+2z+3)/(-2)", POWER, "rational"),
+    ("(z^2+3)/(2z+3)", POWER, "quadratic"),
+    ("(z^2+2z+3)/(-2z-1)", INVERSE_POWER, "rational"),
+    ("(z^2+2z+3)/(3z^2-2z-1)", INVERSE_POWER, "quadratic"),
+    ("(3z^2+3z+3)/(2z^2+3z+3)", BICRITICAL, "rational"),
+    ("(3z^2+3z+3)/(z^2+2z+3)", BICRITICAL, "quadratic"),
+    # one critical point maps to the other, which does not map back
+    ("(z^2+1)/z^2", BICRITICAL, "rational"),
+    ("1/(z^2+1)", BICRITICAL, "rational"),
+]
+
+
+@pytest.mark.parametrize("text, kind, field_kind", KIND_MAPS)
+def test_kind_equals_stepping_the_critical_points(text, kind, field_kind):
+    nf = check_two_term(parse_map(text), field_kind)
+    assert nf.kind == kind
 
 
 VERIFY_MAPS = [

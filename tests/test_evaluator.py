@@ -164,7 +164,7 @@ class TestLadderAgainstNaiveSubstitution:
     @given(st.one_of(dense_maps().filter(lambda phi: phi.d <= 3), sparse_maps(max_degree=4)))
     def test_levels_one_to_four(self, phi):
         pc, qc = phi.homogeneous_coeffs()
-        levels = phi.ladder(4).levels
+        levels = phi.ladder(4)
         expected = (phi.p, phi.q)
         for n in range(4):
             assert levels[n] == expected

@@ -1,10 +1,11 @@
-"""Golden outputs of orbit, critical and normal-form on a fixed table.
+"""Golden outputs of orbit, critical, normal-form and rigid-check on a fixed table.
 
 Each row is a command line, the sha256 of its stdout and its exit code, as
 the evaluator that used Fraction Horner steps printed them; the normal forms
 of dense conjugates and of degree 500 were printed by the pipeline that
-expanded the conjugate in full.  Any evaluator of points of P^1 must
-reproduce every row byte for byte.
+expanded the conjugate in full, and the rigid-check rows by the one that
+decided good reduction by a degree and gcd test over F_p.  Any evaluator of
+points of P^1 must reproduce every row byte for byte.
 """
 
 import hashlib
@@ -143,6 +144,18 @@ ROWS = [
      "9377638f0c7bc57d8155ef1963583f53d6302fe91213d4114ca5d55eef88ee87", 0),
     (["normal-form", "--map", "(z^500+5)/(z^500+3)"],
      "471beeb3ee1bdba20525e64d98d566fa07c5eea827106c8ae74d2869e8803fee", 0),
+    # bad reduction: a degree drop at 2, a numerator that vanishes mod 7, a
+    # common root mod 2, a cubic bad at 3, and a map bad at 2, 3 and 11
+    (["rigid-check", "--map", "(2z^2+1)/(2z^2+3)", "--n", "6", "--rho-budget", "2000"],
+     "a7127a13dbd7fc8928f19bf0465cf8389103e382f5b6bd3ed2b7567036da923f", 0),
+    (["rigid-check", "--map", "(7z^2+49)/(z^2+14)", "--n", "6", "--rho-budget", "2000"],
+     "6394b450d61d79bb8a12a3bc5b2a6d309dbbe0501ef28dd6bf8edde5e6528a6f", 5),
+    (["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--rho-budget", "2000"],
+     "df851309b49ceab37f561e1c2ec12205c0769ea4e2d192ea205753a8a46fabf2", 5),
+    (["rigid-check", "--map", "(z^3+2)/(z^3+5)", "--n", "6", "--rho-budget", "2000"],
+     "df5ba2e35403126437b09ac177da4e2a8b0705df408b3f4ad89861928bd4217a", 5),
+    (["rigid-check", "--map", "(z^2+2z+3)/(3z^2-2z-1)", "--n", "6", "--rho-budget", "2000"],
+     "a6a97af7b9172df44d0e76fa61254b6520a9c81edf5413f795e2054e7be12e17", 5),
 ]
 
 

@@ -8,6 +8,10 @@ in strings, comments and docstrings do not count, nor does the definition.
 Each name a module of src/arbordyn imports at module level must be used in
 that module, unless the import is a deliberate re-export marked
 ``# noqa: F401``.
+
+Each name in a ``__slots__`` tuple of src/arbordyn must be read as an
+attribute (``obj.name`` in a load) in src/arbordyn or tests/; a slot that is
+only ever set is stale.
 """
 
 import ast
@@ -103,3 +107,42 @@ def test_unused_import_is_found():
               "from e import f  # noqa: F401\n"
               "json.dumps(d)\n")
     assert unused_imports(source) == ["b", "os"]
+
+
+def slot_names(tree: ast.AST) -> set[str]:
+    """The string names of every ``__slots__ = (...)`` assignment."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+                and isinstance(node.value, (ast.Tuple, ast.List))):
+            names.update(elt.value for elt in node.value.elts
+                         if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    return names
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_slot_is_read():
+    slots, read = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= attributes_read(tree)
+        if path.parent == SRC:
+            slots |= slot_names(tree)
+    assert slots
+    assert sorted(slots - read) == []
+
+
+def test_a_slot_only_set_is_stale():
+    source = ('class A:\n    __slots__ = ("used", "stale")\n'
+              '    def __init__(self):\n'
+              '        object.__setattr__(self, "stale", None)\n'
+              '        self.used = 1\n'
+              '        print(self.used)\n')
+    tree = ast.parse(source)
+    assert slot_names(tree) == {"used", "stale"}
+    assert slot_names(tree) - attributes_read(tree) == {"stale"}

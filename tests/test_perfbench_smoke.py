@@ -34,4 +34,4 @@ def test_traced_sequence_matches_untraced(tmp_path):
     names = doc["names"]
     assert {name.split(".", 1)[0] for name in names} >= set(LAYERS)
     called = {names[span[0]] for span in doc["spans"]}
-    assert "ratmap.RationalMap.origin_values_capped" in called
+    assert "ratmap.RationalMap.origin_values" in called

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from arbordyn import ratmap
 from arbordyn.errors import (
     DegenerateMapError,
     DegreeTooSmallError,
@@ -48,6 +49,8 @@ class TestConstruction:
         assert a.p.content() == 1 or a.q.content() == 1
         lead = a.p if a.p.degree >= a.q.degree else a.q
         assert lead.lc > 0
+        c = RationalMap.from_coeffs([0, 0, 4], [2, 0, 2])  # joint content 2, not 4
+        assert (c.p, c.q) == (IntPoly([0, 0, 2]), IntPoly([1, 0, 1]))
 
     def test_from_fractions(self):
         phi = RationalMap.from_fractions(
@@ -73,13 +76,14 @@ class TestLadder:
         psi = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
         assert psi.origin_values(3)[2][0] == 884
 
-    def test_memoization_appends_only(self):
+    def test_ladder_is_the_list_of_levels(self):
         phi = family(-6)
-        lad = phi.ladder(3)
-        level2 = lad.level(2)
-        lad2 = phi.ladder(5)
-        assert lad2 is lad
-        assert lad.level(2) is level2
+        levels = phi.ladder(4)
+        assert len(levels) == 4 and levels[0] == (phi.p, phi.q)
+        assert levels == [phi.iterate_polys(n) for n in range(1, 5)]
+        assert phi.ladder(2) == levels[:2]
+        with pytest.raises(ValueError):
+            phi.iterate_polys(0)
 
     def test_degrees_and_coprimality(self):
         maps = [family(-98), RationalMap.from_coeffs([1, 0, 1], [3, 0, 1]),
@@ -102,9 +106,18 @@ class TestLadder:
     def test_growth_cap_bounds_every_level_built(self, pc, qc):
         # a projection of 2*bits + d + 4 built a 360-bit level of the first map
         phi = RationalMap.from_coeffs(pc, qc)
-        with pytest.raises(GrowthCapError):
-            phi.ladder(6, growth_cap_bits=250)
-        widest = max(abs(c).bit_length() for level in phi.ladder(1).levels
+        built, real = [], ratmap._substitute
+
+        def spy(*args):
+            level = real(*args)
+            built.append(level)
+            return level
+
+        with mock.patch.object(ratmap, "_substitute", side_effect=spy) as patched:
+            with pytest.raises(GrowthCapError):
+                phi.ladder(6, growth_cap_bits=250)
+        assert patched.call_count == len(built) >= 1
+        widest = max(abs(c).bit_length() for level in built
                      for poly in level for c in poly.coeffs)
         assert widest <= 250
 
@@ -159,6 +172,33 @@ class TestEvaluation:
         phi = family(-98)
         assert phi(QuadExtElem(0, 0, 2)) is INF
         assert phi(INF) == 1
+
+    def test_int_is_read_as_a_fraction(self):
+        phi = family(-98)
+        assert phi(3) == Fraction(-89, 9) and isinstance(phi(3), Fraction)
+        assert phi(0) is INF
+        assert phi(Fraction(1, 7)) == 1 - 98 * 49
+
+    @pytest.mark.parametrize("x", [3.0, 0.5, "3", None, 1j])
+    def test_non_point_raises(self, x):
+        with pytest.raises(TypeError):
+            family(-98)(x)
+
+    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=5),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+           st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.fractions(max_denominator=10 ** 6)))
+    def test_rational_argument_matches_the_point(self, p, q, x):
+        try:
+            phi = RationalMap.from_coeffs(p, q)
+        except ValueError:
+            assume(False)
+        image = phi(P1Point.from_fraction(x))
+        value = phi(x)
+        if image.is_infinity:
+            assert value is INF
+        else:
+            assert type(value) is Fraction and value == image.to_fraction()
 
 
 class TestP1Point:

@@ -1,17 +1,15 @@
-import math
-
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arbordyn.errors import BadReductionError, CompositeModulusError
 from arbordyn.factorint import primes_below
 from arbordyn.ffpoly import PrimeFieldPoly
-from arbordyn.intpoly import IntPoly
 from arbordyn.ratmap import RationalMap
 from arbordyn.reduction import (
     bad_reduction_primes,
     good_reduction_origin_valuations,
     has_good_reduction,
-    normalize_pair,
     orbit_mod_p,
     point_mod_p,
     reduce_mod_p,
@@ -19,26 +17,41 @@ from arbordyn.reduction import (
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
 FAM98 = RationalMap.from_coeffs([-98, 0, 1], [0, 0, 1])
+PRIMES = primes_below(60)
 
 
-class TestNormalizePair:
-    def test_content_two(self):
-        p, q = normalize_pair(IntPoly([6, 0, 6]), IntPoly([6, 0, 2]))
-        assert p == IntPoly([3, 0, 3]) and q == IntPoly([3, 0, 1])
+def good_over_fp(phi, prime):
+    """The criterion over F_p, independent of ``res``: the reduced pair keeps
+    degree d, neither member reduces to zero, and the members have no common
+    root (their gcd over F_p is a constant)."""
+    p_red = PrimeFieldPoly.from_intpoly(phi.p, prime)
+    q_red = PrimeFieldPoly.from_intpoly(phi.q, prime)
+    if max(p_red.degree, q_red.degree) != phi.d:
+        return False
+    if p_red.is_zero or q_red.is_zero:
+        return False
+    return p_red.gcd(q_red).degree == 0
 
-    def test_idempotent(self):
-        p, q = IntPoly([1, 0, 1]), IntPoly([3, 0, 1])
-        assert normalize_pair(p, q) == (p, q)
 
-    def test_joint_content_only(self):
-        p, q = normalize_pair(IntPoly([0, 0, 4]), IntPoly([2, 0, 2]))
-        assert p == IntPoly([0, 0, 2]) and q == IntPoly([1, 0, 1])
-        # unit coefficient mod every prime: joint content is 1
-        assert math.gcd(p.content(), q.content()) == 1
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_pair(IntPoly.zero(), IntPoly.zero())
+@st.composite
+def maps_with_primes(draw):
+    """A map of degree 2-5 and a prime below 60; the prime may be made to
+    divide both leading coefficients or a whole member."""
+    d = draw(st.integers(2, 5))
+    prime = draw(st.sampled_from(PRIMES))
+    coeffs = st.lists(st.integers(-30, 30), min_size=d + 1, max_size=d + 1)
+    p, q = draw(coeffs), draw(coeffs)
+    twist = draw(st.sampled_from(["none", "leading", "numerator", "denominator"]))
+    if twist == "leading":
+        p[-1], q[-1] = prime * p[-1], prime * q[-1]
+    elif twist == "numerator":
+        p = [prime * c for c in p]
+    elif twist == "denominator":
+        q = [prime * c for c in q]
+    try:
+        return RationalMap.from_coeffs(p, q), prime
+    except ValueError:
+        assume(False)
 
 
 class TestGoodReduction:
@@ -75,12 +88,32 @@ class TestGoodReduction:
         assert bad_reduction_primes(poly) == ()
 
 
+class TestAgainstTheFpCriterion:
+    @pytest.mark.parametrize("p, q, prime", [
+        ([1, 0, 2], [3, 0, 2], 2),      # (2z^2+1)/(2z^2+3): the degree drops
+        ([49, 0, 7], [14, 0, 1], 7),    # (7z^2+49)/(z^2+14): the numerator vanishes
+        ([1, 0, 1], [3, 0, 1], 2),      # (z^2+1)/(z^2+3): a common root
+        ([1, 0, 1], [3, 0, 1], 5),
+    ])
+    def test_each_way_to_fail(self, p, q, prime):
+        phi = RationalMap.from_coeffs(p, q)
+        assert has_good_reduction(phi, prime) == good_over_fp(phi, prime)
+        assert has_good_reduction(phi, prime) == (prime == 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(maps_with_primes())
+    def test_res_criterion_equals_fp_criterion(self, case):
+        phi, prime = case
+        assert has_good_reduction(phi, prime) == good_over_fp(phi, prime)
+        assert reduce_mod_p(phi, prime).good == good_over_fp(phi, prime)
+
+
 class TestReduceModP:
     def test_coefficientwise(self):
         rm = reduce_mod_p(EX13, 5)
         assert rm.p_red.coeffs == (1, 0, 1)
         assert rm.q_red.coeffs == (3, 0, 1)
-        assert rm.degree_drop == 0
+        assert rm.good
 
     def test_family_mod_3(self):
         rm = reduce_mod_p(FAM98, 3)
@@ -92,7 +125,6 @@ class TestReduceModP:
         rm = reduce_mod_p(phi, 2)
         assert rm.p_red.coeffs == (0, 0, 1)
         assert rm.q_red.is_zero
-        assert rm.degree_drop == 0
         assert not rm.good
 
 

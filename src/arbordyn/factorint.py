@@ -1,7 +1,13 @@
 """Integer primality, perfect squares, and factorization.
 
 Factoring runs trial division up to a configurable bound, then Brent's cycle
-variant of Pollard's rho under an iteration budget.  Primality is Miller-Rabin:
+variant of Pollard's rho under an iteration budget.  Trial division scans the
+integers in blocks of 2048 and takes one gcd with the product of each block's
+primes, dividing by single primes only in blocks that share a factor with n
+(Bernstein, "How to find small factors of integers", 2002).  The products of
+the full blocks below 10^6 ship as the package file prime_blocks.bin, read on
+the first scan that needs one; blocks past it are built by a segmented sieve.
+Primality is Miller-Rabin:
 deterministic with the fixed witness set below the proven bound
 3317044064679887385961981 (~3.3e24), and 64 seeded random rounds above it, in
 which case a passing number is only ever labeled a *probable* prime.
@@ -12,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
 import random
 
 # DECIMAL_SAFE_BITS and int_text are defined with the JSON rule in _record.
@@ -215,16 +222,129 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return (g if g != n else None), used
 
 
+# Trial division scans the integers in blocks [k*_BLOCK, (k+1)*_BLOCK).
+_BLOCK = 2048
+# The product of the primes in each full block below 10**6, as written by
+# tests/test_prime_blocks.py: _TABLE_TAG, _BLOCK and the block count as 4-byte
+# little-endian numbers, then each product as its 4-byte length and its
+# little-endian bytes.
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "prime_blocks.bin")
+_TABLE_TAG = b"arbordyn prime-block products 1\n"
+# Past the table, blocks are built _SEGMENT at a time by one sieve, and kept
+# until _CACHED_BLOCKS of them (about 3 MB) are known; past that only the last
+# segment is kept, so a large bound costs time but not memory.
+_SEGMENT = 64
+_CACHED_BLOCKS = 8192
+
+# Block k's product for every k < len(_blocks): the table's bytes until first
+# used, then the int.  Empty until a scan reaches a full block.
+_blocks: list[int | bytes] = []
+# (k0, products of blocks k0, k0 + 1, ...): the last segment built past the cache.
+_far: tuple[int, list[int]] = (0, [])
+
+
+def _read_table() -> list[bytes]:
+    """The block products in prime_blocks.bin, as bytes."""
+    with open(_TABLE_PATH, "rb") as f:
+        data = f.read()
+
+    def word(at: int) -> int:
+        return int.from_bytes(data[at:at + 4], "little")
+
+    at = len(_TABLE_TAG) + 8
+    if data[:len(_TABLE_TAG)] != _TABLE_TAG or word(at - 8) != _BLOCK:
+        raise ValueError(f"{_TABLE_PATH} is not a table of {_BLOCK}-blocks")
+    products = []
+    for _ in range(word(at - 4)):
+        size = word(at)
+        products.append(data[at + 4:at + 4 + size])
+        at += 4 + size
+    if at != len(data):
+        raise ValueError(f"{_TABLE_PATH} is truncated or has trailing bytes")
+    return products
+
+
+def _build_blocks(k0: int, k1: int) -> list[int]:
+    """The products of the primes in blocks k0 <= k < k1, from one sieve of their odd numbers."""
+    lo, hi = k0 * _BLOCK, k1 * _BLOCK
+    root = math.isqrt(hi - 1)
+    sieve = bytearray([1]) * ((hi - lo) // 2)  # sieve[i] stands for lo + 2i + 1
+    for p in primes_below(root + 1)[1:]:
+        first = max(p * p, (lo // p + 1) * p)  # first multiple of p > lo and >= p*p
+        i = (first + p * (first % 2 == 0) - lo - 1) // 2  # index of the first odd one
+        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
+    if lo == 0:
+        sieve[0] = 0  # 1 is not prime
+    half = _BLOCK // 2
+    products = [
+        math.prod(itertools.compress(range(b + 1, b + _BLOCK, 2), sieve[j * half:(j + 1) * half]))
+        for j, b in enumerate(range(lo, hi, _BLOCK))
+    ]
+    if lo == 0:
+        products[0] *= 2
+    return products
+
+
+def _block(k: int) -> int:
+    """The product of the primes in block k."""
+    global _far
+    if k >= len(_blocks):
+        if not _blocks:
+            _blocks.extend(_read_table())
+        while len(_blocks) <= k < _CACHED_BLOCKS:
+            _blocks.extend(_build_blocks(len(_blocks), len(_blocks) + _SEGMENT))
+        if k >= len(_blocks):
+            k0, products = _far
+            if not 0 <= k - k0 < len(products):
+                k0 = k - k % _SEGMENT
+                products = _build_blocks(k0, k0 + _SEGMENT)
+                _far = (k0, products)
+            return products[k - k0]
+    product = _blocks[k]
+    if type(product) is bytes:
+        product = _blocks[k] = int.from_bytes(product, "little")
+    return product
+
+
+def _candidates(lo: int, hi: int):
+    """2 if lo <= 2 < hi, then the odd numbers in [lo, hi) above 1."""
+    odd = range(max(lo, 2) | 1, hi, 2)
+    return itertools.chain((2,), odd) if lo <= 2 < hi else odd
+
+
 def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
     """(counts, rest) with |n| = prod(p**e for p, e in counts.items()) * rest.
 
     Divides out the primes below ``bound`` in increasing order, stopping once
     p*p exceeds what is left, so rest is 1, a prime, or free of primes below
-    ``bound``.  The sieve goes no further than min(bound, isqrt(|n|) + 1).
+    ``bound``.  The scan goes no further than min(bound, isqrt(|n|) + 1).  A
+    block of 2048 integers wholly below that costs one gcd with the product
+    of its primes, and only a block that shares a factor with n is walked
+    prime by prime; the block that holds the end is walked one candidate at
+    a time, which reads no product.
     """
     n = abs(n)
     counts: dict[int, int] = {}
-    for p in primes_below(min(bound, math.isqrt(n) + 1)):
+    limit = min(bound, math.isqrt(n) + 1)
+    for k in range(limit // _BLOCK):
+        lo = k * _BLOCK
+        if lo * lo > n:
+            return counts, n
+        product = _block(k)
+        g = math.gcd(n % product, product)
+        if g == 1:
+            continue
+        for p in _candidates(lo, lo + _BLOCK):
+            if g % p == 0:
+                if p * p > n:
+                    return counts, n
+                g //= p
+                while n % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    n //= p
+                if g == 1:
+                    break
+    for p in _candidates(limit - limit % _BLOCK, limit):
         if p * p > n:
             break
         while n % p == 0:

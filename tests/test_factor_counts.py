@@ -3,7 +3,8 @@
 factor_counts (the complete-factorization policy), divisors, mobius, radical,
 quadext.squarefree_kernel and trial_division are compared with a plain
 trial-division oracle kept in this file, and factor_counts with products of
-primes up to 2^61.
+primes up to 2^61.  The block scan of trial_division is also compared with the
+loop over every prime that it replaced, on numbers up to about 2000 bits.
 """
 
 import math
@@ -167,12 +168,44 @@ def test_sieve_extension_matches_brute_force(monkeypatch):
 def test_sieve_cache_keeps_one_list(monkeypatch):
     monkeypatch.setattr(factorint, "_sieve", (3, [2]))
     rng = random.Random(2026)
-    numbers = set()
-    while len(numbers) < 2000:
-        bits = rng.randrange(30, 41)
-        numbers.add(rng.randrange(2 ** (bits - 1), 2 ** bits))
-    for n in numbers:
-        factor_integer(n)
+    for bound in [rng.randrange(2, 10 ** 6) for _ in range(200)] + [10 ** 6]:
+        factorint.primes_below(bound)
     top, primes = factorint._sieve
-    assert top == max(min(10 ** 6, math.isqrt(n) + 1) for n in numbers) == 10 ** 6
+    assert top == 10 ** 6
     assert len(primes) == 78498
+
+
+def per_prime_trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """trial_division as it was before the block scan: one division per prime."""
+    n = abs(n)
+    counts: dict[int, int] = {}
+    for p in factorint.primes_below(min(bound, math.isqrt(n) + 1)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    return counts, n
+
+
+# The primes on either side of the edges of blocks 0 and 1, of the last block
+# in the table (999424 = 488 * 2048), of the default bound and of 3 * 10^6.
+EDGE_PRIMES = [2039, 2053, 4093, 4099, 999389, 999431, 999983, 1000003, 2999999, 3000017]
+BOUNDS = [1, 2, 3, 2047, 2048, 2049, 999424, 10 ** 6, 10 ** 6 + 1, 3 * 10 ** 6]
+PRIME_POWER = st.tuples(
+    st.one_of(st.sampled_from(EDGE_PRIMES),
+              st.integers(2, 3 * 10 ** 6).map(next_prime),
+              st.integers(2 ** 22, 2 ** 64).map(next_prime)),
+    st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           st.just(1),
+           st.builds(lambda powers, cofactor: math.prod(p ** e for p, e in powers) * cofactor,
+                     st.lists(PRIME_POWER, max_size=8),
+                     st.integers(1, 2 ** 1500))),
+       st.sampled_from([1, -1]),
+       st.sampled_from(BOUNDS))
+def test_trial_division_equals_the_per_prime_loop(n, sign, bound):
+    assert trial_division(sign * n, bound) == per_prime_trial_division(n, bound)

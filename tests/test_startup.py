@@ -1,4 +1,5 @@
-"""What a process loads: the lazy package, the sieve, the CLI's import boundary.
+"""What a process loads: the lazy package, the sieve, the prime-block table, the
+CLI's import boundary.
 
 ``import arbordyn`` loads no submodule; its module-level ``__getattr__``
 imports the defining module of a name on first access.  The CLI imports the
@@ -69,13 +70,20 @@ BOUNDARY_PROBE = """
 import contextlib, io, json, sys
 import arbordyn.cli
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("arbordyn."))
-out = {"import": loaded()}
-with contextlib.redirect_stdout(io.StringIO()):
-    arbordyn.cli.main(["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"])
-out["orbit"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    arbordyn.cli.main(["critical", "--map", "(z^2+2)/(z^2+2z+2)"])
-out["critical"] = loaded()
+out = {"import": loaded(), "table_read": []}
+for argv in (
+    ["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"],
+    ["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
+    ["normal-form", "--map", "(z^2-98)/z^2"],
+    ["certify", "--a", "-98", "--depth", "8"],
+    ["sequence", "--a", "-98", "--n", "8"],
+    ["sequence", "--a", "-98", "--n", "8", "--factor", "--rho-budget", "1000"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        arbordyn.cli.main(argv)
+    out.setdefault(argv[0], loaded())
+    factorint = sys.modules.get("arbordyn.factorint")
+    out["table_read"].append(bool(factorint and factorint._blocks))
 print(json.dumps(out))
 """
 
@@ -86,6 +94,8 @@ def test_cli_import_boundary():
     assert not set(HEAVY) & set(loaded["orbit"])
     assert "arbordyn.critical" in loaded["critical"]
     assert "arbordyn.galois" not in loaded["critical"]
+    # the prime-block table is read only by trial division past 2048: --factor
+    assert loaded["table_read"] == [False] * 5 + [True]
 
 
 RECORD_PROBE = """

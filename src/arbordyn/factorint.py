@@ -276,8 +276,9 @@ def _build_blocks(k0: int, k1: int) -> list[int]:
     if lo == 0:
         sieve[0] = 0  # 1 is not prime
     half = _BLOCK // 2
+    odd = tuple(range(1, _BLOCK, 2))  # offsets in a block; only the primes become new ints
     products = [
-        math.prod(itertools.compress(range(b + 1, b + _BLOCK, 2), sieve[j * half:(j + 1) * half]))
+        math.prod(map(b.__add__, itertools.compress(odd, sieve[j * half:(j + 1) * half])))
         for j, b in enumerate(range(lo, hi, _BLOCK))
     ]
     if lo == 0:

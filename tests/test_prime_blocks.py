@@ -71,14 +71,14 @@ def test_the_block_holding_ten_to_the_ten_sieves_only_to_its_root(fresh, monkeyp
         return real(bound)
 
     monkeypatch.setattr(fresh, "primes_below", primes_below)
-    monkeypatch.setattr(fresh, "_CACHED_BLOCKS", 0)
     k = 10 ** 10 // fresh._BLOCK
     lo = k * fresh._BLOCK
     # is_probable_prime is deterministic below 3.3e24
     expected = math.prod(p for p in range(lo, lo + fresh._BLOCK) if is_probable_prime(p))
     assert fresh._block(k) == expected
+    # past the cached blocks only the one segment is kept
     assert fresh._far[0] <= k < fresh._far[0] + fresh._SEGMENT
-    assert fresh._blocks and len(fresh._blocks) == TABLE_BLOCKS
+    assert len(fresh._blocks) == TABLE_BLOCKS
 
 
 def test_table_is_read_on_the_first_full_block(fresh):

@@ -16,6 +16,8 @@ integer to decimal.  This module imports nothing from the package.
 
 from fractions import Fraction
 
+from _json import encode_basestring_ascii as _quote
+
 # Integers wider than this are never converted to decimal: the conversion is
 # quadratic, and CPython refuses it past 4300 digits by default.
 DECIMAL_SAFE_BITS = 14000
@@ -54,6 +56,43 @@ def plain(v):
     if isinstance(v, Fraction):
         return fraction_text(v)
     return v.to_dict()
+
+
+def json_text(v) -> str:
+    """What ``json.dumps(v, sort_keys=True, indent=2)`` writes for what ``plain``
+    returns: dicts with string keys, lists, strings, ints, bools and None.
+
+    Strings are quoted by json's own C quoting; the pure-Python encoder that
+    ``json.dumps`` falls back to whenever it indents is never loaded.  The
+    pieces are joined once, so a wide value is copied once, not once per level.
+    """
+    return "".join(_pieces(v, "\n"))
+
+
+def _pieces(v, indent: str):
+    inner = indent + "  "
+    if isinstance(v, dict) and v:
+        sep = "{" + inner
+        for key, x in sorted(v.items()):
+            yield f"{sep}{_quote(key)}: "
+            yield from _pieces(x, inner)
+            sep = "," + inner
+        yield indent + "}"
+    elif isinstance(v, list) and v:
+        sep = "[" + inner
+        for x in v:
+            yield sep
+            yield from _pieces(x, inner)
+            sep = "," + inner
+        yield indent + "]"
+    elif isinstance(v, str):
+        yield _quote(v)
+    elif v is None or isinstance(v, bool):
+        yield "null" if v is None else "true" if v else "false"
+    elif isinstance(v, int):
+        yield int.__repr__(v)
+    else:  # an empty dict or list
+        yield "{}" if isinstance(v, dict) else "[]"
 
 
 class Fresh:

@@ -13,22 +13,20 @@ stderr.  Every value is written by ``_record.plain``: integers wider than
 DECIMAL_SAFE_BITS become "0x..." hex strings, and rationals "num/den" with
 each part by the same rule, in JSON and text alike, so no wide integer is
 ever converted to decimal.
-Each command takes only the budget options it spends, each a row of
-BUDGETS, and ``config`` in its JSON holds exactly their values; any other
-budget option is unknown to it and exits 2.
-Each command imports the modules it needs when it runs, so starting the
-program loads only the parser and what it uses.
+Each command takes only the budget options it spends, rows of BUDGETS, and
+``config`` in its JSON holds exactly their values.  ``parse`` reads the
+command line by the table COMMANDS alone, and each command imports the
+modules it needs when it runs, so start-up loads neither argparse nor json.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from ._record import fraction_text, int_text, plain
+from ._record import fraction_text, int_text, json_text, plain
 from .errors import (
     FactoringBudgetError,
     GrowthCapError,
@@ -70,10 +68,10 @@ def _emit(payload: dict, args, text=None) -> None:
         for line in text():
             print(line)
         return
-    config = {key: getattr(args, key) for _, key, _, _ in BUDGETS if hasattr(args, key)}
+    config = {key: getattr(args, key) for _, key, *_ in BUDGETS if hasattr(args, key)}
     doc = {"schema": SCHEMA, "command": args.command, "config": config}
     doc.update(payload)
-    print(json.dumps(plain(doc), sort_keys=True, indent=2))
+    print(json_text(plain(doc)))
 
 
 def _text(v) -> str:
@@ -299,147 +297,148 @@ def cmd_rigid_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring
+# The command line
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ParseError (exit 2, one line) where argparse prints its usage."""
-
-    def error(self, message):
-        raise ParseError(message)
-
-
-def _integer(need: str, ok):
-    """An argparse type: an integer for which ``ok`` holds, else "need <need>"."""
-    def parse(text: str) -> int:
+def _checked(need: str, ok=lambda v: True, convert=int):
+    """A converter: ``convert(text)`` if it succeeds and ``ok`` holds, else ValueError."""
+    def check(text: str):
         try:
-            value = int(text)
+            if ok(value := convert(text)):
+                return value
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
-        return value
-    return parse
+            pass
+        raise ValueError(f"need {need}, got {text!r}")
+    return check
 
 
-_POSITIVE = _integer("an integer >= 1", lambda v: v >= 1)
-_NON_NEGATIVE = _integer("an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _checked("an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = _checked("an integer >= 0", lambda v: v >= 0)
 
+# An option is (flag, dest, convert, default, required, group).  ``convert``
+# turns the token after the flag into the value (raising ValueError), or is
+# None for a flag that stores True; a list value extends the option's value.
+# At most one option of a group may be given, and one must if required.
+_OUTPUT = ("--output", "output", _checked("json or text", lambda v: v in ("json", "text"), str),
+           "json", False, None)
+_MAP = ("--map", "map", str, None, True, None)
+_N = ("--n", "n", _POSITIVE, None, True, None)
+_BOUND = ("--bound", "bound", _NON_NEGATIVE, 12, False, None)
 
-def _integer_list(text: str) -> list[int]:
-    """An argparse type: comma-separated integers ("2,7"; empty items skipped)."""
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"need comma-separated integers, got {text!r}") from None
-
-
-# Budget options: (option, its key in "config" and argparse dest, default, type).
+# Budget options; the dest is the option's key in "config".
 BUDGETS = (
-    ("--steps", "orbit_max_steps", DEFAULT_MAX_STEPS, _POSITIVE),
-    ("--height-cap-bits", "height_cap_bits", DEFAULT_HEIGHT_CAP_BITS, _POSITIVE),
-    ("--growth-cap-bits", "growth_cap_bits", DEFAULT_GROWTH_CAP_BITS, _POSITIVE),
-    ("--trial-bound", "trial_bound", DEFAULT_TRIAL_BOUND, _POSITIVE),
-    ("--rho-budget", "rho_budget", DEFAULT_RHO_BUDGET, _POSITIVE),
-    ("--seed", "seed", DEFAULT_SEED, int),
+    ("--steps", "orbit_max_steps", _POSITIVE, DEFAULT_MAX_STEPS, False, None),
+    ("--height-cap-bits", "height_cap_bits", _POSITIVE, DEFAULT_HEIGHT_CAP_BITS, False, None),
+    ("--growth-cap-bits", "growth_cap_bits", _POSITIVE, DEFAULT_GROWTH_CAP_BITS, False, None),
+    ("--trial-bound", "trial_bound", _POSITIVE, DEFAULT_TRIAL_BOUND, False, None),
+    ("--rho-budget", "rho_budget", _POSITIVE, DEFAULT_RHO_BUDGET, False, None),
+    ("--seed", "seed", _checked("an integer"), DEFAULT_SEED, False, None),
 )
-FACTORING = ("--trial-bound", "--rho-budget", "--seed")
+_STEPS, _HEIGHT, _GROWTH, *_FACTORING = BUDGETS
+
+# Each command: the name of its function (looked up when the command runs),
+# a line of help, and its options in the order help lists them.
+COMMANDS = {
+    "orbit": ("cmd_orbit", "iterate a rational point exactly",
+              (_MAP, ("--start", "start", str, None, True, None), _OUTPUT, _STEPS, _HEIGHT)),
+    "critical": ("cmd_critical", "critical points and orbit relations",
+                 (_MAP, _BOUND, _OUTPUT, _HEIGHT, *_FACTORING)),
+    "normal-form": ("cmd_normal_form", "conjugate to a two-term normal form",
+                    (_MAP, _BOUND, _OUTPUT, _HEIGHT, *_FACTORING)),
+    "sequence": ("cmd_sequence", "origin iterate values and factorizations", (
+        ("--a", "a", _checked("a nonzero integer", lambda v: v != 0), None, True, "--a/--map"),
+        ("--map", "map", str, None, True, "--a/--map"), _N,
+        ("--factor", "factor", None, False, False, None), _OUTPUT, _GROWTH, *_FACTORING)),
+    "certify": ("cmd_certify", "arboreal maximality certificates", (
+        ("--m", "m", _checked("an integer other than -1, 0, 1", lambda v: abs(v) >= 2),
+         None, True, "--m/--a"),
+        ("--a", "a", _checked("an integer"), None, True, "--m/--a"),
+        ("--depth", "depth", _POSITIVE, None, True, None), _OUTPUT, _GROWTH, *_FACTORING)),
+    "rigid-check": ("cmd_rigid_check", "rigid divisibility of p_n(0)", (
+        _MAP, _N, ("--exclude", "exclude", _checked(
+            "comma-separated integers", convert=lambda t: [int(x) for x in t.split(",") if x]),
+         [], False, None),
+        ("--pool-depth", "pool_depth", _NON_NEGATIVE, 6, False, None),
+        _OUTPUT, _GROWTH, *_FACTORING)),
+}
 
 
-def _add_options(sub, *budgets: str) -> None:
-    """--output, and the named rows of BUDGETS."""
-    sub.add_argument("--output", choices=("json", "text"), default="json")
-    for option, key, default, kind in BUDGETS:
-        if option in budgets:
-            sub.add_argument(option, dest=key, default=default, type=kind)
+def usage(command: str | None = None) -> str:
+    """The -h/--help text: the commands, or one command's options."""
+    if command is None:
+        return "\n".join(["usage: arbordyn COMMAND [--OPTION VALUE]... | COMMAND --help"]
+                         + [f"  {name:<12} {spec[1]}" for name, spec in COMMANDS.items()])
+    lines = [f"usage: arbordyn {command} [--OPTION VALUE]...  ({COMMANDS[command][1]})"]
+    for flag, _, convert, default, required, group in COMMANDS[command][2]:
+        note = (f"one of {group}" if group else "required" if required
+                else f"default {default}" if convert else "flag")
+        lines.append(f"  {flag + (' VALUE' if convert else ''):<26} {note}")
+    return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="arbordyn",
-        description="Exact arithmetic for bicritical rational maps over Q.",
-    )
-    subs = ap.add_subparsers(dest="command", required=True)
+def parse(argv: list[str]):
+    """The command line as a namespace of the command and each option's dest.
 
-    s = subs.add_parser("orbit", help="iterate a rational point exactly")
-    s.add_argument("--map", required=True)
-    s.add_argument("--start", required=True)
-    _add_options(s, "--steps", "--height-cap-bits")
-    s.set_defaults(func=cmd_orbit)
-
-    s = subs.add_parser("critical", help="critical points and orbit relations")
-    s.add_argument("--map", required=True)
-    s.add_argument("--bound", type=_NON_NEGATIVE, default=12,
-                   help="orbit-relation search depth")
-    _add_options(s, "--height-cap-bits", *FACTORING)
-    s.set_defaults(func=cmd_critical)
-
-    s = subs.add_parser("normal-form", help="conjugate to a two-term normal form")
-    s.add_argument("--map", required=True)
-    s.add_argument("--bound", type=_NON_NEGATIVE, default=12)
-    _add_options(s, "--height-cap-bits", *FACTORING)
-    s.set_defaults(func=cmd_normal_form)
-
-    s = subs.add_parser("sequence", help="origin iterate values and factorizations")
-    one = s.add_mutually_exclusive_group(required=True)
-    one.add_argument("--a", type=_integer("a nonzero integer", lambda v: v != 0),
-                     help="family parameter for (z^2+a)/z^2")
-    one.add_argument("--map")
-    s.add_argument("--n", type=_POSITIVE, required=True)
-    s.add_argument("--factor", action="store_true")
-    _add_options(s, "--growth-cap-bits", *FACTORING)
-    s.set_defaults(func=cmd_sequence)
-
-    s = subs.add_parser("certify", help="arboreal maximality certificates")
-    one = s.add_mutually_exclusive_group(required=True)
-    one.add_argument("--m", type=_integer("an integer other than -1, 0, 1",
-                                          lambda v: abs(v) >= 2))
-    one.add_argument("--a", type=int)
-    s.add_argument("--depth", type=_POSITIVE, required=True)
-    _add_options(s, "--growth-cap-bits", *FACTORING)
-    s.set_defaults(func=cmd_certify)
-
-    s = subs.add_parser("rigid-check", help="rigid divisibility of p_n(0)")
-    s.add_argument("--map", required=True)
-    s.add_argument("--n", type=_POSITIVE, required=True)
-    s.add_argument("--exclude", type=_integer_list, action="extend", default=[],
-                   help="comma-separated primes to exclude (repeatable)")
-    s.add_argument("--pool-depth", type=_NON_NEGATIVE, default=6,
-                   help="fully factor terms up to this index for the prime pool")
-    _add_options(s, "--growth-cap-bits", *FACTORING)
-    s.set_defaults(func=cmd_rigid_check)
-
-    return ap
-
-
-# Options whose values may begin with "-" (a negative start such as -2/3, or
-# a map such as -z^2/(z^2+1)), which argparse would otherwise read as options.
-DASH_VALUE_OPTIONS = ("--start", "--map")
-
-
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite "--start -2/3" as "--start=-2/3" for the DASH_VALUE_OPTIONS."""
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in DASH_VALUE_OPTIONS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    An option is named in full or by a unique prefix, with its value as the
+    next token, whatever it begins with, or after "=".  Raises ParseError
+    naming the option at fault; prints the help and returns None for --help.
+    """
+    if not argv:
+        raise ParseError("the following arguments are required: command")
+    command, *rest = argv
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        print(usage())
+        return None
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise ParseError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = (("--help", None, None, None, False, None), *COMMANDS[command][2])
+    given, extras, tokens = [], [], iter(rest)
+    for token in tokens:  # first every option and its value, then their checks
+        name, eq, value = ("--help" if token == "-h" else token).partition("=")
+        found = [o for o in table if o[0] == name] or [
+            o for o in table if name.startswith("--") and name != "--" and o[0].startswith(name)]
+        if len(found) > 1:
+            matches = ", ".join(o[0] for o in found)
+            raise ParseError(f"ambiguous option: {token} could match {matches}")
+        if found:
+            given.append((found[0], value if eq else next(tokens, None) if found[0][2] else None))
         else:
-            out.append(tok)
-            i += 1
-    return out
+            extras.append(token)
+    args = SimpleNamespace(command=command, **{o[1]: o[3] for o in table[1:]})
+    seen = {}
+    for (flag, dest, convert, _, _, group), value in given:
+        if convert is None and value is not None:
+            raise ParseError(f"argument {flag}: ignored explicit argument {value!r}")
+        if convert is not None and value is None:
+            raise ParseError(f"argument {flag}: expected one argument")
+        if dest is None:
+            print(usage(command))
+            return None
+        try:
+            value = True if convert is None else convert(value)
+        except ValueError as exc:
+            raise ParseError(f"argument {flag}: {exc}") from None
+        if isinstance(value, list):
+            value = getattr(args, dest) + value
+        if seen.setdefault(group or flag, flag) != flag:
+            raise ParseError(f"argument {flag}: not allowed with argument {seen[group]}")
+        setattr(args, dest, value)
+    missing = [o[0] for o in table if o[4] and not o[5] and o[0] not in seen]
+    groups = [o[5].replace("/", " ") for o in table if o[4] and o[5] and o[5] not in seen]
+    if missing or groups or extras:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}" if missing
+                         else f"one of the arguments {groups[0]} is required" if groups
+                         else f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_dash_values(argv))
-        return args.func(args)
+        args = parse(argv)  # None once -h/--help has printed the help
+        return EXIT_OK if args is None else globals()[COMMANDS[args.command][0]](args)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except NotBicriticalError as exc:

@@ -36,77 +36,79 @@ class QuadExtElem:
     __slots__ = ("x", "y", "s")
 
     def __init__(self, x: Rat, y: Rat, s: int):
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        # a part that is a Fraction already, as every result of arithmetic is, is kept
+        object.__setattr__(self, "x", x if type(x) is Fraction else Fraction(x))
+        object.__setattr__(self, "y", y if type(y) is Fraction else Fraction(y))
         object.__setattr__(self, "s", s)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExtElem is immutable")
 
-    # -- coercion ----------------------------------------------------------
-
-    def _lift(self, other) -> "QuadExtElem":
-        if isinstance(other, QuadExtElem):
-            if other.s != self.s:
-                raise ValueError(f"mixed radicands {self.s} and {other.s}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExtElem(other, 0, self.s)
-        return NotImplemented  # type: ignore[return-value]
-
     # -- ring and field operations ------------------------------------------
+    # A rational operand (int or Fraction) acts on both parts directly; an
+    # element of another Q(sqrt(s)) is refused.
+
+    def _same_field(self, other: "QuadExtElem") -> "QuadExtElem":
+        if other.s != self.s:
+            raise ValueError(f"mixed radicands {self.s} and {other.s}")
+        return other
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElem(self.x + o.x, self.y + o.y, self.s)
+        if isinstance(other, QuadExtElem):
+            o = self._same_field(other)
+            return QuadExtElem(self.x + o.x, self.y + o.y, self.s)
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(self.x + other, self.y, self.s)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElem(self.x - o.x, self.y - o.y, self.s)
+        if isinstance(other, QuadExtElem):
+            o = self._same_field(other)
+            return QuadExtElem(self.x - o.x, self.y - o.y, self.s)
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(self.x - other, self.y, self.s)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElem(o.x - self.x, o.y - self.y, self.s)
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(other - self.x, -self.y, self.s)
+        return NotImplemented
 
     def __neg__(self):
         return QuadExtElem(-self.x, -self.y, self.s)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElem(
-            self.x * o.x + self.y * o.y * self.s,
-            self.x * o.y + self.y * o.x,
-            self.s,
-        )
+        if isinstance(other, QuadExtElem):
+            o = self._same_field(other)
+            return QuadExtElem(
+                self.x * o.x + self.y * o.y * self.s,
+                self.x * o.y + self.y * o.x,
+                self.s,
+            )
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(self.x * other, self.y * other, self.s)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = QuadExtElem(other, 0, self.s)
+        elif not isinstance(other, QuadExtElem):
             return NotImplemented
-        n = o.norm()
+        n = self._same_field(other).norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in quadratic extension")
-        # multiply by the conjugate of o and divide by its norm
-        num = self * o.conjugate()
+        # multiply by the conjugate of other and divide by its norm
+        num = self * other.conjugate()
         return QuadExtElem(num.x / n, num.y / n, self.s)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(other, 0, self.s) / self
+        return NotImplemented
 
     def __pow__(self, e: int) -> "QuadExtElem":
         if e < 0:

@@ -49,16 +49,19 @@ class ReducedMap(Record, frozen=True):
 
 def reduce_mod_p(map_: RationalMap, prime: int) -> ReducedMap:
     """Coefficient-wise reduction, good or not."""
-    if not is_probable_prime(prime):
-        raise CompositeModulusError(f"{prime} is not prime")
+    good = has_good_reduction(map_, prime)
     p_red = PrimeFieldPoly.from_intpoly(map_.p, prime)
     q_red = PrimeFieldPoly.from_intpoly(map_.q, prime)
-    return ReducedMap(prime, p_red, q_red, map_.d, map_.res % prime != 0)
+    return ReducedMap(prime, p_red, q_red, map_.d, good)
 
 
 def has_good_reduction(map_: RationalMap, prime: int) -> bool:
-    """Degree is preserved and the reduced pair has no common projective root."""
-    return reduce_mod_p(map_, prime).good
+    """Degree is preserved and the reduced pair has no common projective root:
+    the prime does not divide ``map_.res``.  Raises CompositeModulusError for
+    a modulus that is not prime."""
+    if not is_probable_prime(prime):
+        raise CompositeModulusError(f"{prime} is not prime")
+    return map_.res % prime != 0
 
 
 def bad_reduction_primes(map_: RationalMap, budget: FactorBudget | None = None) -> tuple[int, ...]:

@@ -5,14 +5,18 @@ the evaluator that used Fraction Horner steps printed them; the normal forms
 of dense conjugates and of degree 500 were printed by the pipeline that
 expanded the conjugate in full, and the rigid-check rows by the one that
 decided good reduction by a degree and gcd test over F_p.  Any evaluator of
-points of P^1 must reproduce every row byte for byte.
+points of P^1 must reproduce every row byte for byte, and every JSON payload
+of the table is written as ``json.dumps(doc, sort_keys=True, indent=2)``
+writes it.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
 
+from arbordyn import cli
 from arbordyn.cli import main
 
 
@@ -169,3 +173,18 @@ def test_output_is_byte_identical(argv, digest, code, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest, code", ROWS, ids=[_row_id(a) for a, _, _ in ROWS])
+def test_payload_is_written_as_json_dumps_writes_it(argv, digest, code, capsys, monkeypatch):
+    written, json_text = [], cli.json_text
+
+    def checked(doc):
+        text = json_text(doc)
+        written.append(text == json.dumps(doc, sort_keys=True, indent=2))
+        return text
+
+    monkeypatch.setattr(cli, "json_text", checked)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert written == ([] if "text" in argv else [True])

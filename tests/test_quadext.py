@@ -1,6 +1,9 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbordyn.quadext import QuadExtElem, squarefree_kernel
 
@@ -62,6 +65,24 @@ class TestArithmetic:
         assert not q2(0, 1).is_rational
         assert q2(7, 0) == 7
         assert q2(7, 0) == Fraction(14, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50),
+           st.integers(-20, 20) | st.fractions(max_denominator=50),
+           st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]))
+    def test_rational_operand_acts_as_its_lift(self, x, y, r, op):
+        a, lift = QuadExtElem(x, y, 5), QuadExtElem(r, 0, 5)
+        for got, want in ((lambda: op(a, r), lambda: op(a, lift)),
+                          (lambda: op(r, a), lambda: op(lift, a))):
+            try:
+                expected = want()
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    got()
+                continue
+            value = got()
+            assert value == expected and value.s == 5
+            assert type(value.x) is Fraction and type(value.y) is Fraction
 
     def test_mixed_radicands_rejected(self):
         with pytest.raises(ValueError):

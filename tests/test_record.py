@@ -11,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arbordyn._record import Fresh, Record, plain
+from arbordyn._record import Fresh, Record, json_text, plain
 from arbordyn.cli import main
 from arbordyn.critical import to_normal_form
 from arbordyn.divisibility import RigidityReport, Violation
@@ -174,6 +176,33 @@ class TestJsonForm:
         assert plain(P1Point(-3, 4)) == P1Point(-3, 4).to_dict() == "-3/4"
         mu = MobiusTransform.make(1, Fraction(1, 2), 0, 1)
         assert mu.to_dict() == {"a": "1", "b": "1/2", "c": "0", "e": "1"}
+
+
+# What ``plain`` returns: strings of any code point, ints up to
+# DECIMAL_SAFE_BITS of either sign, bools, None, and lists and string-keyed
+# dicts of these, empty ones included.
+PLAIN_DATA = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(-(2 ** 14000), 2 ** 14000) | st.integers(-10, 10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=30)
+
+
+class TestJsonText:
+    """json_text writes what json.dumps(sort_keys=True, indent=2) writes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(PLAIN_DATA)
+    def test_equals_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        "", "\x00\x1f\x7f\"\\/\n\t", "\u00e9\u2028\U0001f600\ud800", [], {}, [[]], {"": {}},
+        {"b": 1, "a": [True, False, None], "\u00e9": -(2 ** 14000)}, [2 ** 64, -1, 0],
+    ], ids=repr)
+    def test_equals_json_dumps_at_the_edges(self, doc):
+        assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arbordyn"

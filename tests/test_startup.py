@@ -20,6 +20,7 @@ import pytest
 
 import arbordyn
 from arbordyn.factorint import primes_below
+from test_cli import readme_commands
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("arbordyn.galois", "arbordyn.critical", "arbordyn.divisibility",
@@ -67,10 +68,11 @@ class TestSieve:
 
 
 BOUNDARY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import arbordyn.cli
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("arbordyn."))
-out = {"import": loaded(), "table_read": []}
+banned = lambda: sorted(m for m in ("argparse", "gettext", "locale", "json") if m in sys.modules)
+out = {"import": loaded(), "table_read": [], "banned": [banned()]}
 for argv in (
     ["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"],
     ["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
@@ -84,12 +86,19 @@ for argv in (
     out.setdefault(argv[0], loaded())
     factorint = sys.modules.get("arbordyn.factorint")
     out["table_read"].append(bool(factorint and factorint._blocks))
-print(json.dumps(out))
+for argv in README_COMMANDS + [[command, "--help"] for command in arbordyn.cli.COMMANDS]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        arbordyn.cli.main(argv)
+    out["banned"].append(banned())
+print(repr(out))
 """
 
 
 def test_cli_import_boundary():
-    loaded = json.loads(run_python(BOUNDARY_PROBE).stdout)
+    probe = f"README_COMMANDS = {readme_commands()!r}\n{BOUNDARY_PROBE}"
+    loaded = ast.literal_eval(run_python(probe).stdout)
+    # the CLI parses its command line and writes its JSON without these
+    assert loaded["banned"] == [[]] * (1 + 8 + 6)
     assert not set(HEAVY) & set(loaded["import"])
     assert not set(HEAVY) & set(loaded["orbit"])
     assert "arbordyn.critical" in loaded["critical"]
@@ -125,13 +134,24 @@ def test_no_command_loads_dataclasses_or_inspect():
         "orbit", "critical", "normal-form", "sequence", "certify", "rigid-check")}
 
 
-def test_no_module_imports_dataclasses():
+def imported_packages() -> dict[str, set[str]]:
+    """Each module of src/arbordyn -> the top-level packages it imports, anywhere in it."""
+    out = {}
     for path in sorted((ROOT / "src" / "arbordyn").glob("*.py")):
+        names = out[path.name] = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            assert not any(m.split(".")[0] == "dataclasses" for m in modules), path
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    assert {name for name, used in imported_packages().items() if "dataclasses" in used} == set()
+
+
+def test_no_module_imports_argparse_or_json():
+    # the command line is read from cli.COMMANDS and JSON is written by _record.json_text
+    assert {name for name, used in imported_packages().items()
+            if used & {"argparse", "json"}} == set()

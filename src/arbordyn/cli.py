@@ -1,10 +1,10 @@
 """Command-line interface: reproducible, scriptable commands with JSON output.
 
 Exit codes are a stable contract: 0 success/pass, 1 budget, partial
-certificate or stdout closed early, 2 malformed command line (one "error:
-<message>" line: an option missing, unknown or out of range, both or neither
-of --a/--map, an unparsable map or point), 3 non-bicritical input, 4
-hypotheses unmet, 5 rigidity violation, 6 internal error (any other
+certificate, stdout closed early or interrupted, 2 malformed command line
+(one "error: <message>" line: an option missing, unknown or out of range,
+both or neither of --a/--map, an unparsable map or point), 3 non-bicritical
+input, 4 hypotheses unmet, 5 rigidity violation, 6 internal error (any other
 exception, reported as one "error: internal: <Type>: <message>" line);
 ``main`` alone maps exceptions to codes.
 JSON goes to stdout (schema tag "arbordyn/3", keys sorted, no timestamps,
@@ -38,7 +38,7 @@ from .factorint import (
     DEFAULT_SEED,
     DEFAULT_TRIAL_BOUND,
     FactorBudget,
-    factor_integer,
+    factor_each,
 )
 from .parsing import ParseError, parse_map, parse_point
 from .ratmap import (
@@ -182,11 +182,10 @@ def cmd_sequence(args) -> int:
             status = "growth_capped"
     if args.factor:
         budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
-        for row in rows:
-            if row["pn0"] != 0:
-                fac = factor_integer(row["pn0"], budget)
-                row["factorization"] = fac
-                row["factor_string"] = fac.format()
+        nonzero = [row for row in rows if row["pn0"] != 0]
+        for row, fac in zip(nonzero, factor_each([row["pn0"] for row in nonzero], budget)):
+            row["factorization"] = fac
+            row["factor_string"] = fac.format()
     payload = {"a": family_a, "n": args.n, "rows": rows, "status": status}
 
     def text():
@@ -447,6 +446,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_HYPOTHESES)
     except (GrowthCapError, FactoringBudgetError) as exc:
         return _fail(str(exc), EXIT_FAIL)
+    except KeyboardInterrupt:
+        return _fail("interrupted", EXIT_FAIL)
     except BrokenPipeError:
         # stdout closed early (as by "| head"): send the flush at exit nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

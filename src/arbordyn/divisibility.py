@@ -28,6 +28,7 @@ from .factorint import (
     FactorBudget,
     divisors,
     factor_counts,
+    factor_each,
     factor_integer,
     is_perfect_square,
     mobius,
@@ -260,16 +261,14 @@ def verify_rigid_divisibility(
         raise ValueError("rigid divisibility needs nonzero terms")
     n_terms = len(terms)
     pool: set[int] = set()
-    for idx, t in enumerate(terms, start=1):
-        if abs(t) == 1:
-            continue
-        if idx <= pool_depth:
-            pool.update(factor_integer(t, budget).prime_list())
-        else:
-            counts, rest = trial_division(t, budget.trial_bound)
-            pool.update(counts)
-            if 1 < rest < budget.trial_bound:
-                pool.add(rest)
+    deep = max(pool_depth, 0)
+    for fac in factor_each([t for t in terms[:deep] if abs(t) != 1], budget):
+        pool.update(fac.prime_list())
+    for t in terms[deep:]:
+        counts, rest = trial_division(t, budget.trial_bound)
+        pool.update(counts)
+        if 1 < rest < budget.trial_bound:
+            pool.add(rest)
 
     excluded = sorted(set(exclude))
     checked = sorted(pool - set(excluded))

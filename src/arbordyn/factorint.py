@@ -7,6 +7,8 @@ primes, dividing by single primes only in blocks that share a factor with n
 (Bernstein, "How to find small factors of integers", 2002).  The products of
 the full blocks below 10^6 ship as the package file prime_blocks.bin, read on
 the first scan that needs one; blocks past it are built by a segmented sieve.
+factor_each factors a list of integers term for term as factor_integer does,
+and once two or more of them need Brent-rho, splits those in forked workers.
 Primality is Miller-Rabin:
 deterministic with the fixed witness set below the proven bound
 3317044064679887385961981 (~3.3e24), and 64 seeded random rounds above it, in
@@ -15,11 +17,14 @@ which case a passing number is only ever labeled a *probable* prime.
 
 from __future__ import annotations
 
+import _thread
 import bisect
 import itertools
+import marshal
 import math
 import os
 import random
+from typing import Sequence
 
 # DECIMAL_SAFE_BITS and int_text are defined with the JSON rule in _record.
 from ._record import DECIMAL_SAFE_BITS, Fresh, Record, int_text  # noqa: F401
@@ -205,7 +210,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             steps = min(m, r - k, budget - used)
             for _ in range(steps):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             used += steps
             g = math.gcd(q, n)
             k += m
@@ -217,7 +222,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             if used >= budget:
                 return None, used
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
             used += 1
     return (g if g != n else None), used
 
@@ -354,49 +359,74 @@ def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
     return counts, n
 
 
-def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
-    """Factor ``n`` within an effort budget.
+def _file_prime(m: int, seed: int, counts: dict[int, int], leftovers: list[int]) -> bool:
+    """Whether m > 1 is a probable prime: if so, m is counted when certified, else a leftover."""
+    if not is_probable_prime(m, seed=seed):
+        return False
+    if m < _MR_DETERMINISTIC_BOUND:
+        counts[m] = counts.get(m, 0) + 1
+    else:
+        leftovers.append(m)
+    return True
 
-    Trial division below ``budget.trial_bound``, then recursive Brent-rho
-    splitting within ``budget.rho_iterations``.  Certified primes go to the
-    factor list; on budget exhaustion (or a cofactor too large to certify) the
-    remainder is reported in ``cofactor`` with an honest status label.
-    Raises ValueError for n = 0.
+
+def _trial_stage(n: int, budget: FactorBudget) -> tuple[int, dict[int, int], list[int], int]:
+    """(sign, counts, leftovers, rest) of n != 0 before any Brent-rho.
+
+    Trial division below ``budget.trial_bound``, then the first Miller-Rabin
+    verdict on what is left: counts holds the certified primes, leftovers a
+    probable prime too large to certify, and rest is 1 or a composite.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if budget is None:
-        budget = FactorBudget()
     sign = 1 if n > 0 else -1
     counts, n = trial_division(n, budget.trial_bound)
+    leftovers: list[int] = []
     if 1 < n < budget.trial_bound ** 2:  # no prime factor below the bound: n is prime
         counts[n], n = 1, 1
-    rng = random.Random(budget.seed) if n > 1 else None
+    elif n > 1 and _file_prime(n, budget.seed, counts, leftovers):
+        n = 1
+    return sign, counts, leftovers, n
+
+
+def _rho_stage(n: int, budget: FactorBudget) -> tuple[dict[int, int], list[int], int]:
+    """(counts, leftovers, unsplit) of a composite n, split by Brent-rho.
+
+    The pieces are split in a fixed order from Random(budget.seed), within
+    ``budget.rho_iterations`` in all; unsplit counts the leftovers known
+    to be composite.
+    """
+    rng = random.Random(budget.seed)
     remaining = budget.rho_iterations
-    leftovers: list[int] = []  # pieces we could not fully certify
-    unsplit = 0  # how many leftovers Miller-Rabin found composite
-    stack = [n] if n > 1 else []
+    counts: dict[int, int] = {}
+    leftovers: list[int] = []
+    unsplit = 0
+    stack = [n]  # composites, split last one first
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m, seed=budget.seed):
-            if m < _MR_DETERMINISTIC_BOUND:
-                counts[m] = counts.get(m, 0) + 1
-            else:
-                leftovers.append(m)
-            continue
         split = None
         while split is None and remaining > 0:
             split, used = _brent_rho(m, rng, remaining)
             remaining -= used
-        if split is None or split in (1, m):
+        if split is None:
             leftovers.append(m)  # budget exhausted on a known composite
             unsplit += 1
             continue
-        stack.append(split)
-        stack.append(m // split)
+        for part in (split, m // split):
+            if not _file_prime(part, budget.seed, counts, leftovers):
+                stack.append(part)
+    return counts, leftovers, unsplit
 
+
+def _factorization(sign: int, counts: dict[int, int], leftovers: list[int],
+                   rho: tuple[dict[int, int], list[int], int] | None) -> Factorization:
+    """The Factorization of a trial stage's result and of the rho stage on its rest, if any."""
+    unsplit = 0
+    if rho is not None:
+        # the rho stage's primes are all above the trial bound, so none is in counts
+        counts = {**counts, **rho[0]}
+        leftovers = leftovers + rho[1]
+        unsplit = rho[2]
     factors = sorted(counts.items())
     if not leftovers:
         cofactor, status = 1, UNIT
@@ -406,6 +436,146 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
         cofactor = math.prod(leftovers)
         status = COMPOSITE_UNFACTORED
     return Factorization(sign=sign, factors=factors, cofactor=cofactor, cofactor_status=status)
+
+
+def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
+    """Factor ``n`` within an effort budget.
+
+    Trial division below ``budget.trial_bound``, then recursive Brent-rho
+    splitting within ``budget.rho_iterations``.  Certified primes go to the
+    factor list; on budget exhaustion (or a cofactor too large to certify) the
+    remainder is reported in ``cofactor`` with an honest status label.
+    Raises ValueError for n = 0.
+    """
+    if budget is None:
+        budget = FactorBudget()
+    sign, counts, leftovers, rest = _trial_stage(n, budget)
+    return _factorization(sign, counts, leftovers, _rho_stage(rest, budget) if rest > 1 else None)
+
+
+def factor_each(ns: Sequence[int], budget: FactorBudget | None = None) -> list[Factorization]:
+    """[factor_integer(n, budget) for n in ns], term for term.
+
+    The trial stage of every term runs in this process.  Once two or more
+    terms are left with a composite, their Brent-rho stages are shared by
+    this process and up to one forked worker per further CPU (see
+    _fork_rho); each term keeps its own Random(budget.seed) and rho budget,
+    so the result is the same whatever the CPU count.
+    """
+    if budget is None:
+        budget = FactorBudget()
+    staged = [_trial_stage(n, budget) for n in ns]
+    rests = {i: rest for i, (*_, rest) in enumerate(staged) if rest > 1}
+    workers = min(_cpus(), len(rests)) - 1
+    rho = _fork_rho(rests, budget, workers) if workers > 0 else {}
+    for i, rest in rests.items():
+        if i not in rho:  # no worker returned it: there were none, or its worker died
+            rho[i] = _rho_stage(rest, budget)
+    return [_factorization(*stage[:3], rho.get(i)) for i, stage in enumerate(staged)]
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# Every claim is written to the claim pipe before any worker reads, so the
+# claims must fit in the smallest pipe buffer, one page: 4096 bytes.
+_MAX_CLAIMS = 1024
+
+
+def _fork_rho(rests: dict[int, int], budget: FactorBudget, workers: int) -> dict:
+    """{i: _rho_stage(rests[i], budget)}, split by this process and ``workers`` forks.
+
+    The keys of the rests, largest rest first, wait in one pipe; this
+    process and each worker take them one at a time until it is empty, and
+    a worker sends each result back on its own pipe as a length and marshal
+    bytes.  A worker leaves only by os._exit, and also once it reads
+    end-of-file on a lifeline whose write end only this process holds, so
+    it never outlives its parent.  On return, and on any exception here
+    (KeyboardInterrupt included), every worker is killed and reaped.  A
+    result no worker sent back is missing from the dict.
+    """
+    import signal
+
+    order = sorted(rests, key=rests.__getitem__, reverse=True)[:_MAX_CLAIMS]
+    parent = os.getpid()
+    done: dict = {}
+    pids: list[int] = []
+    outputs: list[int] = []
+    fds: list[int] = []
+    claims, queue = os.pipe()
+    lifeline, alive = os.pipe()
+    fds += (claims, queue, lifeline, alive)
+    try:
+        os.write(queue, b"".join(i.to_bytes(4, "little") for i in order))
+        fds.remove(queue)
+        os.close(queue)
+        for _ in range(workers):
+            try:
+                out, into = os.pipe()
+                fds += (out, into)
+                pid = os.fork()
+            except OSError:
+                break  # fewer workers: this process takes their share
+            if pid == 0:
+                os.close(alive)  # so the lifeline ends with the parent
+                _work(claims, into, lifeline, rests, budget)
+                os._exit(0)
+            pids.append(pid)
+            outputs.append(out)
+            fds.remove(into)
+            os.close(into)
+        while claim := os.read(claims, 4):
+            i = int.from_bytes(claim, "little")
+            done[i] = _rho_stage(rests[i], budget)
+        for out in outputs:
+            data = _read_all(out)
+            at = 0
+            while at + 8 <= len(data):
+                end = at + 8 + int.from_bytes(data[at:at + 8], "little")
+                if end > len(data):
+                    break  # cut short by the worker's death
+                i, result = marshal.loads(data[at + 8:end])
+                done[i] = result
+                at = end
+    finally:
+        if os.getpid() != parent:  # a worker never unwinds into its parent's code
+            os._exit(1)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    return done
+
+
+def _work(claims: int, into: int, lifeline: int, rests: dict[int, int],
+          budget: FactorBudget) -> None:
+    """A worker's loop: split each claimed rest and write its result to ``into``."""
+    _thread.start_new_thread(_leave_at_eof, (lifeline,))
+    while claim := os.read(claims, 4):
+        i = int.from_bytes(claim, "little")
+        blob = marshal.dumps((i, _rho_stage(rests[i], budget)))
+        view = memoryview(len(blob).to_bytes(8, "little") + blob)
+        while view:
+            view = view[os.write(into, view):]
+
+
+def _leave_at_eof(fd: int) -> None:
+    """Exit this process once ``fd`` reads end-of-file, that is, once every writer is gone."""
+    try:
+        os.read(fd, 1)
+    finally:
+        os._exit(1)
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything left in ``fd`` until end-of-file."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def factor_counts(n: int, budget: FactorBudget | None = None) -> dict[int, int]:

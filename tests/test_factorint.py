@@ -157,3 +157,71 @@ def test_one_primality_test_per_leftover(monkeypatch):
     fac = factor_integer(4 * M127)
     assert fac.cofactor_status == "probable_prime"
     assert calls == [M127]
+
+
+# _brent_rho as it was written with abs(): q = q * |x - y| % n and a backtrack
+# on gcd(|x - ys|, n).  BACKTRACKS counts the calls that reach the g == n branch.
+BACKTRACKS = []
+
+
+def reference_brent_rho(n, rng, budget):
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g, r, q = 1, 1, 1
+    used = 0
+    x = y
+    ys = y
+    while g == 1:
+        if used >= budget:
+            return None, used
+        x = y
+        steps = min(r, budget - used)
+        for _ in range(steps):
+            y = (y * y + c) % n
+        used += steps
+        k = 0
+        while k < r and g == 1 and used < budget:
+            ys = y
+            steps = min(m, r - k, budget - used)
+            for _ in range(steps):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            used += steps
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        BACKTRACKS.append(n)
+        g = 1
+        while g == 1:
+            if used >= budget:
+                return None, used
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+            used += 1
+    return (g if g != n else None), used
+
+
+def random_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_probable_prime(p):
+            return p
+
+
+def test_brent_rho_without_abs_matches_reference():
+    # q changes only by sign mod n, so every gcd, and so (factor, used), is unchanged
+    rng = random.Random(2024)
+    BACKTRACKS.clear()
+    cases = 0
+    for bits in (20, 24, 32, 48, 64, 100, 160, 240, 320, 400):
+        for _ in range(12):
+            small = rng.randint(5, min(32, bits // 2))
+            n = random_prime(rng, small) * random_prime(rng, bits - small)
+            budget = int(10 ** rng.uniform(0, 4))
+            seed = rng.randrange(1000)
+            expected = reference_brent_rho(n, random.Random(seed), budget)
+            assert _brent_rho(n, random.Random(seed), budget) == expected, (n, budget, seed)
+            cases += 1
+    assert cases == 120 and BACKTRACKS  # some inputs took the g == n branch

@@ -71,7 +71,8 @@ BOUNDARY_PROBE = """
 import contextlib, io, sys
 import arbordyn.cli
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("arbordyn."))
-banned = lambda: sorted(m for m in ("argparse", "gettext", "locale", "json") if m in sys.modules)
+banned = lambda: sorted(m for m in ("argparse", "gettext", "locale", "json", "multiprocessing",
+                                    "concurrent.futures", "pickle") if m in sys.modules)
 out = {"import": loaded(), "table_read": [], "banned": [banned()]}
 for argv in (
     ["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"],
@@ -97,7 +98,8 @@ print(repr(out))
 def test_cli_import_boundary():
     probe = f"README_COMMANDS = {readme_commands()!r}\n{BOUNDARY_PROBE}"
     loaded = ast.literal_eval(run_python(probe).stdout)
-    # the CLI parses its command line and writes its JSON without these
+    # the CLI parses its command line, writes its JSON and forks its factoring
+    # workers without these
     assert loaded["banned"] == [[]] * (1 + 8 + 6)
     assert not set(HEAVY) & set(loaded["import"])
     assert not set(HEAVY) & set(loaded["orbit"])

@@ -26,29 +26,24 @@ _EXPORTS = {
         "is_perfect_square", "is_probable_prime", "mobius",
     ),
     "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),
-    "intpoly": ("IntPoly", "discriminant", "resultant"),
+    "intpoly": ("IntPoly", "resultant"),
     "quadext": ("QuadExtElem",),
     "ratmap": ("INF", "MobiusTransform", "OrbitRecord", "P1Point", "RationalMap"),
     "reduction": (
-        "ModOrbit", "ReducedMap", "bad_reduction_primes",
-        "good_reduction_origin_valuations", "has_good_reduction", "orbit_mod_p",
-        "reduce_mod_p",
+        "ModOrbit", "ReducedMap", "bad_reduction_primes", "has_good_reduction",
+        "orbit_mod_p", "reduce_mod_p",
     ),
     "critical": (
-        "CriticalData", "NormalForm", "OrbitRelation", "QuadraticForm",
-        "critical_orbit_relation", "critical_points", "is_bicritical",
-        "normal_forms_conjugate", "quadratic_conjugate_form", "ramification_index",
-        "to_normal_form", "wronskian",
+        "CriticalData", "NormalForm", "OrbitRelation", "critical_orbit_relation",
+        "critical_points", "ramification_index", "to_normal_form", "wronskian",
     ),
     "divisibility": (
-        "RigidityReport", "SeqBundle", "beta", "f_sequence", "main_family",
-        "primitive_part_valuations", "rad_divisibility_conditions", "sequence_bundle",
-        "sign_check", "theta", "verify_origin_split", "verify_rigid_divisibility",
+        "RigidityReport", "f_sequence", "main_family", "rad_divisibility_conditions",
+        "theta", "verify_rigid_divisibility",
     ),
     "galois": (
         "HypothesisReport", "LevelEvidence", "MaximalityCertificate",
-        "alpha_parametrization", "discriminant_recursion", "eventual_stability_check",
-        "hypothesis_witnesses", "irreducibility_cascade", "maximality_certificate",
+        "alpha_parametrization", "hypothesis_witnesses", "maximality_certificate",
         "mod_p_irreducible_witness", "nonsquarefree_theta_evidence",
         "squarefree_theta_evidence", "verify_certificate",
     ),

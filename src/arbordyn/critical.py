@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .errors import HypothesisError, NotBicriticalError
+from .errors import NotBicriticalError
 from .factorint import FactorBudget, is_perfect_square
 from .fieldpoly import root_order, trim
 from .intpoly import IntPoly
@@ -151,11 +151,6 @@ def critical_points(map_: RationalMap, budget: FactorBudget | None = None) -> Cr
     return CriticalData(tuple(CriticalPoint(loc, d) for loc in locations), field)
 
 
-def is_bicritical(map_: RationalMap) -> bool:
-    """Whether the map has exactly two critical points (then both have e = d)."""
-    return _root_poly(wronskian(map_), map_.d) is not None
-
-
 # ---------------------------------------------------------------------------
 # Normal forms
 # ---------------------------------------------------------------------------
@@ -239,9 +234,8 @@ def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> Norma
     """Conjugate a bicritical map to c z^d, c/z^d, or (z^d + a)/(z^d + b).
 
     The conjugator is returned; its entries (and a, b) lie in the critical
-    field.  The two-sided uniqueness partner of the bicritical output can be
-    tested with normal_forms_conjugate.  ``data`` is the map's
-    critical_points, computed here when not given.
+    field.  ``data`` is the map's critical_points, computed here when not
+    given.
     """
     d = map_.d
     if data is None:
@@ -307,88 +301,6 @@ def verify_normal_form(map_: RationalMap, nf: NormalForm) -> bool:
         if l0 * r1 != l1 * r0:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# K-rational quadratic form for quadratic critical fields (degree 2)
-# ---------------------------------------------------------------------------
-
-
-class QuadraticForm(Record, frozen=True):
-    """(z^2 + a z + r)/(z^2 + b z + r) with Q(sqrt r) the critical field."""
-
-    a: Fraction
-    b: Fraction
-    r: Fraction
-    mu: MobiusTransform
-
-    def map(self) -> RationalMap:
-        return RationalMap.from_fractions(
-            [self.r, self.a, Fraction(1)], [self.r, self.b, Fraction(1)]
-        )
-
-
-# Hard stop for the auxiliary-parameter scan, which succeeds within seven values.
-_C2_LIMIT = 16
-
-
-def quadratic_conjugate_form(map_: RationalMap) -> QuadraticForm:
-    """Conjugate over Q a quadratic map with quadratic critical field to
-    (z^2 + az + r)/(z^2 + bz + r), with critical points +-sqrt(r).
-    """
-    if map_.d != 2:
-        raise HypothesisError("quadratic_conjugate_form requires degree 2")
-    data = critical_points(map_)
-    if data.field.kind != "quadratic":
-        raise HypothesisError("rational critical points: use to_normal_form")
-    s = data.field.s
-    gamma = next(p.location for p in data.points if isinstance(p.location, QuadExtElem))
-    c0, c1 = gamma.x, abs(gamma.y)
-
-    mu1 = MobiusTransform.make(1, -c0, 0, c1)  # z -> (z - c0)/c1
-    psi, mu = map_.conjugate(mu1), mu1
-    v = psi(INF)
-    if isinstance(v, Infinity) or v == 0:
-        for c2 in range(_C2_LIMIT):
-            mu2 = MobiusTransform.make(c2, -s, 1, -c2)
-            cand = psi.conjugate(mu2)
-            v = cand(INF)
-            if not isinstance(v, Infinity) and v != 0:
-                psi, mu = cand, mu2.compose(mu)
-                break
-        else:
-            raise AssertionError("no admissible auxiliary parameter found")
-    c3 = 1 / v
-    mu3 = MobiusTransform.make(c3, 0, 0, 1)  # z -> c3 * z
-    psi, mu = psi.conjugate(mu3), mu3.compose(mu)
-
-    ps, qs = psi.p, psi.q
-    if ps.degree < 2 or qs.degree < 2:
-        raise AssertionError("scaled pair lost degree")  # unreachable
-    a = Fraction(ps.coeff(1), ps.lc)
-    rp = Fraction(ps.coeff(0), ps.lc)
-    b = Fraction(qs.coeff(1), qs.lc)
-    rq = Fraction(qs.coeff(0), qs.lc)
-    r = c3 * c3 * s
-    if rp != r or rq != r:
-        raise AssertionError("constant terms disagree with r")  # unreachable
-    return QuadraticForm(a, b, r, mu)
-
-
-def normal_forms_conjugate(d: int, a, b, a1, b1) -> bool:
-    """Whether (z^d+a)/(z^d+b) and (z^d+a1)/(z^d+b1) are conjugate.
-
-    True exactly for the identity pair or the inversion partner
-    (a^d / b^(d+1), a^(d-1) / b^d).
-    """
-    a, b, a1, b1 = Fraction(a), Fraction(b), Fraction(a1), Fraction(b1)
-    if a == b or a1 == b1:
-        raise ValueError("normal forms require a != b")
-    if (a1, b1) == (a, b):
-        return True
-    if a == 0 or b == 0:
-        return False
-    return a1 == a ** d / b ** (d + 1) and b1 == a ** (d - 1) / b ** d
 
 
 # ---------------------------------------------------------------------------

@@ -29,32 +29,13 @@ from .factorint import (
     divisors,
     factor_counts,
     factor_each,
-    factor_integer,
     is_perfect_square,
-    mobius,
     radical,
     trial_division,
     valuation,
 )
 from .intpoly import IntPoly
 from .ratmap import DEFAULT_GROWTH_CAP_BITS, RationalMap
-
-__all__ = [
-    "mobius",
-    "divisors",
-    "f_sequence",
-    "main_family",
-    "verify_origin_split",
-    "theta",
-    "beta",
-    "sign_check",
-    "SeqBundle",
-    "sequence_bundle",
-    "RigidityReport",
-    "verify_rigid_divisibility",
-    "primitive_part_valuations",
-    "rad_divisibility_conditions",
-]
 
 
 def main_family(a: int) -> RationalMap:
@@ -76,36 +57,6 @@ def f_sequence(a: int, n: int,
             raise GrowthCapError("growth cap exceeded in f sequence")
         out.append(out[-1] ** 2 + a * out[-2] ** 4)
     return out[:n]
-
-
-class SplitReport(Record):
-    """Outcome of checking p_n(0) = a^(2^(n-1)) f_n and f_n = 1 mod |a|."""
-
-    a: int
-    depth: int
-    ok: bool
-    failures: list[str]
-
-
-def verify_origin_split(a: int, n: int) -> SplitReport:
-    """Check the power split of p_k(0) and the congruence f_k = 1 (mod |a|).
-
-    The left side comes from the iterate ladder evaluated at the origin, the
-    right side from the f recursion, so the two routes are independent.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    phi = main_family(a)
-    values = phi.origin_values(n)
-    fs = f_sequence(a, n)
-    failures = []
-    for k in range(1, n + 1):
-        pk0 = values[k - 1][0]
-        if pk0 != a ** (2 ** (k - 1)) * fs[k - 1]:
-            failures.append(f"split fails at n={k}")
-        if abs(a) > 1 and fs[k - 1] % abs(a) != 1 % abs(a):
-            failures.append(f"f_{k} not 1 mod |a|")
-    return SplitReport(a, n, not failures, failures)
 
 
 def theta(a: int, n: int, fs: Optional[Sequence[int]] = None) -> int:
@@ -130,83 +81,6 @@ def theta(a: int, n: int, fs: Optional[Sequence[int]] = None) -> int:
             )
         thetas[d] = value
     return thetas[n]
-
-
-def beta(map_: RationalMap, alpha, n: int) -> Fraction:
-    """Moebius product of the iterate values p_d(alpha) over divisors of n."""
-    alpha = Fraction(alpha)
-    values = map_.ladder_values(alpha, n)
-    out = Fraction(1)
-    for d in divisors(n):
-        e = mobius(n // d)
-        if e == 0:
-            continue
-        pd = Fraction(values[d - 1][0])
-        if pd == 0:
-            raise ValueError("beta undefined (vanishing term)")
-        out *= pd ** e
-    return out
-
-
-class SignReport(Record):
-    a: int
-    depth: int
-    ok: bool
-    failures: list[str]
-
-
-def sign_check(a: int, n: int) -> SignReport:
-    """For a <= -3: sign alternation of p_k(0), the orbit interval bounds, and
-    positivity of the Moebius products beta_k for k >= 3."""
-    if a > -3:
-        raise HypothesisError("sign check requires a <= -3")
-    phi = main_family(a)
-    b = -a
-    values = phi.origin_values(n)
-    failures = []
-    for k in range(1, n + 1):
-        pk0 = values[k - 1][0]
-        if pk0 == 0 or (pk0 > 0) != (k % 2 == 0):
-            failures.append(f"sign of p_{k}(0) is not (-1)^{k}")
-        if k >= 2 and values[k - 1][1] != 0:
-            orbit_val = Fraction(values[k - 1][0], values[k - 1][1])
-            if k % 2 == 0 and not orbit_val > 0:
-                failures.append(f"phi^{k}(0) not positive")
-            if k % 2 == 1 and k >= 3 and not orbit_val <= 1 - b:
-                failures.append(f"phi^{k}(0) above 1 - b")
-    for k in range(3, n + 1):
-        if beta(phi, 0, k) <= 0:
-            failures.append(f"beta_{k} not positive")
-    return SignReport(a, n, not failures, failures)
-
-
-class SeqBundle(Record):
-    """The families' sequence data to a given depth, invariants asserted."""
-
-    a: int
-    depth: int
-    f: list[int]
-    pn0: list[int]
-    theta: list[int]
-    beta: Optional[list[Fraction]] = None
-
-
-def sequence_bundle(a: int, n: int, alpha=None,
-                    growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> SeqBundle:
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    phi = main_family(a)
-    fs = f_sequence(a, n, growth_cap_bits)
-    values = phi.origin_values(n)
-    pn0 = [u for u, _ in values]
-    split = verify_origin_split(a, n)
-    if not split.ok:
-        raise InvariantViolationError("; ".join(split.failures))
-    thetas = [theta(a, k, fs) for k in range(1, n + 1)]
-    betas = None
-    if alpha is not None:
-        betas = [beta(phi, alpha, k) for k in range(1, n + 1)]
-    return SeqBundle(a, n, fs, pn0, thetas, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -298,38 +172,6 @@ def verify_rigid_divisibility(
                         f"v_{p} positive at {m} and {n} but zero at gcd {g}",
                     ))
     return report
-
-
-class PrimitiveValuationReport(Record):
-    n: int
-    pairs: list[tuple[int, int]]   # (prime, v_p(theta_n))
-    complete: bool                 # False when factoring budget ran out
-    gcd_clean: bool                # every listed prime avoids f_i for i < n
-
-
-def primitive_part_valuations(a: int, n: int,
-                              budget: FactorBudget | None = None) -> PrimitiveValuationReport:
-    """Factor |theta_n| and verify each prime is primitive at index n.
-
-    Verifies v_p(theta_n) = v_p(f_n) and p does not divide any earlier f_i.
-    Budget exhaustion yields a partial report flagged incomplete.
-    """
-    fs = f_sequence(a, n)
-    th = theta(a, n, fs)
-    if abs(th) == 1:
-        return PrimitiveValuationReport(n, [], True, True)
-    fac = factor_integer(th, budget)
-    complete = fac.cofactor_status != "composite_unfactored"
-    pairs = []
-    clean = True
-    for p in fac.prime_list():
-        v = valuation(th, p)
-        if v != valuation(fs[n - 1], p):
-            clean = False
-        if any(fs[i - 1] % p == 0 for i in range(1, n)):
-            clean = False
-        pairs.append((p, v))
-    return PrimitiveValuationReport(n, pairs, complete, clean)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ which case a passing number is only ever labeled a *probable* prime.
 from __future__ import annotations
 
 import _thread
-import bisect
 import itertools
 import marshal
 import math
@@ -39,29 +38,25 @@ DEFAULT_SEED = 0
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# (top, every prime below top): one list, which a larger bound extends by
-# sieving only the numbers from top on, and from which smaller bounds are cut.
-_sieve: tuple[int, list[int]] = (3, [2])
-
 
 def primes_below(bound: int) -> list[int]:
-    """All primes < bound by a cached sieve of Eratosthenes over the odd numbers."""
-    global _sieve
-    top, primes = _sieve
-    if bound > top:
-        root = math.isqrt(bound - 1)
-        if root >= top:  # the primes up to root come first
-            primes, top = primes_below(root + 1), root + 1
-        # sieve[i] stands for the odd number lo + 2i < bound
-        lo = top | 1
-        sieve = bytearray([1]) * len(range(lo, bound, 2))
-        for p in primes[1:bisect.bisect_right(primes, root)]:
-            first = max(p * p, -(-lo // p) * p)  # first multiple of p >= lo and >= p*p
-            i = (first + p * (first % 2 == 0) - lo) // 2  # index of the first odd one
-            sieve[i::p] = bytes(len(range(i, len(sieve), p)))
-        primes = primes + list(itertools.compress(range(lo, bound, 2), sieve))
-        _sieve = (bound, primes)
-    return primes if bound >= top else primes[:bisect.bisect_left(primes, bound)]
+    """All primes < bound, by a sieve of Eratosthenes over the odd numbers."""
+    if bound <= 2:
+        return []
+    return [2, *itertools.compress(range(1, bound, 2), _odd_sieve(0, bound))]
+
+
+def _odd_sieve(lo: int, hi: int) -> bytearray:
+    """sieve[i] = 1 exactly when lo + 2i + 1 is prime, over the odd numbers
+    in [lo, hi) for even lo >= 0, crossed off by the primes up to isqrt(hi - 1)."""
+    sieve = bytearray([1]) * ((hi - lo) // 2)
+    for p in primes_below(math.isqrt(hi - 1) + 1)[1:]:
+        first = max(p * p, (lo // p + 1) * p)  # first multiple of p > lo and >= p*p
+        i = (first + p * (first % 2 == 0) - lo - 1) // 2  # index of the first odd one
+        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
+    if lo == 0:
+        sieve[0] = 0  # 1 is not prime
+    return sieve
 
 
 def _mr_round(n: int, a: int, d: int, r: int) -> bool:
@@ -272,14 +267,7 @@ def _read_table() -> list[bytes]:
 def _build_blocks(k0: int, k1: int) -> list[int]:
     """The products of the primes in blocks k0 <= k < k1, from one sieve of their odd numbers."""
     lo, hi = k0 * _BLOCK, k1 * _BLOCK
-    root = math.isqrt(hi - 1)
-    sieve = bytearray([1]) * ((hi - lo) // 2)  # sieve[i] stands for lo + 2i + 1
-    for p in primes_below(root + 1)[1:]:
-        first = max(p * p, (lo // p + 1) * p)  # first multiple of p > lo and >= p*p
-        i = (first + p * (first % 2 == 0) - lo - 1) // 2  # index of the first odd one
-        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
-    if lo == 0:
-        sieve[0] = 0  # 1 is not prime
+    sieve = _odd_sieve(lo, hi)
     half = _BLOCK // 2
     odd = tuple(range(1, _BLOCK, 2))  # offsets in a block; only the primes become new ints
     products = [

@@ -22,12 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._record import Fresh, Record
-from .errors import (
-    DegreeTooSmallError,
-    GrowthCapError,
-    HypothesisError,
-    InvariantViolationError,
-)
+from .errors import GrowthCapError, HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
     factor_counts,
@@ -38,17 +33,16 @@ from .factorint import (
     mobius,
     primes_below,
     radical,
-    valuation,
 )
 from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
-from .intpoly import IntPoly, discriminant
+from .intpoly import IntPoly
 from .divisibility import (
     f_sequence,
     main_family,
     rad_divisibility_conditions,
     theta,
 )
-from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point, RationalMap
+from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point
 from .reduction import point_mod_p, reduce_mod_p
 
 # Witness integers up to this width are recorded verbatim, wider ones as digests.
@@ -129,8 +123,9 @@ class CascadeReport(Record):
         return out
 
 
-def irreducibility_cascade(a: int, depth: int) -> CascadeReport:
-    """Certify iterate numerators irreducible, one level at a time.
+def _cascade(a: int, depth: int, fs: Sequence[int]) -> CascadeReport:
+    """Certify iterate numerators irreducible, one level at a time, from
+    fs = [f_1, ..., f_(depth+1)].
 
     Level 1 is the base quadratic: irreducible over Q iff -a is not a perfect
     square (decidable both ways).  Level n >= 2 is certified when level n-1
@@ -139,13 +134,6 @@ def irreducibility_cascade(a: int, depth: int) -> CascadeReport:
     congruence route is recorded.  A level that cannot be certified is marked
     unknown, never reducible.
     """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return _cascade(a, depth, f_sequence(a, depth + 1))
-
-
-def _cascade(a: int, depth: int, fs: Sequence[int]) -> CascadeReport:
-    """The cascade over fs = [f_1, ..., f_(depth+1)]."""
     levels: list[CascadeLevel] = []
     base_wit = integer_witness(-a)
     levels.append(CascadeLevel(
@@ -185,60 +173,6 @@ def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]
         if ffpoly_is_irreducible(PrimeFieldPoly.from_intpoly(f, p)):
             return p
     return None
-
-
-# ---------------------------------------------------------------------------
-# Discriminant recursion
-# ---------------------------------------------------------------------------
-
-
-class DiscReport(Record):
-    a: int
-    n: int
-    absolute_value: int
-    sign: Optional[int]        # from direct computation when feasible
-    direct_match: Optional[bool]
-
-
-def discriminant_recursion(a: int, n: int, direct_limit: int = 3) -> DiscReport:
-    """|Disc(p_n)| by the closed recursion, cross-checked directly when cheap.
-
-    Each step multiplies the squared previous discriminant by
-    2^(2^k) * |a|^(2^(2k-1) - 2^(k-1)) * |f_(k+1) f_k|.  Requires the orbit of
-    infinity to avoid 0 through step n, which is checked exactly first.
-    The sign is indeterminate in the recursion; it is recorded from the
-    direct computation for n <= direct_limit.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    phi = main_family(a)
-    value = P1Point.infinity()
-    for i in range(1, n + 1):
-        value = phi(value)
-        if value == P1Point.of(0):
-            raise HypothesisError(
-                f"hypothesis fails: phi^{i}(infinity) = 0"
-            )
-    fs = f_sequence(a, n + 1)
-    absval = abs(4 * a)
-    for k in range(2, n + 1):
-        absval = (
-            2 ** (2 ** k)
-            * abs(a) ** (2 ** (2 * k - 1) - 2 ** (k - 1))
-            * absval ** 2
-            * abs(fs[k] * fs[k - 1])
-        )
-    sign = None
-    match = None
-    if n <= direct_limit:
-        pn, _ = phi.iterate_polys(n)
-        direct = discriminant(pn)
-        if direct.denominator != 1:
-            raise InvariantViolationError("integer discriminant expected")
-        direct_int = direct.numerator
-        match = abs(direct_int) == absval
-        sign = 1 if direct_int > 0 else -1
-    return DiscReport(a, n, absval, sign, match)
 
 
 # ---------------------------------------------------------------------------
@@ -621,66 +555,3 @@ def nonsquarefree_theta_evidence(a: int, n: int,
         a, n, k, "A_k_prime", witness, integer_witness(a_k),
         gcd_ok, congruence_ok, ev.conditions, certified, partial,
     )
-
-
-# ---------------------------------------------------------------------------
-# Eventual stability hypothesis checker
-# ---------------------------------------------------------------------------
-
-
-class StabilityReport(Record):
-    case: str          # case1 | case2 | inconclusive
-    valuations: dict
-    alpha_periodic: Optional[bool]
-
-
-def _frac_valuation(x: Fraction, p: int):
-    if x == 0:
-        return math.inf
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
-
-
-def eventual_stability_check(a, b, alpha, p: int, d: int) -> StabilityReport:
-    """Evaluate the p-adic eventual-stability conditions for (z^d+a)/(z^d+b).
-
-    case1: d a power of p, |a|_p <= 1, |b|_p <= 1, |a-b|_p = 1.
-    case2: |a|_p < 1, |b|_p = 1, |alpha|_p < 1.
-    The first satisfied case is reported; alongside, a short exact orbit
-    probe reports whether alpha was seen to be periodic (which would void
-    the conclusion).
-    """
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    a, b, alpha = Fraction(a), Fraction(b), Fraction(alpha)
-    if a == b:
-        raise ValueError("need a != b")
-    va = _frac_valuation(a, p)
-    vb = _frac_valuation(b, p)
-    vd = _frac_valuation(a - b, p)
-    valpha = _frac_valuation(alpha, p)
-    d_is_p_power = d > 1 and p ** valuation(d, p) == d
-    vals = {"v(a)": _enc(va), "v(b)": _enc(vb), "v(a-b)": _enc(vd),
-            "v(alpha)": _enc(valpha), "d_power_of_p": d_is_p_power}
-    # good polynomial reduction is the sharper conclusion, so test it first
-    if va > 0 and vb == 0 and valpha > 0:
-        case = "case2"
-    elif d_is_p_power and va >= 0 and vb >= 0 and vd == 0:
-        case = "case1"
-    else:
-        case = "inconclusive"
-
-    periodic: Optional[bool] = None
-    try:
-        phi = RationalMap.from_fractions(
-            [a] + [Fraction(0)] * (d - 1) + [Fraction(1)],
-            [b] + [Fraction(0)] * (d - 1) + [Fraction(1)],
-        )
-        rec = phi.orbit(P1Point.of(alpha.numerator, alpha.denominator), max_steps=32)
-        periodic = rec.status == "preperiodic" and rec.preperiod == 0
-    except DegreeTooSmallError:
-        pass  # d < 2: no map to probe
-    return StabilityReport(case, vals, periodic)
-
-
-def _enc(v):
-    return "inf" if v == math.inf else int(v)

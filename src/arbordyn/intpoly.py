@@ -256,14 +256,3 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     # b is a nonzero constant, a has degree >= 1
     da = a.degree
     return sign * (b.lc ** da // hh ** (da - 1))
-
-
-def discriminant(f: IntPoly) -> Fraction:
-    """Disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f) as an exact rational."""
-    n = f.degree
-    if n < 1:
-        raise ZeroPolynomialError("discriminant of a constant polynomial")
-    res = resultant(f, f.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return Fraction(sign * res, f.lc)
-

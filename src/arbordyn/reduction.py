@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import BadReductionError, CompositeModulusError, InvariantViolationError
-from .factorint import FactorBudget, factor_counts, is_probable_prime, valuation
+from .errors import BadReductionError, CompositeModulusError
+from .factorint import FactorBudget, factor_counts, is_probable_prime
 from .ffpoly import PrimeFieldPoly
 from .ratmap import RationalMap
 
@@ -115,26 +115,3 @@ def point_mod_p(num: int, den: int, prime: int) -> int:
     if d == 0:
         return prime
     return n * pow(d, -1, prime) % prime
-
-
-def good_reduction_origin_valuations(
-    map_: RationalMap, prime: int, n: int
-) -> list[tuple[float, float]]:
-    """[(v_p(p_k(0)), v_p(q_k(0)))] for k <= n at a good-reduction prime.
-
-    Verifies that each pair has minimum valuation 0 (the normalized-iterates
-    property); a violation raises InvariantViolationError.  A zero value
-    reports math.inf.
-    """
-    if not has_good_reduction(map_, prime):
-        raise BadReductionError(f"bad reduction at {prime}")
-    out = []
-    for u, v in map_.origin_values(n):
-        vu = math.inf if u == 0 else valuation(u, prime)
-        vv = math.inf if v == 0 else valuation(v, prime)
-        if min(vu, vv) != 0:
-            raise InvariantViolationError(
-                f"iterate pair not normalized at {prime}: valuations ({vu}, {vv})"
-            )
-        out.append((vu, vv))
-    return out

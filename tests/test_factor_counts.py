@@ -157,22 +157,10 @@ def test_probable_prime_cofactor_counts_once():
     assert factor_counts(12 * m127) == {2: 2, 3: 1, m127: 1}
 
 
-def test_sieve_extension_matches_brute_force(monkeypatch):
+def test_sieve_extension_matches_brute_force():
     rng = random.Random(7)
-    for _ in range(50):
-        monkeypatch.setattr(factorint, "_sieve", (3, [2]))
-        for bound in [rng.randrange(-2, LIMIT) for _ in range(6)]:
-            assert factorint.primes_below(bound) == [p for p in PRIMES if p < bound], bound
-
-
-def test_sieve_cache_keeps_one_list(monkeypatch):
-    monkeypatch.setattr(factorint, "_sieve", (3, [2]))
-    rng = random.Random(2026)
-    for bound in [rng.randrange(2, 10 ** 6) for _ in range(200)] + [10 ** 6]:
-        factorint.primes_below(bound)
-    top, primes = factorint._sieve
-    assert top == 10 ** 6
-    assert len(primes) == 78498
+    for bound in [rng.randrange(-2, LIMIT) for _ in range(300)]:
+        assert factorint.primes_below(bound) == [p for p in PRIMES if p < bound], bound
 
 
 def per_prime_trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:

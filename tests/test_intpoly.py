@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbordyn.errors import ZeroPolynomialError
-from arbordyn.intpoly import IntPoly, discriminant, pseudo_divmod, resultant
+from arbordyn.intpoly import IntPoly, pseudo_divmod, resultant
 from arbordyn.quadext import QuadExtElem
+from paper_checks import discriminant
 
 
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:

@@ -34,10 +34,9 @@ def naive_is_prime(k: int) -> bool:
 
 @pytest.fixture
 def fresh(monkeypatch):
-    """factorint with no block read or built and an empty sieve cache."""
+    """factorint with no block read or built."""
     monkeypatch.setattr(factorint, "_blocks", [])
     monkeypatch.setattr(factorint, "_far", (0, []))
-    monkeypatch.setattr(factorint, "_sieve", (3, [2]))
     return factorint
 
 
@@ -91,10 +90,12 @@ def test_table_is_read_on_the_first_full_block(fresh):
     assert [k for k, p in enumerate(fresh._blocks) if type(p) is int] == [0]
 
 
-def test_factoring_below_the_table_sieves_nothing(fresh):
+def test_factoring_below_the_table_sieves_nothing(fresh, monkeypatch):
+    bounds, real = [], fresh.primes_below
+    monkeypatch.setattr(fresh, "primes_below", lambda bound: bounds.append(bound) or real(bound))
     for n in (2 ** 61 - 1, (10 ** 9 + 7) * (10 ** 9 + 9), 999983 ** 2 * 3 ** 40):
         fresh.factor_integer(n)
-    assert fresh._sieve == (3, [2])
+    assert bounds == []
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ _EXPORTS = {
         "NotDefinedOverQError", "ZeroPolynomialError",
     ),
     "factorint": (
-        "FactorBudget", "Factorization", "divisors", "factor_each", "factor_integer",
+        "FactorBudget", "Factorization", "factor_each", "factor_integer",
         "is_perfect_square", "is_probable_prime", "mobius",
     ),
     "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),

@@ -167,17 +167,16 @@ def cmd_sequence(args) -> int:
 
     phi = divis.main_family(args.a) if args.map is None else parse_map(args.map)
     # recognize the family (z^2+a)/z^2 to enable the f/theta columns
-    pc, qc = phi.homogeneous_coeffs()
-    family_a = pc[0] if qc == (0, 0, 1) and pc[1:] == (0, 1) else None
+    family_a = phi.pc[0] if phi.qc == (0, 0, 1) and phi.pc[1:] == (0, 1) else None
     values = phi.origin_values(args.n, args.growth_cap_bits)
     status = "growth_capped" if len(values) < args.n else "complete"
     rows = [{"n": idx, "pn0": u} for idx, (u, _) in enumerate(values, start=1)]
     if family_a is not None and rows:
         try:
             fs = divis.f_sequence(family_a, len(rows), args.growth_cap_bits)
-            for idx, row in enumerate(rows, start=1):
-                row["f"] = fs[idx - 1]
-                row["theta"] = divis.theta(family_a, idx, fs)
+            for row, f, th in zip(rows, fs, divis.theta(fs)):
+                row["f"] = f
+                row["theta"] = th
         except GrowthCapError:
             status = "growth_capped"
     if args.factor:

@@ -86,8 +86,7 @@ def ramification_index(map_: RationalMap, pt: Union[P1Point, QuadExtElem]) -> in
         raise AssertionError("vanishing ramification polynomial")  # unreachable
     alpha = pt.to_fraction() if isinstance(pt, P1Point) else pt
     pa, qa = map_.p(alpha), map_.q(alpha)
-    pc, qc = map_.homogeneous_coeffs()
-    return root_order(trim([c * qa - e * pa for c, e in zip(pc, qc)]), alpha)
+    return root_order(trim([c * qa - e * pa for c, e in zip(map_.pc, map_.qc)]), alpha)
 
 
 def _root_poly(w: IntPoly, d: int) -> Optional[IntPoly]:
@@ -247,9 +246,8 @@ def to_normal_form(map_: RationalMap, data: CriticalData | None = None) -> Norma
     # c2 Z^d + b W^d): its values at (1, 0) and (0, 1) give all four.  It
     # sends 0 to (a : b) and infinity to (c1 : c2), the images of the
     # critical points l1 and l2.
-    pc, qc = map_.homogeneous_coeffs()
-    c1, c2 = _after_mu(mu, pc, qc, mu.e, -mu.c)
-    a, b = _after_mu(mu, pc, qc, -mu.b, mu.a)
+    c1, c2 = _after_mu(mu, map_.pc, map_.qc, mu.e, -mu.c)
+    a, b = _after_mu(mu, map_.pc, map_.qc, -mu.b, mu.a)
 
     if a == 0 and c2 == 0:  # both critical points fixed
         c = c1 / b
@@ -293,10 +291,9 @@ def verify_normal_form(map_: RationalMap, nf: NormalForm) -> bool:
     mu = nf.mu
     if mu.det() == 0:
         return False
-    pc, qc = map_.homogeneous_coeffs()
     nc, dc = nf.form_pair()
     for t in range(2 * nf.degree + 1):
-        l0, l1 = _after_mu(mu, pc, qc, t, 1)
+        l0, l1 = _after_mu(mu, map_.pc, map_.qc, t, 1)
         r0, r1 = _substitute(nc, dc, mu.a * t + mu.b, mu.c * t + mu.e)
         if l0 * r1 != l1 * r0:
             return False

@@ -26,7 +26,6 @@ from ._record import Fresh, Record
 from .errors import GrowthCapError, HypothesisError, InvariantViolationError
 from .factorint import (
     FactorBudget,
-    divisors,
     factor_counts,
     factor_each,
     is_perfect_square,
@@ -59,28 +58,25 @@ def f_sequence(a: int, n: int,
     return out[:n]
 
 
-def theta(a: int, n: int, fs: Optional[Sequence[int]] = None) -> int:
-    """Primitive part of f_n: the Moebius product over divisors of n.
+def theta(fs: Sequence[int]) -> list[int]:
+    """[theta_1, ..., theta_N], the primitive parts of fs = [f_1, ..., f_N].
 
-    Since f_n is the product of theta_d over d | n, each theta_d is f_d
-    divided exactly by theta_e over the proper divisors e of d, smallest d
-    first; integrality is asserted, not assumed.
+    Since f_m is the product of theta_d over d | m, one sieve over multiples
+    finds them all: taking d in increasing order, what is left of f_d is
+    theta_d, which is then divided exactly out of f_m for every multiple m
+    of d.  Integrality is asserted, not assumed.
     """
-    if fs is None:
-        fs = f_sequence(a, n)
-    thetas: dict[int, int] = {}
-    for d in divisors(n):
-        fd = fs[d - 1]
-        if fd == 0:
+    rest = list(fs)
+    for d, th in enumerate(rest, start=1):
+        if th == 0:
             raise ValueError("theta undefined (vanishing term)")
-        den = math.prod(thetas[e] for e in divisors(d)[:-1])
-        value, rem = divmod(fd, den)
-        if rem:
-            raise InvariantViolationError(
-                f"theta_{d}(a={a}) is not integral: nonzero remainder dividing f_{d}"
-            )
-        thetas[d] = value
-    return thetas[n]
+        for m in range(2 * d, len(rest) + 1, d):
+            rest[m - 1], rem = divmod(rest[m - 1], th)
+            if rem:
+                raise InvariantViolationError(
+                    f"theta_{m} is not integral: nonzero remainder dividing f_{m} by theta_{d}"
+                )
+    return rest
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ DEFAULT_SEED = 0
 # Smallest composite not caught by the first twelve prime witnesses.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Seeded random Miller-Rabin rounds above _MR_DETERMINISTIC_BOUND.
+_MR_ROUNDS = 64
 
 
 def primes_below(bound: int) -> list[int]:
@@ -71,11 +73,11 @@ def _mr_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, seed: int = 0, rounds: int = 64) -> bool:
+def is_probable_prime(n: int, seed: int = 0) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic (a genuine primality proof) for n below ~3.3e24; above that
-    bound the answer True only means "probable prime" after ``rounds`` seeded
+    bound the answer True only means "probable prime" after _MR_ROUNDS seeded
     random witnesses.
     """
     if n < 2:
@@ -91,7 +93,7 @@ def is_probable_prime(n: int, seed: int = 0, rounds: int = 64) -> bool:
         return all(_mr_round(n, a, d, r) for a in _MR_WITNESSES)
     rng = random.Random(seed)
     return all(
-        _mr_round(n, rng.randrange(2, n - 1), d, r) for _ in range(rounds)
+        _mr_round(n, rng.randrange(2, n - 1), d, r) for _ in range(_MR_ROUNDS)
     )
 
 
@@ -593,16 +595,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def divisors(n: int, budget: FactorBudget | None = None) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("divisors defined for n >= 1")
-    out = [1]
-    for p, e in factor_counts(n, budget).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def mobius(n: int) -> int:

@@ -4,8 +4,9 @@ Every certificate is one-sided and recomputable.  Level n asserts that the
 n-th preimage field grows by the maximal degree 2^(2^(n-1)) over its
 predecessor; the evidence is an irreducibility chain (base quadratic plus the
 one-step criterion "previous iterate irreducible and its value at 1 is not a
-square") together with a proof that the primitive part theta_(n+1) is not a
-perfect square, witnessed by a strict integer square-root bracket.  A level
+square", read off mod 4) together with a proof that the primitive part
+theta_(n+1) is not a perfect square, witnessed by a strict integer
+square-root bracket.  A level
 that cannot be certified is reported "unknown", never "failed": the criteria
 are sufficient, not necessary.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._record import Fresh, Record
 from .errors import GrowthCapError, HypothesisError, InvariantViolationError
@@ -54,19 +55,13 @@ DIGEST_BITS = 4096
 # ---------------------------------------------------------------------------
 
 
-def integer_witness(v: int) -> dict:
-    """A recomputable record of an integer and its square-root bracket.
+def integer_witness(v: int) -> tuple[dict, bool]:
+    """A recomputable record of an integer and its square-root bracket, and
+    whether |v| is a perfect square.
 
     Integers up to DIGEST_BITS are stored verbatim with their integer square
     root; wider ones as sha256 of the big-endian magnitude bytes plus leading
     hex digits, so re-deriving the integer reproduces the record exactly.
-    """
-    return _witness(v)[0]
-
-
-def _witness(v: int) -> tuple[dict, bool]:
-    """(integer_witness(v), whether |v| is a perfect square).
-
     Squareness is decided once: quadratic residues first, isqrt only when a
     recorded field needs the root or the residues cannot decide.
     """
@@ -88,76 +83,6 @@ def _witness(v: int) -> tuple[dict, bool]:
         hex_digits = (bits + 3) // 4
         rec["leading_hex"] = format(mag >> 4 * (hex_digits - 24), "x")
     return rec, square
-
-
-# ---------------------------------------------------------------------------
-# Irreducibility cascade
-# ---------------------------------------------------------------------------
-
-CERTIFIED = "certified"
-UNKNOWN = "unknown"
-REDUCIBLE = "reducible"
-
-
-class CascadeLevel(Record):
-    """Evidence about the irreducibility of the n-th iterate numerator."""
-
-    n: int
-    status: str              # certified | unknown | reducible
-    route: str               # base_nonsquare | congruence_3_mod_4 | negative
-    #                          | isqrt_bracket | blocked | square_value
-    witness: dict            # integer witness for -a (n = 1) or f_(n+1)
-
-
-class CascadeReport(Record):
-    a: int
-    depth: int
-    levels: list[CascadeLevel]
-
-    def certified_through(self) -> int:
-        out = 0
-        for lvl in self.levels:
-            if lvl.status != CERTIFIED:
-                break
-            out = lvl.n
-        return out
-
-
-def _cascade(a: int, depth: int, fs: Sequence[int]) -> CascadeReport:
-    """Certify iterate numerators irreducible, one level at a time, from
-    fs = [f_1, ..., f_(depth+1)].
-
-    Level 1 is the base quadratic: irreducible over Q iff -a is not a perfect
-    square (decidable both ways).  Level n >= 2 is certified when level n-1
-    is certified and f_(n+1), the value of the previous numerator at 1, is
-    not a perfect square; when a = 2 (mod 4) that value is 3 mod 4 and the
-    congruence route is recorded.  A level that cannot be certified is marked
-    unknown, never reducible.
-    """
-    levels: list[CascadeLevel] = []
-    base_wit = integer_witness(-a)
-    levels.append(CascadeLevel(
-        1,
-        REDUCIBLE if base_wit["is_square"] else CERTIFIED,
-        "base_nonsquare",
-        base_wit,
-    ))
-    for n in range(2, depth + 1):
-        prev_ok = levels[-1].status == CERTIFIED
-        value = fs[n]  # f_(n+1) = p_(n-1)(1)
-        wit, square = _witness(value)
-        if not prev_ok:
-            levels.append(CascadeLevel(n, UNKNOWN, "blocked", wit))
-            continue
-        if a % 4 == 2 and value % 4 == 3:
-            levels.append(CascadeLevel(n, CERTIFIED, "congruence_3_mod_4", wit))
-        elif value < 0:
-            levels.append(CascadeLevel(n, CERTIFIED, "negative", wit))
-        elif not square:
-            levels.append(CascadeLevel(n, CERTIFIED, "isqrt_bracket", wit))
-        else:
-            levels.append(CascadeLevel(n, UNKNOWN, "square_value", wit))
-    return CascadeReport(a, depth, levels)
 
 
 def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]:
@@ -183,7 +108,7 @@ def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]
 class LevelEvidence(Record):
     """Evidence for one level of the tower.
 
-    ``irreducibility`` documents the cascade step concluding that the n-th
+    ``irreducibility`` documents the step concluding that the n-th
     numerator itself is irreducible (the chain the next level builds on);
     the level's maximality verdict rests on the previous level's conclusion
     plus ``theta``, the non-squareness witness for theta_(n+1).
@@ -213,38 +138,43 @@ def maximality_certificate(a: int, depth: int,
     """Per-level maximality certificate for the tower over basepoint 0.
 
     Requires a = 2 (mod 4) and a <= -3 (the regime where the irreducibility
-    chain applies); otherwise the certificate reports hypotheses_unmet.
-    Level 1 rests on base irreducibility; level n >= 2 is certified when the
-    (n-1)-st numerator is certified irreducible and |theta_(n+1)| sits
-    strictly between consecutive squares.  f_1 .. f_(depth+1) are built
-    once, under ``growth_cap_bits`` (GrowthCapError past it).
+    chain applies); otherwise the certificate reports hypotheses_unmet.  In
+    the regime every iterate numerator is irreducible, by one of two routes:
+    -a = 2 (mod 4) is not a square (n = 1), and f_(n+1) = 3 (mod 4) for
+    n >= 2, by induction, as odd squares are 1 mod 4; a term off that
+    congruence raises InvariantViolationError.  Level n >= 2 is maximal when
+    |theta_(n+1)| sits strictly between consecutive squares, else unknown.
+    f_1 .. f_(depth+1) are built once, under ``growth_cap_bits``
+    (GrowthCapError past it).
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
         return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [])
     fs = f_sequence(a, depth + 1, growth_cap_bits)
-    cascade = _cascade(a, depth, fs)
-    levels: list[LevelEvidence] = []
-    maximal: list[int] = []
-    for n in range(1, depth + 1):
-        casc = cascade.levels[n - 1]
-        if n == 1:
-            verdict = "maximal" if casc.status == CERTIFIED else UNKNOWN
-            levels.append(LevelEvidence(1, casc.to_dict(), None, verdict))
-        else:
-            prev_ok = cascade.levels[n - 2].status == CERTIFIED
-            th = theta(a, n + 1, fs)
-            wit, square = _witness(th)
-            wit["index"] = n + 1
-            # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
-            wit["strict_bracket"] = th != 0 and not square
-            verdict = "maximal" if prev_ok and wit["strict_bracket"] else UNKNOWN
-            levels.append(LevelEvidence(n, casc.to_dict(), wit, verdict))
-        if levels[-1].verdict == "maximal":
-            maximal.append(n)
+    thetas = theta(fs)
+    levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", -a), None, "maximal")]
+    for n in range(2, depth + 1):
+        if fs[n] % 4 != 3:
+            raise InvariantViolationError(f"f_{n + 1}(a={a}) is not 3 mod 4")
+        wit, square = integer_witness(thetas[n])
+        wit["index"] = n + 1
+        # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
+        wit["strict_bracket"] = thetas[n] != 0 and not square
+        levels.append(LevelEvidence(
+            n, _irreducible(n, "congruence_3_mod_4", fs[n]), wit,
+            "maximal" if wit["strict_bracket"] else "unknown",
+        ))
+    maximal = [lvl.n for lvl in levels if lvl.verdict == "maximal"]
     overall = ALL_MAXIMAL if len(maximal) == depth else PARTIAL
     return MaximalityCertificate(a, depth, overall, maximal, levels)
+
+
+def _irreducible(n: int, route: str, value: int) -> dict:
+    """The record that the n-th iterate numerator is irreducible by ``route``,
+    with the witness of the value the route reads: -a at n = 1, else f_(n+1)."""
+    return {"n": n, "status": "certified", "route": route,
+            "witness": integer_witness(value)[0]}
 
 
 def verify_certificate(cert: MaximalityCertificate) -> bool:
@@ -483,7 +413,7 @@ def squarefree_theta_evidence(m: int, n: int, prime: int, case: str) -> ThetaCon
     direct: Optional[bool] = None
     agree: Optional[bool] = None
     try:
-        th = theta(a, n)
+        th = theta(f_sequence(a, n))[-1]
         direct = not is_perfect_square(abs(th))[0]
         agree = (direct is True) if certified else (direct is False)
     except GrowthCapError:
@@ -546,12 +476,12 @@ def nonsquarefree_theta_evidence(a: int, n: int,
     partial = witness is None and fac.cofactor_status == "composite_unfactored"
     if witness is None:
         return NonsquarefreeEvidence(
-            a, n, k, "A_k_prime", None, integer_witness(a_k),
+            a, n, k, "A_k_prime", None, integer_witness(a_k)[0],
             gcd_ok, congruence_ok, None, False, partial,
         )
     ev = rad_divisibility_conditions(phi, 0, n, witness)
     certified = gcd_ok and congruence_ok and ev.certified
     return NonsquarefreeEvidence(
-        a, n, k, "A_k_prime", witness, integer_witness(a_k),
+        a, n, k, "A_k_prime", witness, integer_witness(a_k)[0],
         gcd_ok, congruence_ok, ev.conditions, certified, partial,
     )

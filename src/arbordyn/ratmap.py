@@ -252,10 +252,6 @@ class RationalMap:
 
         return f"RationalMap(({format_poly(self.p)}) / ({format_poly(self.q)}))"
 
-    def homogeneous_coeffs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Coefficient vectors padded to length d+1 (index i is Z^i W^(d-i))."""
-        return self.pc, self.qc
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):

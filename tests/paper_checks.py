@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from arbordyn.critical import _root_poly, critical_points, wronskian
 from arbordyn.divisibility import f_sequence, main_family, theta
-from arbordyn.factorint import divisors, factor_integer, mobius, valuation
-from arbordyn.galois import _cascade
+from arbordyn.factorint import factor_integer, mobius, valuation
+from arbordyn.galois import integer_witness
 from arbordyn.intpoly import IntPoly, resultant
 from arbordyn.ratmap import INF, Infinity, MobiusTransform, P1Point, RationalMap
 
@@ -67,8 +67,8 @@ def verify_origin_split(a: int, n: int) -> bool:
 def beta(phi: RationalMap, alpha, n: int) -> Fraction:
     """beta_{alpha,n}: the Moebius product of the iterate values p_d(alpha) over d | n."""
     values = phi.ladder_values(Fraction(alpha), n)
-    return math.prod((Fraction(values[d - 1][0]) ** mobius(n // d) for d in divisors(n)),
-                     start=Fraction(1))
+    return math.prod((Fraction(values[d - 1][0]) ** mobius(n // d)
+                      for d in range(1, n + 1) if n % d == 0), start=Fraction(1))
 
 
 def sign_check(a: int, n: int) -> bool:
@@ -88,7 +88,7 @@ def primitive_part_valuations(a: int, n: int) -> list[tuple[int, int]]:
     """[(p, v_p(theta_n))] over the primes of theta_n, fully factored, each
     asserted primitive: v_p(theta_n) = v_p(f_n) and p divides no earlier f_i."""
     fs = f_sequence(a, n)
-    th = theta(a, n, fs)
+    th = theta(fs)[n - 1]
     fac = factor_integer(th)
     assert fac.cofactor_status != "composite_unfactored"
     pairs = [(p, valuation(th, p)) for p in fac.prime_list()]
@@ -97,9 +97,35 @@ def primitive_part_valuations(a: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def irreducibility_cascade(a: int, depth: int):
-    """The irreducibility cascade of the first ``depth`` iterate numerators."""
-    return _cascade(a, depth, f_sequence(a, depth + 1))
+def irreducibility_cascade(a: int, depth: int) -> list[dict]:
+    """The irreducibility records of the first ``depth`` iterate numerators,
+    in the form of a certificate's, by the general cascade for any a != 0.
+
+    Level 1 is the base quadratic: irreducible over Q iff -a is not a perfect
+    square.  Level n >= 2 is certified when level n-1 is and f_(n+1), the
+    value of the previous numerator at 1, is not a perfect square: it is
+    3 mod 4 when a = 2 (mod 4), or negative, or strictly between squares.  A
+    level that cannot be certified is unknown, never reducible.
+    """
+    fs = f_sequence(a, depth + 1)
+    base, _ = integer_witness(-a)
+    levels = [{"n": 1, "status": "reducible" if base["is_square"] else "certified",
+               "route": "base_nonsquare", "witness": base}]
+    for n in range(2, depth + 1):
+        value = fs[n]  # f_(n+1) = p_(n-1)(1)
+        wit, square = integer_witness(value)
+        if levels[-1]["status"] != "certified":
+            status, route = "unknown", "blocked"
+        elif a % 4 == 2 and value % 4 == 3:
+            status, route = "certified", "congruence_3_mod_4"
+        elif value < 0:
+            status, route = "certified", "negative"
+        elif not square:
+            status, route = "certified", "isqrt_bracket"
+        else:
+            status, route = "unknown", "square_value"
+        levels.append({"n": n, "status": status, "route": route, "witness": wit})
+    return levels
 
 
 def discriminant(f: IntPoly) -> Fraction:

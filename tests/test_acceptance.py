@@ -114,7 +114,7 @@ def test_criterion_3_sequence_identity_suite(capsys):
             for n in range(3, depth + 1):
                 bt = beta(phi, 0, n)
                 assert bt > 0
-                th = Fraction(abs(theta(a, n, fs)))
+                th = Fraction(abs(theta(fs)[n - 1]))
                 prod = th * (-a) * bt if mobius(n) != 0 else th * bt
                 assert prod > 0
                 assert is_perfect_square(prod.numerator)[0]
@@ -150,13 +150,13 @@ def test_criterion_5_maximality_certificates(capsys):
 
     def recheck_theta_witnesses(cert_doc):
         a = cert_doc["a"]
-        fs = f_sequence(a, cert_doc["depth"] + 2)
+        thetas = theta(f_sequence(a, cert_doc["depth"] + 2))
         for level in cert_doc["levels"]:
             if level["theta"] is None:
                 assert level["n"] == 1
                 continue
             idx = level["theta"]["index"]
-            th = abs(theta(a, idx, fs))
+            th = abs(thetas[idx - 1])
             k = math.isqrt(th)
             assert level["theta"]["strict_bracket"]
             assert k * k < th < (k + 1) * (k + 1)
@@ -242,11 +242,11 @@ def test_criterion_8_cascade_oracle_agreement(capsys):
     for a in (-6, -14, -98, -578):
         cascade = irreducibility_cascade(a, 3)
         phi = main_family(a)
-        for level in cascade.levels:
-            assert level.status == "certified"
-            pn, _ = phi.iterate_polys(level.n)
+        for level in cascade:
+            assert level["status"] == "certified"
+            pn, _ = phi.iterate_polys(level["n"])
             witness = mod_p_irreducible_witness(pn, 10 ** 4)
-            assert witness is not None, f"no oracle prime for a={a}, n={level.n}"
+            assert witness is not None, f"no oracle prime for a={a}, n={level['n']}"
             assert witness < 10 ** 4
     with capsys.disabled():
         report(8, "finite-field oracle confirms every cascade-certified level n<=3")
@@ -258,6 +258,6 @@ def test_oracle_is_vacuous_for_post_critically_finite_parameter():
     # over Q by the cascade - is reducible modulo every prime, like z^4 + 1.
     # The one-sided oracle therefore finds nothing, which is not a failure.
     cascade = irreducibility_cascade(-2, 3)
-    assert all(l.status == "certified" for l in cascade.levels)
+    assert all(l["status"] == "certified" for l in cascade)
     p3, _ = main_family(-2).iterate_polys(3)
     assert mod_p_irreducible_witness(p3, 10 ** 4) is None

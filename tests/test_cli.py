@@ -211,6 +211,21 @@ class TestCertifyCommand:
         assert code == 4
 
 
+@pytest.mark.parametrize("argv", [("certify", "--a", "-98", "--depth", "10"),
+                                  ("sequence", "--a", "-98", "--n", "10")], ids=" ".join)
+def test_family_tower_factors_nothing(monkeypatch, capsys, argv):
+    """The f/theta tower of the family and its certificate need no factoring."""
+    from arbordyn import factorint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_integer called")
+
+    monkeypatch.setattr(factorint, "factor_integer", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schema"] == "arbordyn/3"
+
+
 class TestRigidCheckCommand:
     def test_pass_with_exclusion(self, capsys):
         code, out, _ = run_cli(

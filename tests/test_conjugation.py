@@ -121,7 +121,7 @@ def mobius(draw):
 @settings(max_examples=150, deadline=None)
 @given(dense_maps(), mobius())
 def test_conjugate_equals_dense_reference(phi, mu):
-    pc, qc = phi.homogeneous_coeffs()
+    pc, qc = phi.pc, phi.qc
     assert phi.conjugate(mu) == map_of_pair(*dense_conjugate(pc, qc, phi.d, mu))
 
 
@@ -149,7 +149,7 @@ def check_two_term(phi, field_kind=None):
         assert nf.field.kind == field_kind
     assert nf.kind == kind_by_stepping(phi)
     d, mu = nf.degree, nf.mu
-    pc, qc = phi.homogeneous_coeffs()
+    pc, qc = phi.pc, phi.qc
     ps, qs = dense_conjugate(pc, qc, d, mu)
     assert all(coefficient(cs, i) == 0 for cs in (ps, qs) for i in range(1, d))
 

@@ -64,11 +64,12 @@ class TestDeepCommands:
         assert proc.returncode == 0
         levels = json.loads(proc.stdout)["certificate"]["levels"]
         fs = f_sequence(-98, 17)
+        thetas = theta(fs)
         wide = 0
         for lvl in levels[1:]:
             n = lvl["n"]
             for wit, value in ((lvl["irreducibility"]["witness"], fs[n]),
-                               (lvl["theta"], theta(-98, n + 1, fs))):
+                               (lvl["theta"], thetas[n])):
                 assert wit["bits"] == value.bit_length()
                 if value.bit_length() <= DIGEST_BITS:
                     assert "sha256_be" not in wit
@@ -88,23 +89,25 @@ class TestDeepCommands:
         doc = json.loads(proc.stdout)
         assert doc["status"] == "complete"
         fs = f_sequence(-98, 16)
+        thetas = theta(fs)
         assert any(isinstance(row["pn0"], str) for row in doc["rows"])
         for row in doc["rows"]:
             n = row["n"]
             assert as_int(row["f"]) == fs[n - 1]
-            assert as_int(row["theta"]) == theta(-98, n, fs)
+            assert as_int(row["theta"]) == thetas[n - 1]
             assert as_int(row["pn0"]) == (-98) ** (2 ** (n - 1)) * fs[n - 1]
 
     def test_sequence_text_hex_values(self):
         proc = run("sequence", "--a", "-98", "--n", "16", "--output", "text")
         assert proc.returncode == 0
         fs = f_sequence(-98, 16)
+        thetas = theta(fs)
         lines = proc.stdout.decode().splitlines()
         assert len(lines) == 16
         for n, line in enumerate(lines, start=1):
             cells = dict(cell.split("=", 1) for cell in line.split("  "))
             assert int(cells["n"]) == n
-            for key, want in (("f", fs[n - 1]), ("theta", theta(-98, n, fs))):
+            for key, want in (("f", fs[n - 1]), ("theta", thetas[n - 1])):
                 text = cells[key]
                 got = int(text, 16) if "0x" in text else int(text)
                 assert got == want
@@ -209,6 +212,15 @@ PINNED_STDOUT = [
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8",
       "--output", "text"),
      "ef6200d663175c50f1bce1e39912b445b3f0fde1a6a975d0af20a0f871a61b1c"),
+    # the digest band: witnesses and theta values past DIGEST_BITS, deep levels
+    (("certify", "--a", "-998", "--depth", "18"),
+     "f19b71b21ad66521d1ac0ed2826236e4aa80b77bcced58e6e022e202c3eeaaf9"),
+    (("certify", "--m", "-3", "--depth", "18"),
+     "97ce95a185452aa41066530a4d6e2595184eda7a1d0c3f25d5eb755868edde57"),
+    (("sequence", "--a", "-502", "--n", "16"),
+     "d732f763cc2b0d4a42a40d50b2e05bea568b65e8e36f7efac844346d59912b9c"),
+    (("certify", "--a", "-98", "--depth", "14", "--output", "text"),
+     "21e2a5b98acdc9558411b3ed2020ae722998b3c11d31f040a06a32a5669ce54a"),
 ]
 
 # Exit codes of the pinned commands that do not exit 0.

@@ -51,26 +51,21 @@ class TestOriginSplit:
 
 class TestTheta:
     def test_small_indices(self):
-        assert theta(-98, 1) == 1
-        assert theta(-98, 2) == 1
-        assert theta(-98, 3) == -97
-        assert theta(-98, 4) == 9311
+        assert theta(f_sequence(-98, 4)) == [1, 1, -97, 9311]
 
     def test_nonsquare_brackets(self):
-        assert not is_perfect_square(abs(theta(-98, 3)))[0]
+        assert not is_perfect_square(abs(theta(f_sequence(-98, 3))[2]))[0]
         k = math.isqrt(9311)
         assert k == 96 and k * k < 9311 < (k + 1) ** 2
 
     def test_vanishing_term_rejected(self):
         # a = -1 gives f_3 = 0
         with pytest.raises(ValueError):
-            theta(-1, 3)
+            theta(f_sequence(-1, 3))
 
     def test_integrality_asserted_over_range(self):
         for a in (-2, -6, -14, -98, 10):
-            fs = f_sequence(a, 12)
-            for n in range(1, 13):
-                theta(a, n, fs)  # raises on nonunit denominator
+            theta(f_sequence(a, 12))  # raises on nonunit denominator
 
 
 class TestBeta:
@@ -168,11 +163,11 @@ class TestIterateIdentities:
     @pytest.mark.parametrize("a", [-6, -98])
     def test_theta_beta_square_classes(self, a):
         phi = main_family(a)
-        fs = f_sequence(a, 10)
+        thetas = theta(f_sequence(a, 10))
         from arbordyn.factorint import mobius
 
         for n in range(3, 11):
-            th = Fraction(abs(theta(a, n, fs)))
+            th = Fraction(abs(thetas[n - 1]))
             bt = beta(phi, 0, n)
             if mobius(n) != 0:  # square-free
                 assert is_rational_square(th * (-a) * bt)
@@ -196,7 +191,7 @@ class TestSequenceBundle:
         phi, fs = main_family(-98), f_sequence(-98, 6)
         assert verify_origin_split(-98, 6)
         assert phi.origin_values(6)[2][0] == -8946971152
-        assert [theta(-98, k, fs) for k in range(1, 7)][2] == -97
+        assert theta(fs)[2] == -97
         assert all(beta(phi, 0, k) for k in range(1, 7))
 
 

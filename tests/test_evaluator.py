@@ -134,7 +134,7 @@ class TestAgainstHorner:
         """The gcd taken through ``res`` is the full gcd of the image pair."""
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        pc, qc = phi.homogeneous_coeffs()
+        pc, qc = phi.pc, phi.qc
         u = sum(c * num ** i * den ** (phi.d - i) for i, c in enumerate(pc))
         v = sum(c * num ** i * den ** (phi.d - i) for i, c in enumerate(qc))
         g = math.gcd(u, v)
@@ -163,7 +163,7 @@ class TestLadderAgainstNaiveSubstitution:
     @settings(max_examples=20, deadline=None)
     @given(st.one_of(dense_maps().filter(lambda phi: phi.d <= 3), sparse_maps(max_degree=4)))
     def test_levels_one_to_four(self, phi):
-        pc, qc = phi.homogeneous_coeffs()
+        pc, qc = phi.pc, phi.qc
         levels = phi.ladder(4)
         expected = (phi.p, phi.q)
         for n in range(4):
@@ -185,7 +185,7 @@ class TestProjectiveResultant:
     @given(st.one_of(dense_maps(), sparse_maps(max_degree=12)))
     def test_res_is_the_sylvester_determinant(self, phi):
         sympy = pytest.importorskip("sympy")
-        pc, qc = phi.homogeneous_coeffs()
+        pc, qc = phi.pc, phi.qc
         assert phi.res == abs(sylvester_det(sympy, pc, qc))
 
     def test_lower_degree_member_is_padded(self):

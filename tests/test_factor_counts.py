@@ -1,6 +1,6 @@
 """Every factorization goes through factor_integer, checked against brute force.
 
-factor_counts (the complete-factorization policy), divisors, mobius, radical,
+factor_counts (the complete-factorization policy), mobius, radical,
 quadext.squarefree_kernel and trial_division are compared with a plain
 trial-division oracle kept in this file, and factor_counts with products of
 primes up to 2^61.  The block scan of trial_division is also compared with the
@@ -19,7 +19,6 @@ from arbordyn import factorint
 from arbordyn.errors import FactoringBudgetError
 from arbordyn.factorint import (
     FactorBudget,
-    divisors,
     factor_counts,
     factor_integer,
     is_probable_prime,
@@ -47,10 +46,6 @@ def oracle(n: int) -> dict[int, int]:
 
 ORACLE = {n: oracle(n) for n in range(1, LIMIT)}
 PRIMES = [n for n in range(2, LIMIT) if ORACLE[n] == {n: 1}]
-DIVISORS = {n: [] for n in range(1, LIMIT)}
-for _d in range(1, LIMIT):
-    for _n in range(_d, LIMIT, _d):
-        DIVISORS[_n].append(_d)
 
 
 def test_factor_counts_matches_brute_force():
@@ -59,10 +54,9 @@ def test_factor_counts_matches_brute_force():
         assert factor_counts(-n) == ORACLE[n], -n
 
 
-def test_divisors_mobius_radical_match_brute_force():
+def test_mobius_radical_match_brute_force():
     for n in range(1, LIMIT):
         counts = ORACLE[n]
-        assert divisors(n) == DIVISORS[n], n
         squarefree = all(e == 1 for e in counts.values())
         assert mobius(n) == ((-1) ** len(counts) if squarefree else 0), n
         assert radical(n) == math.prod(counts), n
@@ -143,8 +137,6 @@ def test_incomplete_factorization_raises():
     assert factor_integer(n, starved).cofactor_status == factorint.COMPOSITE_UNFACTORED
     with pytest.raises(FactoringBudgetError):
         factor_counts(n, starved)
-    with pytest.raises(FactoringBudgetError):
-        divisors(n, starved)
     with pytest.raises(FactoringBudgetError):
         squarefree_kernel(n, starved)
     assert factor_counts(n) == {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}

@@ -3,6 +3,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbordyn.divisibility import f_sequence, main_family, theta
 from arbordyn.errors import GrowthCapError, HypothesisError, InvariantViolationError
@@ -28,19 +30,30 @@ from paper_checks import (
 class TestIrreducibilityCascade:
     def test_congruence_route_all_levels(self):
         rep = irreducibility_cascade(-98, 8)
-        assert all(l.status == "certified" for l in rep.levels)
-        assert all(l.route == "congruence_3_mod_4" for l in rep.levels[1:])
+        assert all(l["status"] == "certified" for l in rep)
+        assert all(l["route"] == "congruence_3_mod_4" for l in rep[1:])
         fs = f_sequence(-98, 10)
         assert all(fs[n] % 4 == 3 for n in range(2, 10))
 
     def test_base_cases(self):
-        assert irreducibility_cascade(4, 1).levels[0].status == "certified"
+        assert irreducibility_cascade(4, 1)[0]["status"] == "certified"
         rep = irreducibility_cascade(-4, 3)
-        assert rep.levels[0].status == "reducible"
-        assert all(l.status == "unknown" for l in rep.levels[1:])
+        assert rep[0]["status"] == "reducible"
+        assert [l["route"] for l in rep[1:]] == ["blocked", "blocked"]
+        assert all(l["status"] == "unknown" for l in rep[1:])
 
     def test_certified_through(self):
-        assert irreducibility_cascade(-98, 6).certified_through() == 6
+        # every level is certified, from the base quadratic up
+        assert [l["n"] for l in irreducibility_cascade(-98, 6)
+                if l["status"] == "certified"] == [1, 2, 3, 4, 5, 6]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-500, -2).map(lambda k: 4 * k + 2), st.integers(1, 8))
+    def test_certificate_routes_are_the_general_cascade(self, a, depth):
+        # a = 2 (mod 4), -1998 <= a <= -6: the certificate's two routes are
+        # what the five-route cascade finds
+        cert = maximality_certificate(a, depth)
+        assert [lvl.irreducibility for lvl in cert.levels] == irreducibility_cascade(a, depth)
 
     def test_mod_p_oracle_confirms(self):
         phi = main_family(-98)
@@ -82,6 +95,13 @@ class TestMaximalityCertificate:
         assert cert.overall in ("all_maximal", "partial")
         for lvl in cert.levels:
             assert lvl.verdict in ("maximal", "unknown")
+
+    def test_term_off_the_congruence_is_an_invariant_violation(self):
+        fs = f_sequence(-98, 4)
+        fs[3] += 2  # f_4 = 1 (mod 4): no route may certify level 3
+        with mock.patch("arbordyn.galois.f_sequence", return_value=fs):
+            with pytest.raises(InvariantViolationError, match="f_4"):
+                maximality_certificate(-98, 3)
 
     def test_verification_is_bit_for_bit(self):
         cert = maximality_certificate(-98, 6)
@@ -174,7 +194,7 @@ class TestSquarefreeThetaEvidence:
         assert ev.final_class == ev.expected_class == (-pow(2, -1, 5)) % 5
         assert ev.nonresidue and ev.certified
         assert ev.direct_nonsquare and ev.agree
-        assert abs(theta(-98, 3)) == 97
+        assert abs(theta(f_sequence(-98, 3))[2]) == 97
 
     def test_even_case_below_bridge(self):
         # n = 2: the congruences verify but theta_2 = 1 is a square, and the

@@ -2,12 +2,13 @@
 
 ``build_parser`` below is the argparse wiring the CLI used before its
 command line was read from ``cli.COMMANDS``, kept as the reference, with the
-rewrite that let a value of --start or --map begin with "-".  On every line
-both accept, ``cli.parse`` gives the same namespace (less argparse's
-``func``); on every line argparse rejects, it exits 2 naming the same option
-or command.  The two differ by design only where a value taken as the next
-token begins with "-" and is not an integer: argparse read such a token as
-an option, the table reads it as the value.
+rewrite that let a value of --start or --map begin with "-" on the lines of
+the commands that take that option.  On every line both accept,
+``cli.parse`` gives the same namespace (less argparse's ``func``); on every
+line argparse rejects, it exits 2 naming the same option or command.  The
+two differ by design only where a value taken as the next token begins with
+"-" and is not an integer: argparse read such a token as an option, the
+table reads it as the value.
 """
 
 import argparse
@@ -133,16 +134,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-DASH_VALUE_OPTIONS = ("--start", "--map")
+# The options whose value may begin with "-", and the commands that take each.
+DASH_VALUE_OPTIONS = {
+    "--start": ("orbit",),
+    "--map": ("orbit", "critical", "normal-form", "sequence", "rigid-check"),
+}
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite "--start -2/3" as "--start=-2/3" for the DASH_VALUE_OPTIONS."""
+    """Rewrite "--start -2/3" as "--start=-2/3" for the DASH_VALUE_OPTIONS,
+    on a line whose command takes the option; on another command's line the
+    flag stays apart, and both parsers report it as unrecognized."""
+    takes = [tok for tok, commands in DASH_VALUE_OPTIONS.items()
+             if argv and argv[0] in commands]
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in DASH_VALUE_OPTIONS and i + 1 < len(argv)
+        if (tok in takes and i + 1 < len(argv)
                 and argv[i + 1].startswith("-")):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
@@ -270,6 +279,9 @@ EDGE_LINES = [
     ["certify", "--a", "x", "--depth", "2"],
     ["certify", "--depth", "3", "--foo"],
     ["critical", "--map", "z^2", "--seed", "-5", "--s=3"],
+    # a dash-led value flag that the command does not take is not glued
+    ["critical", "--start", "--map", "z^2"],
+    ["certify", "--map", "--a", "-98", "--depth", "2"],
 ]
 
 

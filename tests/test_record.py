@@ -19,17 +19,17 @@ from arbordyn.cli import main
 from arbordyn.critical import to_normal_form
 from arbordyn.divisibility import RigidityReport, Violation
 from arbordyn.factorint import FactorBudget, Factorization
-from arbordyn.galois import CascadeLevel
+from arbordyn.galois import LevelEvidence
 from arbordyn.ratmap import MobiusTransform, P1Point, RationalMap
 
 
 class TestConstruction:
     def test_positional_and_keyword_agree(self):
         assert P1Point(3, 4) == P1Point(num=3, den=4) == P1Point(3, den=4)
-        level = CascadeLevel(2, "certified", "negative", {"value": -7})
-        assert level == CascadeLevel(n=2, status="certified", route="negative",
-                                     witness={"value": -7})
-        assert (level.n, level.status, level.route) == (2, "certified", "negative")
+        level = LevelEvidence(2, {"value": -7}, None, "maximal")
+        assert level == LevelEvidence(n=2, irreducibility={"value": -7}, theta=None,
+                                      verdict="maximal")
+        assert (level.n, level.theta, level.verdict) == (2, None, "maximal")
 
     def test_defaults(self):
         assert FactorBudget() == FactorBudget(10 ** 6, 10 ** 8, 0)
@@ -98,9 +98,9 @@ class TestEqualityAndRepr:
 
     def test_repr_of_narrow_containers_is_plain_repr(self):
         witness = {"value": -7, "pair": (Fraction(1, 2),), "xs": [3, None, True, ()]}
-        level = CascadeLevel(2, "certified", "negative", witness)
+        level = LevelEvidence(2, witness, None, "maximal")
         assert repr(level) == (
-            f"CascadeLevel(n=2, status='certified', route='negative', witness={witness!r})")
+            f"LevelEvidence(n=2, irreducibility={witness!r}, theta=None, verdict='maximal')")
 
     def test_repr_writes_wide_integers_in_hex(self):
         # a field of this normal form is wider than the 4300-digit str limit

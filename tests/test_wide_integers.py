@@ -16,7 +16,6 @@ from arbordyn.errors import InvariantViolationError
 from arbordyn.factorint import (
     DECIMAL_SAFE_BITS,
     Factorization,
-    divisors,
     int_text,
     is_perfect_square,
     is_square_candidate,
@@ -65,15 +64,15 @@ class TestWitness:
         mid = 7 ** 3001                      # between DIGEST_BITS and DECIMAL_SAFE_BITS
         wide = -(5 ** 10000) - 1             # beyond DECIMAL_SAFE_BITS
         assert DIGEST_BITS < mid.bit_length() <= DECIMAL_SAFE_BITS < wide.bit_length()
-        rec = integer_witness(small)
+        rec, _ = integer_witness(small)
         assert rec["value"] == small and rec["isqrt"] == math.isqrt(-small)
-        rec = integer_witness(mid)
+        rec, square = integer_witness(mid)
         raw = mid.to_bytes((mid.bit_length() + 7) // 8, "big")
         assert rec["sha256_be"] == hashlib.sha256(raw).hexdigest()
         assert rec["leading_hex"] == format(mid, "x")[:24]
         assert "value" not in rec and "sha256" not in rec
-        assert rec["is_square"] is False
-        rec = integer_witness(wide)
+        assert rec["is_square"] is square is False
+        rec, _ = integer_witness(wide)
         mag = -wide
         raw = mag.to_bytes((mag.bit_length() + 7) // 8, "big")
         assert rec == {
@@ -86,10 +85,12 @@ class TestWitness:
 
     def test_wide_square(self, default_digit_limit):
         k = 3 ** 6000 + 2
-        rec = integer_witness(k * k)
-        assert rec["is_square"] is True
-        assert not integer_witness(k * k + 1)["is_square"]
-        assert not integer_witness(-k * k)["is_square"]
+        rec, square = integer_witness(k * k)
+        assert rec["is_square"] is square is True
+        rec, square = integer_witness(k * k + 1)
+        assert rec["is_square"] is square is False
+        rec, square = integer_witness(-k * k)
+        assert rec["is_square"] is False and square is True  # |v| is a square, v is not
 
     def test_deep_certificate_verifies_and_rejects_tampering(self, default_digit_limit):
         cert = maximality_certificate(-98, 15)
@@ -100,10 +101,10 @@ class TestWitness:
         assert not verify_certificate(cert)
 
     def test_strict_bracket_matches_isqrt(self):
-        fs = f_sequence(-6, 12)
+        thetas = theta(f_sequence(-6, 12))
         cert = maximality_certificate(-6, 11)
         for lvl in cert.levels[1:]:
-            th = abs(theta(-6, lvl.n + 1, fs))
+            th = abs(thetas[lvl.n])
             k = math.isqrt(th)
             assert lvl.theta["strict_bracket"] == (k * k < th < (k + 1) ** 2)
 
@@ -142,14 +143,8 @@ def test_encode(default_digit_limit):
 
 def moebius_theta(fs, n):
     """theta_n as the Moebius product of Fractions (the defining formula)."""
-    value = Fraction(1)
-    for d in divisors(n):
-        e = mobius(n // d)
-        if e == 0:
-            continue
-        if fs[d - 1] == 0:
-            raise ValueError("vanishing term")
-        value *= Fraction(fs[d - 1]) ** e
+    value = math.prod(Fraction(fs[d - 1]) ** mobius(n // d)
+                      for d in range(1, n + 1) if n % d == 0)
     assert value.denominator == 1
     return value.numerator
 
@@ -159,25 +154,21 @@ class TestTheta:
     @given(st.integers(-300, 300).filter(bool), st.integers(1, 13))
     def test_matches_moebius_product(self, a, n):
         fs = f_sequence(a, n)
-        try:
-            want = moebius_theta(fs, n)
-        except ValueError:
+        if 0 in fs:
             with pytest.raises(ValueError):
-                theta(a, n, fs)
+                theta(fs)
             return
-        assert theta(a, n, fs) == want
+        assert theta(fs) == [moebius_theta(fs, m) for m in range(1, n + 1)]
 
     def test_all_n_up_to_30(self):
-        for a in (-2, -1):
-            fs = f_sequence(a, 30)
-            for n in range(1, 31):
-                if any(fs[d - 1] == 0 for d in divisors(n)):
-                    continue
-                assert theta(a, n, fs) == moebius_theta(fs, n)
+        fs = f_sequence(-2, 30)
+        assert theta(fs) == [moebius_theta(fs, n) for n in range(1, 31)]
+        with pytest.raises(ValueError):
+            theta(f_sequence(-1, 30))  # f_3 = 0
 
     def test_nonzero_remainder_is_an_invariant_violation(self):
         with pytest.raises(InvariantViolationError):
-            theta(0, 4, [1, 2, 3, 5])  # 5 is not divisible by theta_1 theta_2 = 2
+            theta([1, 2, 3, 5])  # 5 is not divisible by theta_1 theta_2 = 2
 
 
 class TestValueRecursion:

@@ -17,10 +17,17 @@ Each command takes only the budget options it spends, rows of BUDGETS, and
 ``config`` in its JSON holds exactly their values.  ``parse`` reads the
 command line by the table COMMANDS alone, and each command imports the
 modules it needs when it runs, so start-up loads neither argparse nor json.
+When ``main`` owns the process (called with no ``argv``, as by the
+``arbordyn`` script or ``python -m arbordyn.cli``), it first calls
+``gc.freeze()``: every object that start-up made moves to the permanent
+generation, which no collection visits, so the collection at interpreter
+exit no longer walks them.  ``main(argv)``, as a library or test calls it,
+leaves the collector as it is.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -174,11 +181,16 @@ def cmd_sequence(args) -> int:
     if family_a is not None and rows:
         try:
             fs = divis.f_sequence(family_a, len(rows), args.growth_cap_bits)
-            for row, f, th in zip(rows, fs, divis.theta(fs)):
-                row["f"] = f
-                row["theta"] = th
         except GrowthCapError:
             status = "growth_capped"
+        else:
+            for row, f in zip(rows, fs):
+                row["f"] = f
+            try:
+                for row, th in zip(rows, divis.theta(fs)):
+                    row["theta"] = th
+            except ValueError:  # some f_k vanishes: no theta_n is defined
+                pass
     if args.factor:
         budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
         nonzero = [row for row in rows if row["pn0"] != 0]
@@ -193,6 +205,7 @@ def cmd_sequence(args) -> int:
             cells = [f"n={row['n']}", f"p_n(0)={int_text(row['pn0'])}"]
             if "f" in row:
                 cells.append(f"f={int_text(row['f'])}")
+            if "theta" in row:
                 cells.append(f"theta={int_text(row['theta'])}")
             if "factor_string" in row:
                 cells.append(row["factor_string"])
@@ -433,7 +446,11 @@ def parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:  # the process is ours: spare its exit the start-up objects
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     try:
         args = parse(argv)  # None once -h/--help has printed the help
         return EXIT_OK if args is None else globals()[COMMANDS[args.command][0]](args)

@@ -50,11 +50,13 @@ def f_sequence(a: int, n: int,
     if n < 1:
         raise ValueError("need n >= 1")
     out = [1, 1]
+    sq = 1  # f_(k-2)^2, taken as f_(k-1)^2 by the step before
     abits = abs(a).bit_length()
     for _ in range(n - 2):
         if 4 * max(out[-1].bit_length(), out[-2].bit_length()) + abits > growth_cap_bits:
             raise GrowthCapError("growth cap exceeded in f sequence")
-        out.append(out[-1] ** 2 + a * out[-2] ** 4)
+        sq, prev = out[-1] ** 2, sq
+        out.append(sq + a * prev ** 2)
     return out[:n]
 
 

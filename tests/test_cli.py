@@ -172,6 +172,21 @@ class TestSequenceCommand:
         assert doc["a"] == -98
         assert doc["rows"][2]["theta"] == -97
 
+    @pytest.mark.parametrize("argv", [("--a", "-1", "--n", "3"),
+                                      ("--map", "(z^2-1)/z^2", "--n", "4")])
+    def test_vanishing_f_leaves_theta_off_every_row(self, capsys, argv):
+        # a = -1 gives f_3 = 1 + a = 0, so no theta_n is defined
+        code, out, _ = run_cli(capsys, "sequence", *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        pairs = [(-1, 1), (1, 1), (0, 0), (-1, -1)][:len(rows)]
+        assert [(row["pn0"], row["f"]) for row in rows] == pairs
+        assert not any("theta" in row for row in rows)
+        code, out, _ = run_cli(capsys, "sequence", *argv, "--output", "text")
+        assert code == 0
+        assert out.splitlines()[2] == "n=3  p_n(0)=0  f=0"
+        assert "theta" not in out
+
     def test_factored_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--factor"

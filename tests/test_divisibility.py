@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arbordyn.divisibility import (
     f_sequence,
@@ -38,6 +40,30 @@ class TestFSequence:
     def test_growth_cap(self):
         with pytest.raises(GrowthCapError):
             f_sequence(-98, 40, growth_cap_bits=1000)
+
+    @given(st.integers(-2000, 2000).filter(bool), st.integers(1, 14))
+    def test_matches_plain_recursion(self, a, n):
+        assert f_sequence(a, n) == plain_f_sequence(a, n)
+
+    @pytest.mark.parametrize("a, cap", [(-98, 1000), (6, 64), (7, 300), (-2000, 5000),
+                                        (1, 100)])
+    def test_growth_cap_at_the_plain_recursions_term(self, a, cap):
+        n = 3
+        while plain_f_sequence(a, n, cap) is not None:
+            n += 1
+        assert f_sequence(a, n - 1, cap) == plain_f_sequence(a, n - 1, cap)
+        with pytest.raises(GrowthCapError):
+            f_sequence(a, n, cap)
+
+
+def plain_f_sequence(a, n, cap=2 ** 24):
+    """f_1..f_n by f_k = f_(k-1)^2 + a*f_(k-2)^4 as written, or None where the cap stops it."""
+    out = [1, 1]
+    for _ in range(n - 2):
+        if 4 * max(out[-1].bit_length(), out[-2].bit_length()) + abs(a).bit_length() > cap:
+            return None
+        out.append(out[-1] ** 2 + a * out[-2] ** 4)
+    return out[:n]
 
 
 class TestOriginSplit:

@@ -30,6 +30,8 @@ ROWS = [
     (["critical", "--map", "(z^1000+5)/(z^1000+3)"], None, 0),
     (["normal-form", "--map", "(z^1000+5)/(z^1000+3)"], None, 0),
     (["orbit", "--map", "(z^1000+5)/(z^1000+3)", "--start", "1", "--steps", "3"], None, 0),
+    (["sequence", "--a", "-1", "--n", "3"], None, 0),
+    (["sequence", "--map", "(z^2-1)/z^2", "--n", "4"], None, 0),
 ]
 
 

@@ -1,5 +1,5 @@
 """What a process loads: the lazy package, the sieve, the prime-block table, the
-CLI's import boundary.
+CLI's import boundary; and that only the CLI's process entry freezes the collector.
 
 ``import arbordyn`` loads no submodule; its module-level ``__getattr__``
 imports the defining module of a name on first access.  The CLI imports the
@@ -8,6 +8,7 @@ against a clean ``sys.modules``.
 """
 
 import ast
+import gc
 import importlib
 import json
 import math
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import arbordyn
+from arbordyn import cli
 from arbordyn.factorint import primes_below
 from test_cli import readme_commands
 
@@ -134,6 +136,20 @@ def test_no_command_loads_dataclasses_or_inspect():
     assert loaded.pop("import") == []
     assert loaded == {cmd: [0, []] for cmd in (
         "orbit", "critical", "normal-form", "sequence", "certify", "rigid-check")}
+
+
+def test_process_entry_freezes_the_collector():
+    code = ("import gc, sys; from arbordyn.cli import main; "
+            "sys.argv = ['arbordyn', 'certify', '--a', '-98', '--depth', '3']; "
+            "code = main(); print(gc.get_freeze_count(), file=sys.stderr); sys.exit(code)")
+    assert int(run_python(code).stderr) > 0
+
+
+def test_main_with_argv_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["certify", "--a", "-98", "--depth", "3"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out
 
 
 def imported_packages() -> dict[str, set[str]]:

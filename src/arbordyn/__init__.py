@@ -18,12 +18,12 @@ _EXPORTS = {
     "errors": (
         "ArborDynError", "BadReductionError", "CompositeModulusError",
         "DegenerateMapError", "DegreeTooSmallError", "GrowthCapError",
-        "HypothesisError", "InvariantViolationError", "NotBicriticalError",
-        "NotDefinedOverQError", "ZeroPolynomialError",
+        "InvariantViolationError", "NotBicriticalError", "NotDefinedOverQError",
+        "ZeroPolynomialError",
     ),
     "factorint": (
         "FactorBudget", "Factorization", "factor_each", "factor_integer",
-        "is_perfect_square", "is_probable_prime", "mobius",
+        "is_perfect_square", "is_probable_prime",
     ),
     "ffpoly": ("PrimeFieldPoly", "ffpoly_is_irreducible"),
     "intpoly": ("IntPoly", "resultant"),
@@ -38,14 +38,13 @@ _EXPORTS = {
         "critical_points", "ramification_index", "to_normal_form", "wronskian",
     ),
     "divisibility": (
-        "RigidityReport", "f_sequence", "main_family", "rad_divisibility_conditions",
-        "theta", "verify_rigid_divisibility",
+        "RigidityReport", "f_sequence", "main_family", "theta",
+        "verify_rigid_divisibility",
     ),
     "galois": (
         "HypothesisReport", "LevelEvidence", "MaximalityCertificate",
         "alpha_parametrization", "hypothesis_witnesses", "maximality_certificate",
-        "mod_p_irreducible_witness", "nonsquarefree_theta_evidence",
-        "squarefree_theta_evidence", "verify_certificate",
+        "mod_p_irreducible_witness", "verify_certificate",
     ),
     "parsing": ("ParseError", "parse_map", "parse_point", "parse_poly"),
 }

@@ -34,12 +34,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ._record import fraction_text, int_text, json_text, plain
-from .errors import (
-    FactoringBudgetError,
-    GrowthCapError,
-    HypothesisError,
-    NotBicriticalError,
-)
+from .errors import FactoringBudgetError, GrowthCapError, NotBicriticalError
 from .factorint import (
     DEFAULT_RHO_BUDGET,
     DEFAULT_SEED,
@@ -458,8 +453,6 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_PARSE)
     except NotBicriticalError as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
-    except HypothesisError as exc:
-        return _fail(str(exc), EXIT_HYPOTHESES)
     except (GrowthCapError, FactoringBudgetError) as exc:
         return _fail(str(exc), EXIT_FAIL)
     except KeyboardInterrupt:

@@ -2,11 +2,10 @@
 
 For the family (z^2 + a)/z^2 the origin iterate values split as
 p_n(0) = a^(2^(n-1)) * f_n, where f_1 = f_2 = 1 and
-f_n = f_(n-1)^2 + a * f_(n-2)^4.  Moebius products over divisor lattices
-isolate the primitive part of each term:
+f_n = f_(n-1)^2 + a * f_(n-2)^4.  The Moebius product over the divisor
+lattice isolates the primitive part of each term:
 
-    theta_n = prod_{d | n} f_d^(mu(n/d)),
-    beta_{alpha,n} = prod_{d | n} p_d(alpha)^(mu(n/d)).
+    theta_n = prod_{d | n} f_d^(mu(n/d)).
 
 theta_n is computed by exact division and asserted integral rather than
 assumed so; a nonzero remainder is surfaced as a hard invariant violation.
@@ -19,21 +18,11 @@ division beyond) is part of the report, so a "pass" is scoped honestly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import Fresh, Record
-from .errors import GrowthCapError, HypothesisError, InvariantViolationError
-from .factorint import (
-    FactorBudget,
-    factor_counts,
-    factor_each,
-    is_perfect_square,
-    radical,
-    trial_division,
-    valuation,
-)
-from .intpoly import IntPoly
+from .errors import GrowthCapError, InvariantViolationError
+from .factorint import FactorBudget, factor_each, trial_division, valuation
 from .ratmap import DEFAULT_GROWTH_CAP_BITS, RationalMap
 
 
@@ -170,98 +159,3 @@ def verify_rigid_divisibility(
                         f"v_{p} positive at {m} and {n} but zero at gcd {g}",
                     ))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Congruence conditions forcing beta_{alpha,n} to be a non-square
-# ---------------------------------------------------------------------------
-
-
-class RadDivisibilityEvidence(Record):
-    n: int
-    k: int
-    modulus: int
-    conditions: dict
-    certified: bool   # all three conditions hold: beta_{alpha,n} is not a square
-
-
-def _poly_is_square(f: IntPoly) -> bool:
-    """Whether f = h^2 for some h in Z[z], by coefficient matching."""
-    if f.is_zero:
-        return True
-    if f.degree % 2 or f.lc < 0:
-        return False
-    ok, lead = is_perfect_square(f.lc)
-    if not ok:
-        return False
-    half = f.degree // 2
-    h = [0] * (half + 1)
-    h[half] = lead
-    for i in range(half - 1, -1, -1):
-        # coefficient of z^(i+half) in h^2 must match f
-        acc = sum(h[j] * h[i + half - j] for j in range(i + 1, half + 1)
-                  if 0 <= i + half - j <= half)
-        num = f.coeff(i + half) - acc
-        den = 2 * h[half]
-        if num % den:
-            return False
-        h[i] = num // den
-    hh = IntPoly(h)
-    return hh * hh == f
-
-
-def rad_divisibility_conditions(
-    map_: RationalMap, alpha, n: int, m: int
-) -> RadDivisibilityEvidence:
-    """Check three congruence conditions that force beta_{alpha,n} off squares.
-
-    With k = n / rad(n), the conditions on the orbit of alpha are
-      (1) v_l(phi^k(alpha)) = 0 for every prime l dividing m;
-      (2) phi^k(alpha) = -phi^(k+1)(alpha) (mod m);
-      (3) -1 is not a square modulo m.
-    Structural hypotheses (even numerator and denominator, denominator a
-    polynomial square, orbit avoiding 0 and infinity in the checked range)
-    are validated first and raise HypothesisError when they fail; an m not
-    fully factored raises FactoringBudgetError.
-    """
-    if any(map_.p.coeff(i) or map_.q.coeff(i) for i in range(1, map_.d + 1, 2)):
-        raise HypothesisError("hypothesis fails: p and q must be even polynomials")
-    if not _poly_is_square(map_.q):
-        raise HypothesisError("hypothesis fails: q must be the square of a polynomial")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if m <= 1:
-        raise ValueError("modulus m must exceed 1")
-    alpha = Fraction(alpha)
-    k = n // radical(n)
-    horizon = max(k + 2, n + 1)
-    values = map_.ladder_values(alpha, horizon)
-    orbit_vals: list[Optional[Fraction]] = []
-    for u, v in values:
-        orbit_vals.append(None if v == 0 else Fraction(u, v))
-    for i in range(1, horizon + 1):
-        val = orbit_vals[i - 1]
-        if i >= k and val is None:
-            raise HypothesisError(f"hypothesis fails: phi^{i}(alpha) is infinite")
-        if val == 0:
-            raise HypothesisError(f"hypothesis fails: phi^{i}(alpha) vanishes")
-
-    phik = orbit_vals[k - 1]
-    phik1 = orbit_vals[k]
-    conditions: dict = {}
-    prime_factors = factor_counts(m)
-    cond1 = all(
-        phik.numerator % ell != 0 and phik.denominator % ell != 0
-        for ell in prime_factors
-    )
-    conditions["unit_at_k"] = cond1
-    total = phik + phik1
-    cond2 = (
-        math.gcd(total.denominator, m) == 1 and total.numerator % m == 0
-    )
-    conditions["negation_congruence"] = cond2
-    # -1 is a square mod m iff 4 does not divide m and every odd prime factor
-    # of m is 1 mod 4
-    cond3 = m % 4 == 0 or any(ell % 4 == 3 for ell in prime_factors)
-    conditions["minus_one_nonresidue"] = cond3
-    return RadDivisibilityEvidence(n, k, m, conditions, cond1 and cond2 and cond3)

@@ -42,12 +42,5 @@ class NotBicriticalError(ArborDynError, ValueError):
     """The map does not have exactly two critical points."""
 
 
-class HypothesisError(ArborDynError, ValueError):
-    """A structural hypothesis of the requested check fails.
-
-    The message names the failed hypothesis.
-    """
-
-
 class InvariantViolationError(ArborDynError, AssertionError):
     """An invariant that should hold unconditionally was violated."""

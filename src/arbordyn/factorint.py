@@ -595,20 +595,3 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError("mobius defined for n >= 1")
-    counts = factor_counts(n)
-    if any(e > 1 for e in counts.values()):
-        return 0
-    return -1 if len(counts) % 2 else 1
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n >= 1."""
-    if n < 1:
-        raise ValueError("radical defined for n >= 1")
-    return math.prod(factor_counts(n))

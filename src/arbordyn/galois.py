@@ -23,28 +23,18 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import Fresh, Record
-from .errors import GrowthCapError, HypothesisError, InvariantViolationError
+from .errors import InvariantViolationError
 from .factorint import (
     FactorBudget,
     factor_counts,
-    factor_integer,
-    is_perfect_square,
     is_square_candidate,
     is_probable_prime,
-    mobius,
     primes_below,
-    radical,
 )
 from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
 from .intpoly import IntPoly
-from .divisibility import (
-    f_sequence,
-    main_family,
-    rad_divisibility_conditions,
-    theta,
-)
+from .divisibility import f_sequence, main_family, theta
 from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point
-from .reduction import point_mod_p, reduce_mod_p
 
 # Witness integers up to this width are recorded verbatim, wider ones as digests.
 DIGEST_BITS = 4096
@@ -301,187 +291,3 @@ def alpha_parametrization(m: int) -> ParametrizationReport:
     if not ok:
         raise InvariantViolationError(f"parametrization checks failed: {checks}")
     return ParametrizationReport(m, a, alpha, checks, ok)
-
-
-# ---------------------------------------------------------------------------
-# Congruence-route evidence for theta non-squareness
-# ---------------------------------------------------------------------------
-
-CASE_ODD = "odd"          # n odd, p = 5 or 7 (mod 8), p | 2m-1 or 2m+1
-CASE_EVEN_PM1 = "even_pm1"  # n even, p = 3 (mod 4), p | m-1 or m+1
-CASE_EVEN_M = "even_m"      # n even, p = 3 (mod 4), p | m
-
-
-class ThetaCongruenceEvidence(Record):
-    """Mod-p stabilization pattern and the resulting square-class conclusion.
-
-    ``certified`` asserts |theta_n| is not a square; this requires the
-    stabilization pattern, a non-residue final class, and n >= 3 (the bridge
-    from orbit products to theta fails below that).  The direct integer
-    square-root verdict is recorded alongside whenever theta_n is computable.
-    """
-
-    m: int
-    n: int
-    prime: int
-    case: str
-    pattern_ok: bool
-    product_class: int
-    final_class: int
-    expected_class: int
-    nonresidue: bool
-    bridge_applicable: bool
-    certified: bool
-    direct_nonsquare: Optional[bool]
-    agree: Optional[bool]
-
-
-def _legendre_nonresidue(c: int, p: int) -> bool:
-    return pow(c, (p - 1) // 2, p) == p - 1
-
-
-def squarefree_theta_evidence(m: int, n: int, prime: int, case: str) -> ThetaCongruenceEvidence:
-    """Certify |theta_n| off squares through the mod-p orbit of alpha.
-
-    The orbit of alpha modulo p stabilizes after one or two steps; the
-    Moebius product over divisors of n then collapses to an explicit
-    residue whose quadratic character decides the matter.  Square-free
-    n >= 2 only; the witness prime must fit the declared case.
-    """
-    if n < 2 or mobius(n) == 0:
-        raise HypothesisError("need square-free n >= 2")
-    if not is_probable_prime(prime) or prime == 2:
-        raise HypothesisError("witness must be an odd prime")
-    p = prime
-    if case == CASE_ODD:
-        if n % 2 == 0:
-            raise HypothesisError("odd case needs odd n")
-        if p % 8 not in (5, 7) or ((2 * m - 1) % p and (2 * m + 1) % p):
-            raise HypothesisError("witness does not fit the odd case")
-    elif case == CASE_EVEN_PM1:
-        if n % 2 or p % 4 != 3 or ((m - 1) % p and (m + 1) % p):
-            raise HypothesisError("witness does not fit the even case (m +- 1)")
-    elif case == CASE_EVEN_M:
-        if n % 2 or p % 4 != 3 or m % p:
-            raise HypothesisError("witness does not fit the even case (m)")
-    else:
-        raise ValueError(f"unknown case {case!r}")
-
-    a = family_parameter(m)
-    if (2 * a) % p == 0:
-        raise HypothesisError("witness prime divides 2a")  # cannot happen
-    phi = main_family(a)
-    rmap = reduce_mod_p(phi, p)
-    if not rmap.good:
-        raise HypothesisError(f"bad reduction at {p}")
-    alpha = Fraction(2 * m * m - 1, m)
-    t = point_mod_p(alpha.numerator, alpha.denominator, p)
-    seq = [t]
-    for _ in range(n):
-        seq.append(rmap.eval_point(seq[-1]))
-    # seq[i] = phi^i(alpha) mod p in the 0..p encoding
-    inv2 = pow(2, -1, p)
-    if case == CASE_ODD:
-        pattern_ok = all(seq[i] == inv2 for i in range(1, n + 1, 2))
-        prefactor = (2 * m * m - 1) % p
-        expected = (-inv2) % p
-    elif case == CASE_EVEN_PM1:
-        pattern_ok = all(seq[i] == p - 1 for i in range(1, n + 1))
-        prefactor = (1 - 2 * m * m) % p
-        expected = p - 1
-    else:
-        pattern_ok = seq[1] == 1 and all(seq[i] == p - 1 for i in range(2, n + 1))
-        prefactor = (1 - 2 * m * m) % p
-        expected = p - 1
-
-    product = 1
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        e = mobius(n // d)
-        if e == 0:
-            continue
-        val = seq[d]
-        if val == p or val == 0:
-            raise HypothesisError(f"orbit value at step {d} not a unit mod {p}")
-        product = product * (val if e > 0 else pow(val, -1, p)) % p
-    final = prefactor * product % p
-    nonres = _legendre_nonresidue(final, p)
-    bridge = n >= 3
-    certified = pattern_ok and nonres and bridge
-
-    direct: Optional[bool] = None
-    agree: Optional[bool] = None
-    try:
-        th = theta(f_sequence(a, n))[-1]
-        direct = not is_perfect_square(abs(th))[0]
-        agree = (direct is True) if certified else (direct is False)
-    except GrowthCapError:
-        pass  # theta too wide to build: no direct test, the congruence stands
-    if certified and direct is False:
-        raise InvariantViolationError(
-            f"congruence route contradicts direct square test at n={n}"
-        )
-    return ThetaCongruenceEvidence(
-        m, n, p, case, pattern_ok, product, final, expected, nonres,
-        bridge, certified, direct, agree,
-    )
-
-
-class NonsquarefreeEvidence(Record):
-    """Evidence that theta_n is off squares for non-square-free n.
-
-    Route "m4" uses modulus 4 when n/rad(n) = 2; otherwise a prime divisor
-    p = 3 (mod 4) of A_k = f_k^3 + f_(k+1) f_(k-1)^2 serves as the modulus,
-    after checking gcd(A_k, (f_k f_(k-1))^2) = 1 and A_k = 6 (mod 8).
-    ``partial`` flags a factoring budget that ran out before a fitting prime
-    emerged (the congruence still guarantees one exists).
-    """
-
-    a: int
-    n: int
-    k: int
-    route: str
-    witness_modulus: Optional[int]
-    a_k_witness: Optional[dict]
-    gcd_ok: Optional[bool]
-    congruence_ok: Optional[bool]
-    conditions: Optional[dict]
-    certified: bool
-    partial: bool
-
-
-def nonsquarefree_theta_evidence(a: int, n: int,
-                                 budget: FactorBudget | None = None) -> NonsquarefreeEvidence:
-    """Run the modulus search and congruence checks for non-square-free n."""
-    if a % 4 != 2 or a > -3:
-        raise HypothesisError("requires a = 2 (mod 4) and a <= -3")
-    if n < 4 or mobius(n) != 0:
-        raise HypothesisError("requires non-square-free n >= 4")
-    phi = main_family(a)
-    k = n // radical(n)
-    if k == 2:
-        ev = rad_divisibility_conditions(phi, 0, n, 4)
-        return NonsquarefreeEvidence(
-            a, n, k, "m4", 4, None, None, None, ev.conditions,
-            ev.certified, False,
-        )
-    fs = f_sequence(a, k + 1)
-    a_k = fs[k - 1] ** 3 + fs[k] * fs[k - 2] ** 2
-    b_k = (fs[k - 1] * fs[k - 2]) ** 2
-    gcd_ok = math.gcd(a_k, b_k) == 1
-    congruence_ok = a_k % 8 == 6
-    fac = factor_integer(a_k, budget)
-    witness = next((p for p in sorted(fac.prime_list()) if p % 4 == 3), None)
-    partial = witness is None and fac.cofactor_status == "composite_unfactored"
-    if witness is None:
-        return NonsquarefreeEvidence(
-            a, n, k, "A_k_prime", None, integer_witness(a_k)[0],
-            gcd_ok, congruence_ok, None, False, partial,
-        )
-    ev = rad_divisibility_conditions(phi, 0, n, witness)
-    certified = gcd_ok and congruence_ok and ev.certified
-    return NonsquarefreeEvidence(
-        a, n, k, "A_k_prime", witness, integer_witness(a_k)[0],
-        gcd_ok, congruence_ok, ev.conditions, certified, partial,
-    )

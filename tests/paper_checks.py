@@ -10,10 +10,22 @@ from fractions import Fraction
 
 from arbordyn.critical import _root_poly, critical_points, wronskian
 from arbordyn.divisibility import f_sequence, main_family, theta
-from arbordyn.factorint import factor_integer, mobius, valuation
-from arbordyn.galois import integer_witness
+from arbordyn.factorint import factor_counts, factor_integer, valuation
+from arbordyn.galois import family_parameter, integer_witness
 from arbordyn.intpoly import IntPoly, resultant
 from arbordyn.ratmap import INF, Infinity, MobiusTransform, P1Point, RationalMap
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of n >= 1: 0 when a square > 1 divides n, else
+    (-1)^(number of primes of n)."""
+    counts = factor_counts(n)
+    return 0 if any(e > 1 for e in counts.values()) else (-1) ** len(counts)
+
+
+def radical(n: int) -> int:
+    """The product of the distinct primes of n >= 1."""
+    return math.prod(factor_counts(n))
 
 
 # -- critical points and normal forms ------------------------------------------
@@ -188,3 +200,94 @@ def good_reduction_origin_valuations(phi: RationalMap, p: int, n: int) -> list[t
            for pair in phi.origin_values(n)]
     assert all(min(pair) == 0 for pair in out)
     return out
+
+
+# -- the congruence route for theta_n (Odoni-Stoll) ----------------------------
+
+
+def squarefree_theta_evidence(m: int, n: int, p: int, case: str) -> tuple[bool, int, bool]:
+    """(pattern_ok, final_class, certified) for theta_n of a = -2(2m^2-1)^2 at
+    square-free n >= 2, from the orbit of alpha = (2m^2-1)/m modulo the odd
+    prime p of ``case``:
+
+      odd:      n odd,  p = 5 or 7 (mod 8) divides 2m-1 or 2m+1;
+      even_pm1: n even, p = 3 (mod 4) divides m-1 or m+1;
+      even_m:   n even, p = 3 (mod 4) divides m.
+
+    pattern_ok: the orbit mod p stabilizes as the case says, after one or
+    two steps.  Then the Moebius product of its values over d | n, times
+    +-(2m^2-1), collapses to final_class = -1/2 (odd) or -1 (even) mod p,
+    which is asserted.  certified: |theta_n| is not a square, because the
+    pattern holds, final_class is a non-residue mod p, and n >= 3 (below
+    that the bridge from orbit products to theta fails).
+    """
+    a = family_parameter(m)
+    z = None if m % p == 0 else (2 * m * m - 1) * pow(m, -1, p) % p  # None: infinity
+    seq = [z]
+    for _ in range(n):
+        z = 1 if z is None else None if z == 0 else (z * z + a) * pow(z * z, -1, p) % p
+        seq.append(z)
+    half = pow(2, -1, p)
+    if case == "odd":
+        pattern_ok = all(seq[i] == half for i in range(1, n + 1, 2))
+    elif case == "even_pm1":
+        pattern_ok = set(seq[1:]) == {p - 1}
+    else:  # even_m: alpha is infinity mod p, and phi(infinity) = 1
+        pattern_ok = seq[1] == 1 and set(seq[2:]) == {p - 1}
+    prefactor, expected = (2 * m * m - 1, -half) if case == "odd" else (1 - 2 * m * m, -1)
+    final = prefactor * math.prod(pow(seq[d], mobius(n // d), p)
+                                  for d in range(1, n + 1) if n % d == 0) % p
+    assert not pattern_ok or final == expected % p
+    certified = pattern_ok and pow(final, (p - 1) // 2, p) == p - 1 and n >= 3
+    return pattern_ok, final, certified
+
+
+def rad_divisibility_conditions(phi: RationalMap, alpha, n: int, m: int) -> dict[str, bool]:
+    """The three congruence conditions that force beta_{alpha,n} off squares,
+    with k = n / rad(n), for phi = p/q with p and q even and q a square in
+    Z[z], n >= 2, and an orbit of alpha that avoids 0, and infinity from
+    step k on:
+
+      unit_at_k:            v_l(phi^k(alpha)) = 0 for every prime l | m;
+      negation_congruence:  phi^k(alpha) = -phi^(k+1)(alpha) (mod m);
+      minus_one_nonresidue: -1 is not a square mod m.
+    """
+    k = n // radical(n)
+    (u, v), (u1, v1) = phi.ladder_values(Fraction(alpha), k + 1)[k - 1:]
+    phik = Fraction(u, v)
+    total = phik + Fraction(u1, v1)
+    primes = factor_counts(m)
+    return {
+        "unit_at_k": all(phik.numerator % l and phik.denominator % l for l in primes),
+        "negation_congruence": math.gcd(total.denominator, m) == 1 and total.numerator % m == 0,
+        # -1 is a square mod m iff 4 does not divide m and every odd prime of m is 1 mod 4
+        "minus_one_nonresidue": m % 4 == 0 or any(l % 4 == 3 for l in primes),
+    }
+
+
+def nonsquarefree_theta_evidence(a: int, n: int) -> tuple[int | None, bool, bool]:
+    """(modulus, certified, complete) for theta_n at a = 2 (mod 4), a <= -3 and
+    n >= 4 not square-free: certified says |theta_n| is not a square, by
+    rad_divisibility_conditions at basepoint 0 modulo ``modulus``.
+
+    With k = n / rad(n), the modulus is 4 when k = 2.  Otherwise it is the
+    least prime p = 3 (mod 4) of A_k = f_k^3 + f_(k+1) f_(k-1)^2, after
+    gcd(A_k, f_k f_(k-1)) = 1 and A_k = 6 (mod 8) are asserted.  Such a p
+    exists when |A_k| = 6 (mod 8), as then |A_k|/2 = 3 (mod 4), but not
+    always when A_k < 0: at a = -98, A_3 = -903362 and 451681 = 1 (mod 4) has
+    no prime 3 (mod 4).  Then modulus is None and nothing is certified.
+    complete says A_k was fully factored, so that a None modulus means no
+    such prime exists.
+    """
+    k = n // radical(n)
+    if k == 2:
+        p, complete = 4, True
+    else:
+        fs = f_sequence(a, k + 1)
+        a_k = fs[k - 1] ** 3 + fs[k] * fs[k - 2] ** 2
+        assert math.gcd(a_k, fs[k - 1] * fs[k - 2]) == 1 and a_k % 8 == 6
+        fac = factor_integer(a_k)
+        p = next((p for p in sorted(fac.prime_list()) if p % 4 == 3), None)
+        complete = fac.cofactor_status != "composite_unfactored"
+    certified = p is not None and all(rad_divisibility_conditions(main_family(a), 0, n, p).values())
+    return p, certified, complete

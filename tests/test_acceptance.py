@@ -13,21 +13,19 @@ from fractions import Fraction
 from arbordyn.cli import main as cli_main
 from arbordyn.critical import critical_points, to_normal_form, verify_normal_form
 from arbordyn.divisibility import f_sequence, main_family, theta, verify_rigid_divisibility
-from arbordyn.factorint import is_perfect_square, mobius
-from arbordyn.galois import (
-    maximality_certificate,
-    mod_p_irreducible_witness,
-    nonsquarefree_theta_evidence,
-    squarefree_theta_evidence,
-)
+from arbordyn.factorint import is_perfect_square
+from arbordyn.galois import maximality_certificate, mod_p_irreducible_witness
 from arbordyn.ratmap import RationalMap
 from paper_checks import (
     beta,
     discriminant,
     discriminant_recursion,
     irreducibility_cascade,
+    mobius,
+    nonsquarefree_theta_evidence,
     normal_forms_conjugate,
     quadratic_conjugate_form,
+    squarefree_theta_evidence,
 )
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
@@ -178,18 +176,17 @@ def test_criterion_5_maximality_certificates(capsys):
 def test_criterion_6_congruence_vs_direct(capsys):
     cases = {2: ("even_pm1", 3), 3: ("odd", 5), 5: ("odd", 5),
              6: ("even_pm1", 3), 7: ("odd", 5)}
+    thetas = theta(f_sequence(-98, 8))
     for n, (case, p) in cases.items():
-        ev = squarefree_theta_evidence(2, n, p, case)
-        assert ev.pattern_ok
-        assert ev.agree, f"n={n}: congruence and direct routes disagree"
-        if n >= 3:
-            assert ev.certified and ev.direct_nonsquare
+        pattern_ok, _, certified = squarefree_theta_evidence(2, n, p, case)
+        direct_nonsquare = not is_perfect_square(abs(thetas[n - 1]))[0]
+        assert pattern_ok
+        assert certified == direct_nonsquare, f"n={n}: congruence and direct routes disagree"
+        assert certified == (n >= 3)
     for n in (4, 8):
-        ev = nonsquarefree_theta_evidence(-98, n)
-        assert ev.certified, f"n={n} evidence failed"
-        assert ev.conditions["unit_at_k"]
-        assert ev.conditions["negation_congruence"]
-        assert ev.conditions["minus_one_nonresidue"]
+        _, certified, _ = nonsquarefree_theta_evidence(-98, n)
+        assert certified, f"n={n} evidence failed"
+        assert not is_perfect_square(abs(thetas[n - 1]))[0]
     with capsys.disabled():
         report(6, "congruence route matches direct square tests, m=2")
 

@@ -1,9 +1,9 @@
 """Every factorization goes through factor_integer, checked against brute force.
 
-factor_counts (the complete-factorization policy), mobius, radical,
-quadext.squarefree_kernel and trial_division are compared with a plain
-trial-division oracle kept in this file, and factor_counts with products of
-primes up to 2^61.  The block scan of trial_division is also compared with the
+factor_counts (the complete-factorization policy), mobius and radical of
+tests/paper_checks.py, quadext.squarefree_kernel and trial_division are
+compared with a plain trial-division oracle kept in this file, and
+factor_counts with products of primes up to 2^61.  The block scan of trial_division is also compared with the
 loop over every prime that it replaced, on numbers up to about 2000 bits.
 """
 
@@ -22,11 +22,10 @@ from arbordyn.factorint import (
     factor_counts,
     factor_integer,
     is_probable_prime,
-    mobius,
-    radical,
     trial_division,
 )
 from arbordyn.quadext import squarefree_kernel
+from paper_checks import mobius, radical
 
 LIMIT = 20000
 

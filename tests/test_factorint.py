@@ -10,11 +10,10 @@ from arbordyn.factorint import (
     factor_integer,
     is_perfect_square,
     is_probable_prime,
-    mobius,
     primes_below,
-    radical,
     valuation,
 )
+from paper_checks import mobius, radical
 
 # 39-digit Mersenne prime, above the deterministic Miller-Rabin range
 M127 = 2 ** 127 - 1

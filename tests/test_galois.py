@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbordyn.divisibility import f_sequence, main_family, theta
-from arbordyn.errors import GrowthCapError, HypothesisError, InvariantViolationError
+from arbordyn.errors import GrowthCapError, InvariantViolationError
+from arbordyn.factorint import is_perfect_square
 from arbordyn.galois import (
     alpha_parametrization,
     family_parameter,
     hypothesis_witnesses,
     maximality_certificate,
     mod_p_irreducible_witness,
-    nonsquarefree_theta_evidence,
-    squarefree_theta_evidence,
     verify_certificate,
 )
 from arbordyn.ratmap import P1Point, RationalMap
@@ -24,6 +23,10 @@ from paper_checks import (
     discriminant_recursion,
     eventual_stability_check,
     irreducibility_cascade,
+    mobius,
+    nonsquarefree_theta_evidence,
+    rad_divisibility_conditions,
+    squarefree_theta_evidence,
 )
 
 
@@ -188,75 +191,89 @@ class TestAlphaParametrization:
 
 class TestSquarefreeThetaEvidence:
     def test_odd_case_m2(self):
-        ev = squarefree_theta_evidence(2, 3, 5, "odd")
-        assert ev.pattern_ok
-        assert ev.product_class == 1
-        assert ev.final_class == ev.expected_class == (-pow(2, -1, 5)) % 5
-        assert ev.nonresidue and ev.certified
-        assert ev.direct_nonsquare and ev.agree
+        # the class -1/2 = 2 is a non-residue mod 5, and |theta_3| = 97
+        assert squarefree_theta_evidence(2, 3, 5, "odd") == (True, 2, True)
         assert abs(theta(f_sequence(-98, 3))[2]) == 97
 
     def test_even_case_below_bridge(self):
         # n = 2: the congruences verify but theta_2 = 1 is a square, and the
         # bridge to theta needs n >= 3, so nothing is certified
-        ev = squarefree_theta_evidence(2, 2, 3, "even_pm1")
-        assert ev.pattern_ok and ev.nonresidue
-        assert not ev.bridge_applicable and not ev.certified
-        assert ev.direct_nonsquare is False
-        assert ev.agree
+        assert squarefree_theta_evidence(2, 2, 3, "even_pm1") == (True, 3 - 1, False)
+        assert theta(f_sequence(-98, 2))[1] == 1
 
     def test_even_case_m_divisible(self):
-        ev = squarefree_theta_evidence(3, 2, 3, "even_m")
-        assert ev.pattern_ok
-        assert ev.product_class == 3 - 1  # the product collapses to -1 mod 3
-        assert ev.nonresidue
+        # alpha is infinity mod 3 | m, and the product collapses to -1 mod 3
+        assert squarefree_theta_evidence(3, 2, 3, "even_m") == (True, 3 - 1, False)
 
     def test_wrong_case_rejected(self):
-        with pytest.raises(HypothesisError):
-            squarefree_theta_evidence(2, 3, 5, "even_pm1")
-        with pytest.raises(HypothesisError):
-            squarefree_theta_evidence(2, 4, 5, "odd")  # n not square-free
+        # 5 fits the odd case of m = 2 only: the even case's pattern fails, so
+        # nothing is certified, though the class 3 is a non-residue mod 5
+        assert squarefree_theta_evidence(2, 3, 5, "even_pm1") == (False, 3, False)
 
     def test_congruence_agrees_with_direct(self):
         cases = {2: ("even_pm1", 3), 3: ("odd", 5), 5: ("odd", 5),
                  6: ("even_pm1", 3), 7: ("odd", 5)}
+        thetas = theta(f_sequence(-98, 7))
         for n, (case, p) in cases.items():
-            ev = squarefree_theta_evidence(2, n, p, case)
-            assert ev.agree
+            certified = squarefree_theta_evidence(2, n, p, case)[2]
+            assert certified == (not is_perfect_square(abs(thetas[n - 1]))[0]), n
 
     def test_growth_cap_leaves_direct_test_open(self):
-        with mock.patch("arbordyn.galois.theta", side_effect=GrowthCapError("cap")):
-            ev = squarefree_theta_evidence(2, 3, 5, "odd")
-        assert ev.certified
-        assert ev.direct_nonsquare is None and ev.agree is None
-
-    def test_invariant_violation_propagates(self):
-        with mock.patch("arbordyn.galois.theta",
-                        side_effect=InvariantViolationError("theta_3 is not integral")):
-            with pytest.raises(InvariantViolationError):
-                squarefree_theta_evidence(2, 3, 5, "odd")
+        # theta_31 is past the cap, and the route reads 31 steps mod 5 instead
+        with pytest.raises(GrowthCapError):
+            f_sequence(-98, 31, growth_cap_bits=2 ** 16)
+        assert squarefree_theta_evidence(2, 31, 5, "odd") == (True, 2, True)
 
 
 class TestNonsquarefreeThetaEvidence:
     def test_modulus_four_route(self):
-        ev = nonsquarefree_theta_evidence(-98, 4)
-        assert ev.route == "m4" and ev.witness_modulus == 4
-        assert ev.certified
+        assert nonsquarefree_theta_evidence(-98, 4) == (4, True, True)
 
     def test_a_k_route(self):
-        ev = nonsquarefree_theta_evidence(-98, 8)
-        assert ev.route == "A_k_prime"
-        assert ev.witness_modulus is not None
-        assert ev.witness_modulus % 4 == 3
-        assert ev.gcd_ok and ev.congruence_ok and ev.certified
+        # 139 is the least prime 3 (mod 4) of A_4 = f_4^3 + f_5 f_3^2
+        assert nonsquarefree_theta_evidence(-98, 8) == (139, True, True)
 
-    def test_squarefree_n_rejected(self):
-        with pytest.raises(HypothesisError):
-            nonsquarefree_theta_evidence(-98, 6)
+    def test_negative_a_k_leaves_theta_9_open(self):
+        # A_3 = -903362 = 6 (mod 8), yet 903362 = 2 * 451681 with 451681 = 1
+        # (mod 4): the complete factorization has no prime 3 (mod 4), so the
+        # route leaves theta_9 to the certificate's bracket
+        fs = f_sequence(-98, 4)
+        assert fs[2] ** 3 + fs[3] * fs[1] ** 2 == -903362
+        assert nonsquarefree_theta_evidence(-98, 9) == (None, False, True)
+        assert maximality_certificate(-98, 8).levels[7].verdict == "maximal"
 
     def test_wrong_parameter_rejected(self):
-        with pytest.raises(HypothesisError):
-            nonsquarefree_theta_evidence(-97, 4)
+        # at n = 4, k = 2, the negation congruence mod 4 reads 1 + (1 + a) = 0,
+        # so the modulus-4 route holds exactly for a = 2 (mod 4)
+        for a in range(-30, -2):
+            conditions = rad_divisibility_conditions(main_family(a), 0, 4, 4)
+            assert conditions["negation_congruence"] == (a % 4 == 2), a
+
+
+# theta_n that the route leaves open at 3 <= n <= 15: A_k has no prime 3 (mod 4)
+ROUTE_OPEN = {2: 9, 3: 8, 4: 9, 6: 9}
+
+
+@pytest.mark.parametrize("m", sorted(ROUTE_OPEN))
+def test_congruence_route_certifies_only_maximal_levels(m):
+    """Each theta_n the route certifies, with the witness primes of
+    hypothesis_witnesses(m), decides a level n - 1 the certificate finds
+    maximal."""
+    a, hyp = family_parameter(m), hypothesis_witnesses(m)
+    even_case = "even_m" if hyp.s1_target == "m" else "even_pm1"
+    levels = maximality_certificate(a, 14).levels
+    certified = []
+    for n in range(3, 16):
+        if mobius(n) == 0:
+            ok = nonsquarefree_theta_evidence(a, n)[1]
+        elif n % 2:
+            ok = squarefree_theta_evidence(m, n, hyp.s2_witness, "odd")[2]
+        else:
+            ok = squarefree_theta_evidence(m, n, hyp.s1_witness, even_case)[2]
+        if ok:
+            certified.append(n)
+            assert levels[n - 2].verdict == "maximal", n
+    assert certified == [n for n in range(3, 16) if n != ROUTE_OPEN[m]]
 
 
 class TestEventualStability:

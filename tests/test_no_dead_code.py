@@ -29,9 +29,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "arbordyn"
 
 # Definitions that no command reaches yet, each kept for a reason: the open
-# ROADMAP item that puts it on a command path, the verifier of a command's
-# output, or the only caller of fieldpoly, the layer that perfbench/tracing.py
-# must find a public function in.
+# ROADMAP item that puts it on a command path or moves it into
+# tests/paper_checks.py (as the congruence route of item 9 was moved), the
+# verifier of a command's output, or the only caller of fieldpoly, the layer
+# that perfbench/tracing.py must find a public function in.
 AWAITING = {
     "verify_certificate": "ROADMAP item 3",
     "certificate_from_dict": "ROADMAP item 3",
@@ -41,14 +42,10 @@ AWAITING = {
     "orbit_mod_p": "ROADMAP item 5",
     "has_good_reduction": "ROADMAP item 5",
     "mod_p_irreducible_witness": "ROADMAP item 6",
-    "squarefree_theta_evidence": "ROADMAP item 9",
-    "nonsquarefree_theta_evidence": "ROADMAP item 9",
-    "rad_divisibility_conditions": "ROADMAP item 9",
     "verify_normal_form": "verifier",
     "ramification_index": "traced layer",
 }
-REASONS = {"ROADMAP item 3", "ROADMAP item 5", "ROADMAP item 6", "ROADMAP item 9",
-           "verifier", "traced layer"}
+REASONS = {"ROADMAP item 3", "ROADMAP item 5", "ROADMAP item 6", "verifier", "traced layer"}
 
 
 def defined_names(tree: ast.Module) -> set[str]:

@@ -107,6 +107,8 @@ def test_cli_import_boundary():
     assert not set(HEAVY) & set(loaded["orbit"])
     assert "arbordyn.critical" in loaded["critical"]
     assert "arbordyn.galois" not in loaded["critical"]
+    # the certificate and the sequence step no orbit mod p
+    assert "arbordyn.reduction" not in loaded["certify"] + loaded["sequence"]
     # the prime-block table is read only by trial division past 2048: --factor
     assert loaded["table_read"] == [False] * 5 + [True]
 

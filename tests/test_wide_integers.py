@@ -19,7 +19,6 @@ from arbordyn.factorint import (
     int_text,
     is_perfect_square,
     is_square_candidate,
-    mobius,
 )
 from arbordyn.galois import (
     DIGEST_BITS,
@@ -29,6 +28,7 @@ from arbordyn.galois import (
 )
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import INF, P1Point, RationalMap
+from paper_checks import mobius
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ both or neither of --a/--map, an unparsable map or point), 3 non-bicritical
 input, 4 hypotheses unmet, 5 rigidity violation, 6 internal error (any other
 exception, reported as one "error: internal: <Type>: <message>" line);
 ``main`` alone maps exceptions to codes.
-JSON goes to stdout (schema tag "arbordyn/3", keys sorted, no timestamps,
-so identical inputs produce byte-identical output); diagnostics go to
+JSON goes to stdout (tagged SCHEMA, keys sorted, no timestamps, so
+identical inputs produce byte-identical output); diagnostics go to
 stderr.  Every value is written by ``_record.plain``: integers wider than
 DECIMAL_SAFE_BITS become "0x..." hex strings, and rationals "num/den" with
 each part by the same rule, in JSON and text alike, so no wide integer is
@@ -49,7 +49,7 @@ from .ratmap import (
     DEFAULT_MAX_STEPS,
 )
 
-SCHEMA = "arbordyn/3"
+SCHEMA = "arbordyn/4"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -321,6 +321,9 @@ def _checked(need: str, ok=lambda v: True, convert=int):
 
 _POSITIVE = _checked("an integer >= 1", lambda v: v >= 1)
 _NON_NEGATIVE = _checked("an integer >= 0", lambda v: v >= 0)
+# The largest certify --depth: no growth cap bounds the residue band, whose
+# time and payload grow with the depth.
+MAX_DEPTH = 1000
 
 # An option is (flag, dest, convert, default, required, group).  ``convert``
 # turns the token after the flag into the value (raising ValueError), or is
@@ -360,7 +363,9 @@ COMMANDS = {
         ("--m", "m", _checked("an integer other than -1, 0, 1", lambda v: abs(v) >= 2),
          None, True, "--m/--a"),
         ("--a", "a", _checked("an integer"), None, True, "--m/--a"),
-        ("--depth", "depth", _POSITIVE, None, True, None), _OUTPUT, _GROWTH, *_FACTORING)),
+        ("--depth", "depth", _checked(f"an integer from 1 to {MAX_DEPTH}",
+                                      lambda v: 1 <= v <= MAX_DEPTH), None, True, None),
+        _OUTPUT, _GROWTH, *_FACTORING)),
     "rigid-check": ("cmd_rigid_check", "rigid divisibility of p_n(0)", (
         _MAP, _N, ("--exclude", "exclude", _checked(
             "comma-separated integers", convert=lambda t: [int(x) for x in t.split(",") if x]),

@@ -5,15 +5,15 @@ n-th preimage field grows by the maximal degree 2^(2^(n-1)) over its
 predecessor; the evidence is an irreducibility chain (base quadratic plus the
 one-step criterion "previous iterate irreducible and its value at 1 is not a
 square", read off mod 4) together with a proof that the primitive part
-theta_(n+1) is not a perfect square, witnessed by a strict integer
-square-root bracket.  A level
-that cannot be certified is reported "unknown", never "failed": the criteria
-are sufficient, not necessary.
+theta_(n+1) is not a perfect square.  A level that cannot be certified is
+reported "unknown", never "failed": the criteria are sufficient, not
+necessary.
 
-Witness integers wider than DIGEST_BITS are stored as digests so that
-certificates stay compact while every verdict can be recomputed bit-for-bit:
-sha256 of the big-endian magnitude bytes plus leading hex digits, so that no
-wide integer is ever converted to decimal.
+The proof of non-squareness comes in two bands.  While f_(n+1) fits in
+DIGEST_BITS, theta_(n+1) is built exactly and its witness is a strict integer
+square-root bracket.  Past that, nothing that wide is built: f_(n+1) mod 4
+and theta_(n+1) mod q, for a prime q = 1 (mod 4), decide the level, since a
+quadratic non-residue mod q is not a square (Odoni-Stoll).
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from .errors import InvariantViolationError
 from .factorint import (
     FactorBudget,
     factor_counts,
-    is_square_candidate,
     is_probable_prime,
     primes_below,
 )
-from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
 from .intpoly import IntPoly
 from .divisibility import f_sequence, main_family, theta
 from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point
 
-# Witness integers up to this width are recorded verbatim, wider ones as digests.
+# Levels whose f_(n+1) is at most this wide get exact witnesses, wider ones residues.
 DIGEST_BITS = 4096
+# Residue witnesses are searched among the primes below this bound.
+RESIDUE_PRIME_BOUND = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -47,31 +47,13 @@ DIGEST_BITS = 4096
 
 def integer_witness(v: int) -> tuple[dict, bool]:
     """A recomputable record of an integer and its square-root bracket, and
-    whether |v| is a perfect square.
-
-    Integers up to DIGEST_BITS are stored verbatim with their integer square
-    root; wider ones as sha256 of the big-endian magnitude bytes plus leading
-    hex digits, so re-deriving the integer reproduces the record exactly.
-    Squareness is decided once: quadratic residues first, isqrt only when a
-    recorded field needs the root or the residues cannot decide.
-    """
+    whether |v| is a perfect square: ``value``, ``bits``, ``negative``,
+    ``isqrt`` (of |v|) and ``is_square`` (of v itself)."""
     mag = abs(v)
-    bits = v.bit_length()
-    wide = bits > DIGEST_BITS
-    k = None
-    if not wide or is_square_candidate(mag):
-        k = math.isqrt(mag)
-    square = k is not None and k * k == mag
-    rec: dict = {"bits": bits, "negative": v < 0, "is_square": v >= 0 and square}
-    if not wide:
-        rec["value"] = v
-        rec["isqrt"] = k
-    else:
-        import hashlib
-
-        rec["sha256_be"] = hashlib.sha256(mag.to_bytes((bits + 7) // 8, "big")).hexdigest()
-        hex_digits = (bits + 3) // 4
-        rec["leading_hex"] = format(mag >> 4 * (hex_digits - 24), "x")
+    k = math.isqrt(mag)
+    square = k * k == mag
+    rec = {"bits": v.bit_length(), "negative": v < 0, "is_square": v >= 0 and square,
+           "value": v, "isqrt": k}
     return rec, square
 
 
@@ -82,6 +64,8 @@ def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]
     (degree must be preserved, so primes dividing the leading coefficient
     are skipped).
     """
+    from .ffpoly import PrimeFieldPoly, ffpoly_is_irreducible
+
     for p in primes_below(bound):
         if f.lc % p == 0:
             continue
@@ -132,19 +116,25 @@ def maximality_certificate(a: int, depth: int,
     the regime every iterate numerator is irreducible, by one of two routes:
     -a = 2 (mod 4) is not a square (n = 1), and f_(n+1) = 3 (mod 4) for
     n >= 2, by induction, as odd squares are 1 mod 4; a term off that
-    congruence raises InvariantViolationError.  Level n >= 2 is maximal when
-    |theta_(n+1)| sits strictly between consecutive squares, else unknown.
-    f_1 .. f_(depth+1) are built once, under ``growth_cap_bits``
-    (GrowthCapError past it).
+    congruence raises InvariantViolationError.
+
+    The exact band: f_1, f_2, ... are built under ``growth_cap_bits``
+    (GrowthCapError past it) up to the first term wider than DIGEST_BITS.  A
+    level n whose f_(n+1) was built is maximal when |theta_(n+1)| sits
+    strictly between consecutive squares, else unknown.  The residue band:
+    every later level records f_(n+1) mod 4 and is maximal when a prime
+    q = 1 (mod 4) below RESIDUE_PRIME_BOUND makes theta_(n+1) mod q a
+    quadratic non-residue, else unknown.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
         return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [])
-    fs = f_sequence(a, depth + 1, growth_cap_bits)
+    fs = f_sequence(a, depth + 1, growth_cap_bits, stop_bits=DIGEST_BITS)
     thetas = theta(fs)
-    levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", -a), None, "maximal")]
-    for n in range(2, depth + 1):
+    levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", integer_witness(-a)[0]),
+                            None, "maximal")]
+    for n in range(2, len(fs)):
         if fs[n] % 4 != 3:
             raise InvariantViolationError(f"f_{n + 1}(a={a}) is not 3 mod 4")
         wit, square = integer_witness(thetas[n])
@@ -152,19 +142,55 @@ def maximality_certificate(a: int, depth: int,
         # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
         wit["strict_bracket"] = thetas[n] != 0 and not square
         levels.append(LevelEvidence(
-            n, _irreducible(n, "congruence_3_mod_4", fs[n]), wit,
+            n, _irreducible(n, "congruence_3_mod_4", integer_witness(fs[n])[0]), wit,
             "maximal" if wit["strict_bracket"] else "unknown",
         ))
+    wide = range(len(fs), depth + 1)  # len(fs) >= 2: f_1 = f_2 = 1 always fit
+    if wide:
+        mod4 = f_sequence(a, depth + 1, modulus=4)
+        found = _residue_witnesses(a, wide)
+        for n in wide:
+            if mod4[n] != 3:
+                raise InvariantViolationError(f"f_{n + 1}(a={a}) is not 3 mod 4")
+            q, r = found.get(n, (None, None))
+            levels.append(LevelEvidence(
+                n, _irreducible(n, "congruence_3_mod_4", {"modulus": 4, "residue": 3}),
+                {"route": "residue", "index": n + 1, "q": q, "r": r},
+                "unknown" if q is None else "maximal",
+            ))
     maximal = [lvl.n for lvl in levels if lvl.verdict == "maximal"]
     overall = ALL_MAXIMAL if len(maximal) == depth else PARTIAL
     return MaximalityCertificate(a, depth, overall, maximal, levels)
 
 
-def _irreducible(n: int, route: str, value: int) -> dict:
+def _residue_witnesses(a: int, levels: range) -> dict[int, tuple[int, int]]:
+    """Level n -> (q, r) for the least prime q = 1 (mod 4) below
+    RESIDUE_PRIME_BOUND, q not dividing a, at which r = theta_(n+1) mod q is a
+    quadratic non-residue; a level that no such prime decides is left out.
+
+    As -1 is a square mod such q, r decides |theta_(n+1)| whatever its sign.
+    Each prime's residues are stepped once, for the levels still open.
+    """
+    found = {}
+    left = list(levels)
+    for q in primes_below(RESIDUE_PRIME_BOUND):
+        if not left:
+            break
+        if q % 4 != 1 or a % q == 0:
+            continue
+        residues = theta(f_sequence(a, left[-1] + 1, modulus=q), q)
+        for n in left:
+            r = residues[n]
+            if r is not None and pow(r, (q - 1) // 2, q) == q - 1:
+                found[n] = (q, r)
+        left = [n for n in left if n not in found]
+    return found
+
+
+def _irreducible(n: int, route: str, witness: dict) -> dict:
     """The record that the n-th iterate numerator is irreducible by ``route``,
     with the witness of the value the route reads: -a at n = 1, else f_(n+1)."""
-    return {"n": n, "status": "certified", "route": route,
-            "witness": integer_witness(value)[0]}
+    return {"n": n, "status": "certified", "route": route, "witness": witness}
 
 
 def verify_certificate(cert: MaximalityCertificate) -> bool:

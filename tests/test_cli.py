@@ -80,7 +80,7 @@ class TestOrbitCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "arbordyn/3"
+        assert doc["schema"] == "arbordyn/4"
         assert doc["orbit"]["points"][:4] == ["0", "inf", "1", "-97"]
 
     def test_fixed_point(self, capsys):
@@ -238,7 +238,7 @@ def test_family_tower_factors_nothing(monkeypatch, capsys, argv):
     monkeypatch.setattr(factorint, "factor_integer", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert json.loads(out)["schema"] == "arbordyn/3"
+    assert json.loads(out)["schema"] == "arbordyn/4"
 
 
 class TestRigidCheckCommand:
@@ -308,6 +308,16 @@ class TestBudgets:
         doc = json.loads(out)
         assert doc["status"] == "growth_capped"
         assert 0 < len(doc["rows"]) < 30
+
+    def test_f_columns_kept_while_the_terms_fit(self, capsys):
+        # at a = 1, p_n(0) = f_n: all nine terms fit in 100 bits, and so does
+        # the width bound of f_9, so the f and theta columns stay
+        code, out, _ = run_cli(capsys, "sequence", "--a", "1", "--n", "9",
+                               "--growth-cap-bits", "100")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "complete"
+        assert all(row["f"] == row["pn0"] and "theta" in row for row in doc["rows"])
 
     def test_rho_budget_exhaustion_labeled_honestly(self, capsys):
         code, out, _ = run_cli(
@@ -416,6 +426,7 @@ BAD_COMMAND_LINES = [
     (("sequence", "--a", "-98", "--n", "x"), "--n"),
     (("sequence", "--a", "-98"), "--n"),
     (("certify", "--a", "-98", "--depth", "0"), "--depth"),
+    (("certify", "--m", "2", "--depth", str(cli.MAX_DEPTH + 1)), "--depth"),
     (("critical", "--map", "z^2", "--bound", "-1"), "--bound"),
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--pool-depth", "-1"),
      "--pool-depth"),

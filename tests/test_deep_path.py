@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from arbordyn.divisibility import f_sequence, theta
-from arbordyn.factorint import DECIMAL_SAFE_BITS, int_text
+from arbordyn.factorint import DECIMAL_SAFE_BITS, int_text, is_probable_prime
 from arbordyn.galois import DIGEST_BITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,20 +68,20 @@ class TestDeepCommands:
         wide = 0
         for lvl in levels[1:]:
             n = lvl["n"]
-            for wit, value in ((lvl["irreducibility"]["witness"], fs[n]),
-                               (lvl["theta"], thetas[n])):
-                assert wit["bits"] == value.bit_length()
-                if value.bit_length() <= DIGEST_BITS:
-                    assert "sha256_be" not in wit
-                    continue
-                wide += 1
-                mag = abs(value)
-                raw = mag.to_bytes((mag.bit_length() + 7) // 8, "big")
-                assert wit["sha256_be"] == hashlib.sha256(raw).hexdigest()
-                assert wit["leading_hex"] == format(mag, "x")[:24]
-                assert not {"sha256", "digits", "leading_digits", "isqrt_digits",
-                            "isqrt_leading"} & set(wit)
-        assert wide > 0
+            irr, wit = lvl["irreducibility"]["witness"], lvl["theta"]
+            assert lvl["verdict"] == "maximal"
+            if fs[n].bit_length() <= DIGEST_BITS:
+                assert irr["value"] == fs[n] and wit["value"] == thetas[n]
+                assert wit["strict_bracket"] and "route" not in wit
+                continue
+            # recomputed from the exact f and theta, which the command never builds
+            wide += 1
+            assert irr == {"modulus": 4, "residue": 3} and fs[n] % 4 == 3
+            q, r = wit["q"], wit["r"]
+            assert wit == {"route": "residue", "index": n + 1, "q": q, "r": r}
+            assert q % 4 == 1 and -98 % q and is_probable_prime(q)
+            assert thetas[n] % q == r and pow(r, (q - 1) // 2, q) == q - 1
+        assert wide == 6
 
     def test_sequence_json_hex_values(self):
         proc = run("sequence", "--a", "-98", "--n", "16")
@@ -160,40 +160,41 @@ class TestDeepCommands:
         assert run(*args).stdout == run(*args).stdout
 
 
-# sha256 of stdout under schema arbordyn/3, so that any change to the bytes of
+# sha256 of stdout under schema arbordyn/4, so that any change to the bytes of
 # these payloads shows.
 PINNED_STDOUT = [
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"),
-     "5177196208722ddc408672989b3c9f7fc98670aecd364f05315b7d38e9f41e61"),
+     "8fe5ec0b3cca9d38cd089c982de22aa6513eaac6396af0d2ebefcbe7a8097fc8"),
     (("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "cc44fe1021c6d509459c07263259ed6febe1e1c2ccb2b1bcbd7de69247910902"),
+     "dacc10d2f7c9add06e6a1a2024ed9ef58792e88e1706de6f88016c939b530b11"),
     (("normal-form", "--map", "(z^2-98)/z^2"),
-     "6bcaf4c325759d82f71b8d98e8c1e3d30731cb19767ab9283159a26df7d88fda"),
+     "3dba26d3fb121f0862cad2d7a394ac35394dc9a3a939cc873bebedb77be4f05f"),
     (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor"),
-     "c90363c0c7b33fbdc1139a1e9cd1a6973bebe82d3a568754d223908533bc498f"),
+     "59452cae348a0ba1eb79a8945438d9a1c9e440b79638f14d9a338932e19355d8"),
     (("sequence", "--a", "-98", "--n", "5"),
-     "079b7edddc38b5c367685ba71e0218069fc5d087a645d21f3ca33a5d433cdd6f"),
+     "dad9699c842ed12585ff03da5c783efb595ccf6eccb31fda92e1993ae2c793f5"),
     (("certify", "--m", "2", "--depth", "8"),
-     "08d3af010953843d6fdd7c0160563df5c696009e2c98b4ea66d7913da75ddaa2"),
+     "da07dcc60dda3a5fa9b837fa0ed2c0187063069b267432cbbae94fb4cd947eee"),
     (("certify", "--a", "-98", "--depth", "8"),
-     "93cf82033592a3d7fa21a0e3a0218d661d19259f0ca65fe80d2e35af2477fdce"),
+     "8c1a6d7b53bef0a5e21f1df4ed00e50ffaa56f690fba0d8ae918166c2d8b679b"),
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8"),
-     "87820ffccbbc92afa8f4ab4e1a0e1b800a8ab2f3814544e5dff742fb618f6f2e"),
-    # widest values just below the bound: f_13 (13598 bits), p_11(0) (13599 bits)
+     "24ffb24d326fc669e633f7d75120002159d4e705ad2ea57e25f32727020e4eef"),
+    # widest values just below the bound: p_11(0) (13599 bits); f_12 and f_13
+    # are past DIGEST_BITS, so levels 11 and 12 are in the residue band
     (("certify", "--a", "-998", "--depth", "12"),
-     "7be90af7880b3035bef9145e94a8a69806d7475cae60d3f72a1dcc0db0728733"),
+     "9b72b83a1782c489478a515911c1baefc59897a30f47be8082870b07423b2670"),
     (("sequence", "--a", "-998", "--n", "11"),
-     "932a5c421cf40451a540568c7541076f93a62495f676b9a08a4243f21d6d1fa0"),
+     "9faab7caf1a1a6fabdf0ed3daccca750873d53e0a2d71d5bc05fe85ff885c22a"),
     # quadratic conjugator entries, and a collision value in Q(sqrt 2) with y = 0
     (("normal-form", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "edcd938e4f722f4f430e221f4b71e2c954a00d1e7a0b294dcc58fa18a8c7f8eb"),
+     "e1ec1f9b4fb382da7c512208b83da30f7f43d4977f152f874948cce2acf1ebee"),
     (("critical", "--map", "(z^2+1)/(2z)"),
-     "bd3505d5ba46d52fe2812392e88c962aa19a252c72aec92055d75b3610712e48"),
+     "057e1c9d8d1c46acf46b79245e7235a0be36442e5f77dc33d12990b0535373f9"),
     # Q(sqrt 5), no relation found
     (("normal-form", "--map", "(z^2-2z)/(z^2+1)"),
-     "bc982e79e9bd7a153ca23a98492f6e1aecf65a26661220eae84eea63d5ff7869"),
+     "27a033cef62c09cdbabfb663bc9c2008a2660cf270987c867b54add4927adb58"),
     (("certify", "--m", "5", "--depth", "3"),
-     "4568a1d7af8571404fa741e9ea6289a38fb014d36ff6ba5d8534cc1f9a675798"),
+     "d975adf04daf074e8ad3058947da260746c870fd7b27eaa9572ec15950baf69a"),
     # --output text of the README commands; "conjugator mu: {...}" is a dict repr
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6", "--output", "text"),
      "fdc9e58402bfb3403fd881d6f41396a494b2022061387794a32796646b1e4c4b"),
@@ -212,13 +213,13 @@ PINNED_STDOUT = [
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8",
       "--output", "text"),
      "ef6200d663175c50f1bce1e39912b445b3f0fde1a6a975d0af20a0f871a61b1c"),
-    # the digest band: witnesses and theta values past DIGEST_BITS, deep levels
+    # the residue band: deep levels, whose f_(n+1) is past DIGEST_BITS
     (("certify", "--a", "-998", "--depth", "18"),
-     "f19b71b21ad66521d1ac0ed2826236e4aa80b77bcced58e6e022e202c3eeaaf9"),
+     "84e1529b499b7edf8ba54f2b591b28bc1879c189433806f17230685ab7d10d29"),
     (("certify", "--m", "-3", "--depth", "18"),
-     "97ce95a185452aa41066530a4d6e2595184eda7a1d0c3f25d5eb755868edde57"),
+     "d02b0f51b5d61ba6550b69d3e7ce8898e1a641e3bf8b734106dbb061fb3bac19"),
     (("sequence", "--a", "-502", "--n", "16"),
-     "d732f763cc2b0d4a42a40d50b2e05bea568b65e8e36f7efac844346d59912b9c"),
+     "f7adeb2a887918b5504536150a86807ad20ba86f396eadd46f82991e1f247a0f"),
     (("certify", "--a", "-98", "--depth", "14", "--output", "text"),
      "21e2a5b98acdc9558411b3ed2020ae722998b3c11d31f040a06a32a5669ce54a"),
 ]

@@ -56,12 +56,44 @@ class TestFSequence:
         with pytest.raises(GrowthCapError):
             f_sequence(a, n, cap)
 
+    @given(st.integers(-2000, 2000).filter(bool), st.integers(3, 14))
+    def test_cap_bound_is_an_upper_bound(self, a, n):
+        fs = f_sequence(a, n)
+        for k in range(2, n):
+            assert fs[k].bit_length() <= step_bound(a, fs[k - 1], fs[k - 2])
+
+    def test_cap_bound_is_about_the_terms_width(self):
+        # the old bound, 4 max(bits f_(k-1), bits f_(k-2)) + bits |a|, was
+        # about twice f_k's width: 1153435 bits over it at k = 20
+        fs = f_sequence(-98, 20)
+        assert all(step_bound(-98, fs[k - 1], fs[k - 2]) - fs[k].bit_length() <= 5
+                   for k in range(2, 20))
+
+    def test_stop_bits_ends_before_the_first_wider_term(self):
+        fs = f_sequence(-98, 16)
+        for stop in (1, 7, 100, 4096):
+            kept = f_sequence(-98, 16, stop_bits=stop)
+            assert kept == fs[:len(kept)] and len(kept) >= 2
+            assert all(f.bit_length() <= stop for f in kept[2:])
+            assert fs[len(kept)].bit_length() > stop
+        assert f_sequence(-98, 9, stop_bits=10 ** 6) == fs[:9]
+
+    @given(st.integers(-2000, 2000).filter(bool), st.integers(1, 14),
+           st.sampled_from([2, 3, 4, 5, 8, 13, 97, 4093]))
+    def test_residues_are_the_terms_mod_q(self, a, n, q):
+        assert f_sequence(a, n, modulus=q) == [f % q for f in f_sequence(a, n)]
+
+
+def step_bound(a, f1, f2):
+    """The width bound before step k: max(2 bits f_(k-1), 4 bits f_(k-2) + bits |a|) + 1."""
+    return max(2 * f1.bit_length(), 4 * f2.bit_length() + abs(a).bit_length()) + 1
+
 
 def plain_f_sequence(a, n, cap=2 ** 24):
     """f_1..f_n by f_k = f_(k-1)^2 + a*f_(k-2)^4 as written, or None where the cap stops it."""
     out = [1, 1]
     for _ in range(n - 2):
-        if 4 * max(out[-1].bit_length(), out[-2].bit_length()) + abs(a).bit_length() > cap:
+        if step_bound(a, out[-1], out[-2]) > cap:
             return None
         out.append(out[-1] ** 2 + a * out[-2] ** 4)
     return out[:n]
@@ -93,6 +125,27 @@ class TestTheta:
     def test_integrality_asserted_over_range(self):
         for a in (-2, -6, -14, -98, 10):
             theta(f_sequence(a, 12))  # raises on nonunit denominator
+
+    @given(st.integers(-300, 300).filter(bool), st.integers(1, 16),
+           st.sampled_from([3, 5, 7, 13, 17, 29, 97]))
+    def test_residues_are_theta_mod_q(self, a, n, q):
+        """theta_n mod q, or None exactly when some f_d with d | n is 0 mod q."""
+        fs = f_sequence(a, n)
+        got = theta(f_sequence(a, n, modulus=q), q)
+        assert theta(fs, q) == got
+        exact = theta(fs) if 0 not in fs else None
+        for m in range(1, n + 1):
+            if any(fs[d - 1] % q == 0 for d in range(1, m + 1) if m % d == 0):
+                assert got[m - 1] is None
+            else:
+                assert got[m - 1] is not None and got[m - 1] % q
+                if exact is not None:
+                    assert got[m - 1] == exact[m - 1] % q
+
+    def test_residues_through_a_vanishing_term(self):
+        # a = -1: f_3 = 0, so theta_3, theta_6, ... have no residue; the rest do
+        got = theta(f_sequence(-1, 12, modulus=7), 7)
+        assert [m for m in range(1, 13) if got[m - 1] is None] == [3, 6, 9, 12]
 
 
 class TestBeta:

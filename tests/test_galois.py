@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from arbordyn.divisibility import f_sequence, main_family, theta
 from arbordyn.errors import GrowthCapError, InvariantViolationError
 from arbordyn.factorint import is_perfect_square
+from arbordyn import galois
 from arbordyn.galois import (
+    DIGEST_BITS,
     alpha_parametrization,
     family_parameter,
     hypothesis_witnesses,
@@ -295,14 +297,59 @@ class TestEventualStability:
                 eventual_stability_check(2, 1, 0, 2, 2)
 
 
-class TestCertificateDigests:
-    def test_large_theta_uses_digest(self):
+class TestCertificateBands:
+    def test_large_theta_uses_residue(self):
         cert = maximality_certificate(-98, 11)
-        deep = cert.levels[-1].theta
-        assert deep["index"] == 12 and deep["bits"] == 4423
-        assert "sha256_be" in deep
-        assert "value" not in deep
+        fs = f_sequence(-98, 12)
+        thetas = theta(fs)
+        exact, deep = cert.levels[-2].theta, cert.levels[-1].theta
+        assert fs[10].bit_length() <= DIGEST_BITS < fs[11].bit_length()
+        assert exact["index"] == 11 and exact["value"] == thetas[10] and exact["strict_bracket"]
+        q, r = deep["q"], deep["r"]
+        assert deep == {"route": "residue", "index": 12, "q": q, "r": r}
+        assert thetas[11] % q == r and pow(r, (q - 1) // 2, q) == q - 1
+        assert cert.levels[-1].irreducibility["witness"] == {"modulus": 4, "residue": 3}
         assert verify_certificate(cert)
+
+    def test_prime_bound_leaves_wide_levels_unknown(self, monkeypatch):
+        """Without a deciding prime a wide level is unknown, never maximal."""
+        fs = f_sequence(-98, 17)
+        thetas = theta(fs)
+        for bound, want_unknown in ((2, list(range(11, 17))), (6, None)):
+            monkeypatch.setattr(galois, "RESIDUE_PRIME_BOUND", bound)
+            cert = maximality_certificate(-98, 16)
+            unknown = [lvl.n for lvl in cert.levels if lvl.verdict != "maximal"]
+            assert unknown and cert.overall == "partial"
+            assert cert.maximal_levels == [n for n in range(1, 17) if n not in unknown]
+            for lvl in cert.levels[10:]:
+                wit = lvl.theta
+                if lvl.n in unknown:
+                    assert wit["q"] is None and wit["r"] is None
+                    # 5, the one prime below 6, leaves theta_(n+1) a residue
+                    assert bound == 2 or pow(thetas[lvl.n] % 5, 2, 5) in (0, 1)
+                else:
+                    assert wit["q"] == 5 and pow(thetas[lvl.n] % 5, 2, 5) == 4
+            if want_unknown is not None:
+                assert unknown == want_unknown
+
+    @pytest.mark.parametrize("a", [-6, -10, -98, -626, -734])
+    def test_verdicts_are_the_exact_brackets(self, a):
+        thetas = theta(f_sequence(a, 17))
+        cert = maximality_certificate(a, 16)
+        assert any(lvl.theta and lvl.theta.get("route") == "residue" for lvl in cert.levels)
+        for lvl in cert.levels[1:]:
+            nonsquare = not is_perfect_square(abs(thetas[lvl.n]))[0]
+            assert lvl.verdict == ("maximal" if nonsquare else "unknown"), (a, lvl.n)
+
+    def test_growth_cap_bounds_only_the_exact_band(self):
+        with pytest.raises(GrowthCapError):
+            maximality_certificate(-98, 12, growth_cap_bits=100)
+        # f_12 (4502 bits, bound 4503) is built and found wider than
+        # DIGEST_BITS; nothing past it is built, so depth 60 fits a 4503-bit cap
+        cert = maximality_certificate(-98, 60, growth_cap_bits=4503)
+        assert cert.overall == "all_maximal"
+        with pytest.raises(GrowthCapError):
+            maximality_certificate(-98, 60, growth_cap_bits=4502)
 
     def test_family_parameter(self):
         assert family_parameter(2) == -98

@@ -45,121 +45,121 @@ ROWS = [
     # degree 2, rational critical points: the family, collisions at -1/2 and
     # 5/14, an orbit through infinity
     (["critical", "--map", "(z^2-98)/z^2"],
-     "55ec33503321e26ffb912443d5b458f2c2ef2d7b335dd042682dbbb10c2b812a", 0),
+     "55e88d5fc4b131f47252307ea39a1eae8838f789240055086ff701250508b56a", 0),
     (["normal-form", "--map", "(z^2-98)/z^2"],
-     "6bcaf4c325759d82f71b8d98e8c1e3d30731cb19767ab9283159a26df7d88fda", 0),
+     "3dba26d3fb121f0862cad2d7a394ac35394dc9a3a939cc873bebedb77be4f05f", 0),
     (["critical", "--map", "(z^2-3)/(z^2+3)"],
-     "29230d0bde3c460b0cc54e6629cae85d27714b3de9afc5bd1d631ffc67133c24", 0),
+     "60d4e06a83919a695d51bd1826fdc8ff53b9a7410ad9f9adbcb198df5e13fb0b", 0),
     (["normal-form", "--map", "(z^2-3)/(z^2+3)"],
-     "d81a8037b757b08d9d27e08495638bb809ec770d16209fcdd892a285a9e25b5a", 0),
+     "24260d82d60ddd789949577f33717b1f53b402b4dd8eb2f210e46f64b355626b", 0),
     (["critical", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "48ea7d37d381db55c41ad3b1f635e2c0bff60efc324f7ae9789d3e48b0010ac9", 0),
+     "a204551a2510ec0f1e286649f17e8ee808fbdc72fa0e756f4539b6281fa8fc88", 0),
     (["normal-form", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "bbfaa1e8b29261b72bc63cd5e0dff26c58712c39b7814b75c8b7bfa01c239b9e", 0),
+     "3acf0fbbd567c8e64515431ceb41a55e839b94e32180699c6607078430e3c6ce", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)"],
-     "705c2df8febaf6e6bd4766efa2ca015a3e7b817c882fa634234c64bbeaa1c9d6", 0),
+     "dda86de4da7f5b530f392d12c57540a60a83b9dc1674699bded8939de5698886", 0),
     (["normal-form", "--map", "(z^2-3z-3)/(z^2)"],
-     "855c6a6b51ac2f4c1b5a828904150bfecf2990e9ffbe443ae94483dbe1c80372", 0),
+     "baf371ce54e039cf682e20d08681cef58f8ad1767e48426e7f7af52706d19f46", 0),
     # quadratic critical fields: a collision, an orbit into the fixed point
     # infinity, a fixed critical point, the power and inverse-power forms, a cubic
     (["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "cc44fe1021c6d509459c07263259ed6febe1e1c2ccb2b1bcbd7de69247910902", 0),
+     "dacc10d2f7c9add06e6a1a2024ed9ef58792e88e1706de6f88016c939b530b11", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "edcd938e4f722f4f430e221f4b71e2c954a00d1e7a0b294dcc58fa18a8c7f8eb", 0),
+     "e1ec1f9b4fb382da7c512208b83da30f7f43d4977f152f874948cce2acf1ebee", 0),
     (["critical", "--map", "(z^2+1)/(-2z-2)"],
-     "112167f61a415fd3488d49e3885d148986771efc8eed8832c2bf7d9f51e63cb3", 0),
+     "fc7fc547f62d85237fef0f59d6fdd30414b12bd49d1d1d65cab21994949d64c3", 0),
     (["normal-form", "--map", "(z^2+1)/(-2z-2)"],
-     "83d64e05db30511d207df595af0574631ce6b13018cd04ca1b0b0d4225caf7ac", 0),
+     "5cc9d2d6be5f135743a4a426c2fe20c263f8acf4ca0a412d80ebd892144bda95", 0),
     (["critical", "--map", "(z^2-3)/(2z-3)"],
-     "eccbd2dac81a6980d41391dac9e7f4d0bbc8cfd334ffa77b37229525f33c9de5", 0),
+     "ac5f3aa6ba0a5acdfc3d3a0629927c1f654878dceb3464fb050382064bef1a96", 0),
     (["normal-form", "--map", "(z^2-3)/(2z-3)"],
-     "016759c0a62d8e5f707634d9c71d0e407587c1aa6583a0e36684c2b1d9309c9f", 0),
+     "da6b72bc87876153c02717dd79662e764bc87e6f07975a8433f1409c756a11c1", 0),
     (["critical", "--map", "(z^2+2)/(2z)"],
-     "e30da4b5c851f3e9da24fadca5f0b944b72e90e2b367e6bccb4f255ea43a69a4", 0),
+     "3ed4e5e750f606d62a5eec47cb78b99adca0ea5b31123ef169de547dd0447903", 0),
     (["normal-form", "--map", "(z^2+2)/(2z)"],
-     "cbae4978459e3125e2adc1efe5fa0624c3e923c40bb9b17e60974df76a170657", 0),
+     "2a05682cb5f47f78742f711bfbde7ec4758389e68c7f8a8e864de540c2c5706d", 0),
     (["critical", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "58526d1410b8705f7af57e726938a5b90f888bf9955f896392dfda08230c60fb", 0),
+     "49fa7e7d05187d212f619ea1f57c10655cd6b451bc7b92cb538e5b16de233df9", 0),
     (["normal-form", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "d31d88e3afc862e3cc7705ff6cd94e877a1253ee6fe6606922076e193f27a75e", 0),
+     "31ee54c9ba81249f92a8ef33b82d328485c74b0d92bda8d72aa3d3da477c48d3", 0),
     (["critical", "--map", "(z^3+6z)/(3z^2+2)"],
-     "e0179c8deec085284b990b508aa291161b55fd05b04f3af4f45bc45c04e0c881", 0),
+     "732364e52cd9e4c14aef7410900e3bb303d3abedcc4665e3199fb8eec9a207ab", 0),
     (["normal-form", "--map", "(z^3+6z)/(3z^2+2)"],
-     "f938009b1d9e36e6998524e588ae206b65f943257fbb58e0aa54ffd58e98b569", 0),
+     "3afd404b64dd761b02b5772ed774c33328f6d22d2d682be2738642b39a9b3a18", 0),
     # a quadratic critical orbit through a pole, on to a finite point
     (["critical", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "2caee0a425ed6d5c71a7fe9b6926b4c11145192de4cea160bee5497c7f367c41", 0),
+     "338a69176fccd439190fa5d32247e06b5d656102cb6393477985db7faf71b027", 0),
     (["normal-form", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "b2ddbc14d6fe2a09f0a4848328db0afefda7f57e9b9d93680b343f2d3f25024f", 0),
+     "5b55146d390c954fd49f4a08bce872c4796b26e863ae198292a06aa917590502", 0),
     # two-term maps (z^d+a)/(z^d+b) of degree 3, 7, 20 and 50
     (["critical", "--map", "(z^3+5)/(z^3+3)"],
-     "70e7fd683927ab1d0d70d67ee22e74f7cd34a417eaf6850877aad1d39bcbf5af", 0),
+     "3dbeb854b7c4b82a1cf63f13ad1ae29db7bb661bd989b6e1fed7baf0154cce05", 0),
     (["normal-form", "--map", "(z^3+5)/(z^3+3)"],
-     "8a06b1b8254035e7f241f7cf33c20c94508004dc6f1fe4b8f2eb0e7188d62d40", 0),
+     "3d2201efa934e32cccbd7404efe9b6e0578bb6f95b1d68b5d8feb844c2d28f93", 0),
     (["critical", "--map", "(z^7+2)/(z^7-1)"],
-     "f8a32bef9d0907dcb77f003988305163f8a69254ec99382201accb1903075f47", 0),
+     "4b7d29fd7c41c96232ac5368a52f7fa2a9114bbf93db870a8faa83abb23f149f", 0),
     (["normal-form", "--map", "(z^7+2)/(z^7-1)"],
-     "c3c949b5b0f6150939d56541cd368fdba795961408547563cadc2aae8a7d1682", 0),
+     "cbf1fc9695d75c04a8a9f460b07df18c3b3c76f5f93316fd25e41702b1c7fe74", 0),
     (["critical", "--map", "(z^20+5)/(z^20+3)"],
-     "fecaffb0a801c95d07e86be87e72efa043dcf7d35ab24f8490ef9e8d435ad298", 0),
+     "f657dcfaea38a9e3aafcedd25d05892e74bf6dda912c1ab102bc4f514ccd4058", 0),
     (["normal-form", "--map", "(z^20+5)/(z^20+3)"],
-     "a02b82895da3eeffd95a467643319414cb70b52e5c9b43a4390d73fdd9a31820", 0),
+     "ed9b9367c5c30c038df40080a5cb04ee74be2f96802b7f44d22629478b32748e", 0),
     (["critical", "--map", "(z^50-2)/(z^50+7)"],
-     "6ae548fa2c0e8ce3fb41fdeac455ff992881679cf558b45c8910454d3eeba391", 0),
+     "ac996cc991f125f147eae00282e8553e0f5f893381ea29e98800db61b0f45fef", 0),
     (["normal-form", "--map", "(z^50-2)/(z^50+7)"],
-     "58fc0360e92bff37e83065de940fcf473615ed12e82ba8012338ee194465ceae", 0),
+     "7560a36fc358586bcac7f432c27b55121da304d99789eb89ee150b6eacc08a08", 0),
     # orbits of the two-term maps from 1
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "1", "--steps", "3"],
-     "80d575eb25fa4eec28e97ab1039623487964d32b34e4af5938ccca4018eac94a", 0),
+     "da632157980c6fbbec8a5b1f29fc9ef5439c06a32994110281a8cabe426e0d7b", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1", "--steps", "3"],
-     "a940b5be14fe8bd841e430b226ef5ea15c18025c57d974ecef8aa9c1567971c9", 0),
+     "7cd03d327b56f6f3e839dee2a9117923011998baf9bfa3961e5cba1d36de88fa", 0),
     (["orbit", "--map", "(z^20+5)/(z^20+3)", "--start", "1", "--steps", "3"],
-     "a0780d0630b394e99f9916cbcf25e6d532b7e1a58b585b73f29f084841a96a42", 0),
+     "cf374330def782ccaa2ca052491c176c4ece8e12d45fd2ad35d5d6ff4b1f0097", 0),
     (["orbit", "--map", "(z^50-2)/(z^50+7)", "--start", "1", "--steps", "3"],
-     "969b49b988934b93884f134007f9bfc7d070866e313ce23a315fadc4f4c8b8d3", 0),
+     "2b95a9a389d9e3c5c6c75629687124a3d34fe50eae51893c0f5943d4849a0065", 0),
     # escaping orbits, under the default and a small height cap
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "2", "--steps", "30"],
-     "082d0c3c1e93aef1c1b6292bee466772bfc43fc5c38b307500534dfa02781ecb", 0),
+     "be057c5afef4adc232f3298eac542f208ebe7b8e9ed40b4111aaab474bcdfb0a", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1/2", "--steps", "9", "--height-cap-bits", "100"],
-     "bbbbdb801b9ec4216d7a7a0538b37e36a2823f6081e65632eafa062dc030fd52", 0),
+     "0cb140079e3852579aee0db6f09ee710e21a31030fd512a5104ca04674f5c78e", 0),
     # preperiodic orbits, one through infinity, and an orbit from infinity that
     # runs out of steps
     (["orbit", "--map", "z^2-2", "--start", "0"],
-     "26196b4d8e7a12f26a27b0b3a2dc9f8356de835c2ffaac924d4677771b8fc67d", 0),
+     "523050b80cd940a3fca508086b84e0936a95ba1c919405e5cd38e11cfe70bd29", 0),
     (["orbit", "--map", "1/z^2", "--start", "0"],
-     "065a85200d2651e1a5eb15a6ae9da03b6cdcebf6b4b6e52db6d9e2e0dcc95dc1", 0),
+     "3c1f48c73f863579f1ece55e7ece50d90c4e04a6755ec5878c08fb67a151d7c3", 0),
     (["orbit", "--map", "(z^2-98)/z^2", "--start", "inf", "--steps", "5"],
-     "429214f8211f5e6e0bb77b8f76c84f126019d6a5d14be43b8b92315d238e5d78", 0),
+     "119d0957167486a13d3445647dc25bfe3736dd3b97931be021302c8ad007db3b", 0),
     # text output, and a height-capped search
     (["critical", "--map", "(z^2-3)/(z^2+3)", "--output", "text"],
      "566f14c8002d3ce4a0bf60b56dc4025de28e5e8c661092a601ad533c710a770f", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)", "--output", "text"],
      "15ebfaa3d3d161afb021b94475c7079f2859d8654ae0f190321ec52c7d6537a1", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)", "--bound", "3", "--height-cap-bits", "40"],
-     "2f1bb93e0b7956307d839c20baf9fffcbc94102eff0366e4f68ff6f5eeac0441", 0),
+     "c971a312ccdaf3d270218b5199ae888561af470dcb78ed6f61505577703ceb02", 0),
     # normal forms of dense conjugates of (z^d+5)/(z^d+3), and of degree 500
     (["normal-form", "--map", dense_conjugate_text(5)],
-     "7aafa928c3e19875aa110f984be37aa090614170640a512a6145e8d24abc3a47", 0),
+     "f431b038840254a5d84bb8f4939427fdedcd8b7d89b4c6358d60f1eb07280a20", 0),
     (["normal-form", "--map", dense_conjugate_text(12)],
-     "34ee302882ba0f22df10ac742e052c52abeb7ebb352d1e78e6c0af227bc47afb", 0),
+     "94cf4e3076c1baccc5b9a828284ac101e6b05ab3a2c64c0295b6cf288fc93a32", 0),
     (["normal-form", "--map", dense_conjugate_text(25)],
-     "1b945268b16e6e6648cbc13e2203a90cd3125f2933814158225bf8c4143a62fb", 0),
+     "6009e94facc60b9b177c7d879ae8ddd88827dd2e1effb26387ff14c4f54ab17b", 0),
     (["normal-form", "--map", dense_conjugate_text(60)],
-     "9377638f0c7bc57d8155ef1963583f53d6302fe91213d4114ca5d55eef88ee87", 0),
+     "b7267783c70abcf152752773d575e780066568fcfa7e1c1216d47f822b85abe7", 0),
     (["normal-form", "--map", "(z^500+5)/(z^500+3)"],
-     "471beeb3ee1bdba20525e64d98d566fa07c5eea827106c8ae74d2869e8803fee", 0),
+     "635fd5504807f05d8caca0a951ea5728a684751cb4414edb91cebb04799a1a39", 0),
     # bad reduction: a degree drop at 2, a numerator that vanishes mod 7, a
     # common root mod 2, a cubic bad at 3, and a map bad at 2, 3 and 11
     (["rigid-check", "--map", "(2z^2+1)/(2z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "a7127a13dbd7fc8928f19bf0465cf8389103e382f5b6bd3ed2b7567036da923f", 0),
+     "63a9040440475b14e977c17d06e372d245afe9fd8b36f9418a7220c3d75ff713", 0),
     (["rigid-check", "--map", "(7z^2+49)/(z^2+14)", "--n", "6", "--rho-budget", "2000"],
-     "6394b450d61d79bb8a12a3bc5b2a6d309dbbe0501ef28dd6bf8edde5e6528a6f", 5),
+     "665735fb3ba5b9c2bde8a4978bcd59cac8502c4a9f58269176258e2ab1e32e16", 5),
     (["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "df851309b49ceab37f561e1c2ec12205c0769ea4e2d192ea205753a8a46fabf2", 5),
+     "5aae9dcc34979a202e4a27ccdd168ce44cf53b17d1ef1b5ed5aebe46f5bd290d", 5),
     (["rigid-check", "--map", "(z^3+2)/(z^3+5)", "--n", "6", "--rho-budget", "2000"],
-     "df5ba2e35403126437b09ac177da4e2a8b0705df408b3f4ad89861928bd4217a", 5),
+     "43c03ea6b52cbafda3e0fb1d965dd842c5a0e5c85d917a4f4bca792ca09b03bb", 5),
     (["rigid-check", "--map", "(z^2+2z+3)/(3z^2-2z-1)", "--n", "6", "--rho-budget", "2000"],
-     "a6a97af7b9172df44d0e76fa61254b6520a9c81edf5413f795e2054e7be12e17", 5),
+     "b5596a30a72773768324cf9cf67c8687ab436ec4acef8d3b88a381c534529d62", 5),
 ]
 
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from arbordyn.cli import MAX_DEPTH
+
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCH = "import sys; from arbordyn.cli import main; sys.exit(main())"
 TIMEOUT_S = 20
@@ -32,6 +34,11 @@ ROWS = [
     (["orbit", "--map", "(z^1000+5)/(z^1000+3)", "--start", "1", "--steps", "3"], None, 0),
     (["sequence", "--a", "-1", "--n", "3"], None, 0),
     (["sequence", "--map", "(z^2-1)/z^2", "--n", "4"], None, 0),
+    # past the old growth stop: levels whose f_(n+1) is wide are decided mod q
+    (["certify", "--a", "-98", "--depth", "22"], None, 0),
+    (["certify", "--a", "-98", "--depth", str(MAX_DEPTH)], None, 0),
+    (["certify", "--m", "2", "--depth", str(MAX_DEPTH)], None, 0),
+    (["certify", "--a", "-98", "--depth", str(MAX_DEPTH + 1)], None, 2),
 ]
 
 

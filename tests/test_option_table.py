@@ -3,7 +3,8 @@
 ``build_parser`` below is the argparse wiring the CLI used before its
 command line was read from ``cli.COMMANDS``, kept as the reference, with the
 rewrite that let a value of --start or --map begin with "-" on the lines of
-the commands that take that option.  On every line both accept,
+the commands that take that option, and with ``certify --depth`` bounded by
+``cli.MAX_DEPTH`` as the table bounds it.  On every line both accept,
 ``cli.parse`` gives the same namespace (less argparse's ``func``); on every
 line argparse rejects, it exits 2 naming the same option or command.  The
 two differ by design only where a value taken as the next token begins with
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--m", type=_integer("an integer other than -1, 0, 1",
                                           lambda v: abs(v) >= 2))
     one.add_argument("--a", type=int)
-    s.add_argument("--depth", type=_POSITIVE, required=True)
+    s.add_argument("--depth", type=_integer(f"an integer from 1 to {cli.MAX_DEPTH}",
+                                            lambda v: 1 <= v <= cli.MAX_DEPTH), required=True)
     _add_options(s, "--growth-cap-bits", *FACTORING)
     s.set_defaults(func=cli.cmd_certify)
 

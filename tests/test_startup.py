@@ -81,6 +81,7 @@ for argv in (
     ["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
     ["normal-form", "--map", "(z^2-98)/z^2"],
     ["certify", "--a", "-98", "--depth", "8"],
+    ["certify", "--a", "-98", "--depth", "16"],
     ["sequence", "--a", "-98", "--n", "8"],
     ["sequence", "--a", "-98", "--n", "8", "--factor", "--rho-budget", "1000"],
 ):
@@ -89,6 +90,7 @@ for argv in (
     out.setdefault(argv[0], loaded())
     factorint = sys.modules.get("arbordyn.factorint")
     out["table_read"].append(bool(factorint and factorint._blocks))
+out["hashlib"] = "hashlib" in sys.modules
 for argv in README_COMMANDS + [[command, "--help"] for command in arbordyn.cli.COMMANDS]:
     with contextlib.redirect_stdout(io.StringIO()):
         arbordyn.cli.main(argv)
@@ -107,10 +109,14 @@ def test_cli_import_boundary():
     assert not set(HEAVY) & set(loaded["orbit"])
     assert "arbordyn.critical" in loaded["critical"]
     assert "arbordyn.galois" not in loaded["critical"]
-    # the certificate and the sequence step no orbit mod p
+    # the certificate and the sequence step no orbit mod p, and the
+    # certificate needs no finite-field polynomials
     assert "arbordyn.reduction" not in loaded["certify"] + loaded["sequence"]
+    assert "arbordyn.ffpoly" not in loaded["certify"]
+    # a certificate past DIGEST_BITS hashes nothing: its deep levels are residues
+    assert loaded["hashlib"] is False
     # the prime-block table is read only by trial division past 2048: --factor
-    assert loaded["table_read"] == [False] * 5 + [True]
+    assert loaded["table_read"] == [False] * 6 + [True]
 
 
 RECORD_PROBE = """

@@ -1,6 +1,5 @@
 """Wide integers: residue squareness, witness records, theta, value recursion."""
 
-import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +20,6 @@ from arbordyn.factorint import (
     is_square_candidate,
 )
 from arbordyn.galois import (
-    DIGEST_BITS,
     integer_witness,
     maximality_certificate,
     verify_certificate,
@@ -59,30 +57,6 @@ class TestResidueFilter:
 
 
 class TestWitness:
-    def test_bands(self, default_digit_limit):
-        small = -(3 ** 100)
-        mid = 7 ** 3001                      # between DIGEST_BITS and DECIMAL_SAFE_BITS
-        wide = -(5 ** 10000) - 1             # beyond DECIMAL_SAFE_BITS
-        assert DIGEST_BITS < mid.bit_length() <= DECIMAL_SAFE_BITS < wide.bit_length()
-        rec, _ = integer_witness(small)
-        assert rec["value"] == small and rec["isqrt"] == math.isqrt(-small)
-        rec, square = integer_witness(mid)
-        raw = mid.to_bytes((mid.bit_length() + 7) // 8, "big")
-        assert rec["sha256_be"] == hashlib.sha256(raw).hexdigest()
-        assert rec["leading_hex"] == format(mid, "x")[:24]
-        assert "value" not in rec and "sha256" not in rec
-        assert rec["is_square"] is square is False
-        rec, _ = integer_witness(wide)
-        mag = -wide
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8, "big")
-        assert rec == {
-            "bits": wide.bit_length(),
-            "negative": True,
-            "is_square": False,
-            "sha256_be": hashlib.sha256(raw).hexdigest(),
-            "leading_hex": format(mag, "x")[:24],
-        }
-
     def test_wide_square(self, default_digit_limit):
         k = 3 ** 6000 + 2
         rec, square = integer_witness(k * k)
@@ -95,9 +69,10 @@ class TestWitness:
     def test_deep_certificate_verifies_and_rejects_tampering(self, default_digit_limit):
         cert = maximality_certificate(-98, 15)
         assert cert.overall == "all_maximal"
-        assert "sha256_be" in cert.levels[-1].theta
+        deep = cert.levels[-1].theta
+        assert deep["route"] == "residue" and deep["index"] == 16
         assert verify_certificate(cert)
-        cert.levels[-1].theta["strict_bracket"] = False
+        deep["q"] += 4
         assert not verify_certificate(cert)
 
     def test_strict_bracket_matches_isqrt(self):

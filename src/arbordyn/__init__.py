@@ -29,10 +29,7 @@ _EXPORTS = {
     "intpoly": ("IntPoly", "resultant"),
     "quadext": ("QuadExtElem",),
     "ratmap": ("INF", "MobiusTransform", "OrbitRecord", "P1Point", "RationalMap"),
-    "reduction": (
-        "ModOrbit", "ReducedMap", "bad_reduction_primes", "has_good_reduction",
-        "orbit_mod_p", "reduce_mod_p",
-    ),
+    "reduction": ("ModOrbit", "bad_reduction_primes", "orbit_mod_p"),
     "critical": (
         "CriticalData", "NormalForm", "OrbitRelation", "critical_orbit_relation",
         "critical_points", "ramification_index", "to_normal_form", "wronskian",

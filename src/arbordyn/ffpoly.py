@@ -48,12 +48,6 @@ class PrimeFieldPoly(Record, frozen=True):
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
     def add(self, other: "PrimeFieldPoly") -> "PrimeFieldPoly":
         p = self.modulus
         a, b = self.coeffs, other.coeffs

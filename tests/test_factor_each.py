@@ -132,8 +132,9 @@ def test_readme_and_factor_heavy_jobs_identical_on_one_cpu():
 # The arbordyn command with three workers beside the parent whatever the CPU
 # count, so that every test below sees workers.
 LAUNCH = """
-import sys
+import faulthandler, signal, sys
 from arbordyn import cli, factorint
+faulthandler.register(signal.SIGUSR1, all_threads=True)
 factorint._cpus = lambda: 4
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -173,6 +174,23 @@ def start(argv: list[str]) -> subprocess.Popen:
                             start_new_session=True)
 
 
+def stall_report(proc: subprocess.Popen) -> str:
+    """Where each live member of proc's group waits, read before the group is
+    killed: its state and wchan from /proc, then its Python stacks, which
+    faulthandler writes to stderr on SIGUSR1, one member at a time."""
+    lines = []
+    for pid in live_members(proc.pid):
+        with contextlib.suppress(OSError):
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            wchan = Path(f"/proc/{pid}/wchan").read_text() or "0"
+            lines.append(f"pid {pid}: state {state}, wchan {wchan}")
+            os.kill(pid, signal.SIGUSR1)
+            time.sleep(0.3)
+    kill_group(proc.pid)
+    _, err = proc.communicate()
+    return "\n".join(["no exit 10 s after SIGINT", *lines, err.decode(errors="replace")])
+
+
 def kill_group(pgid: int) -> None:
     with contextlib.suppress(ProcessLookupError):
         os.killpg(pgid, signal.SIGKILL)
@@ -205,7 +223,10 @@ def test_interrupt_exits_1_with_no_traceback_and_no_worker(to_group):
             os.killpg(proc.pid, signal.SIGINT)
         else:
             proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=10)
+        try:
+            out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            pytest.fail(stall_report(proc))
         assert proc.returncode == cli.EXIT_FAIL
         assert err == b"error: interrupted\n" and out == b""
         assert wait_for(lambda: not live_members(proc.pid), 2)

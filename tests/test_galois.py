@@ -260,12 +260,14 @@ ROUTE_OPEN = {2: 9, 3: 8, 4: 9, 6: 9}
 def test_congruence_route_certifies_only_maximal_levels(m):
     """Each theta_n the route certifies, with the witness primes of
     hypothesis_witnesses(m), decides a level n - 1 the certificate finds
-    maximal."""
+    maximal.  Square-free n run to 31, into the certificate's residue band;
+    the rest stop at 15, since their route factors A_k."""
     a, hyp = family_parameter(m), hypothesis_witnesses(m)
     even_case = "even_m" if hyp.s1_target == "m" else "even_pm1"
-    levels = maximality_certificate(a, 14).levels
+    levels = maximality_certificate(a, 30).levels
+    tried = [n for n in range(3, 32) if n <= 15 or mobius(n) != 0]
     certified = []
-    for n in range(3, 16):
+    for n in tried:
         if mobius(n) == 0:
             ok = nonsquarefree_theta_evidence(a, n)[1]
         elif n % 2:
@@ -275,7 +277,8 @@ def test_congruence_route_certifies_only_maximal_levels(m):
         if ok:
             certified.append(n)
             assert levels[n - 2].verdict == "maximal", n
-    assert certified == [n for n in range(3, 16) if n != ROUTE_OPEN[m]]
+    assert certified == [n for n in tried if n != ROUTE_OPEN[m]]
+    assert sum(mobius(n) != 0 for n in certified) == 18
 
 
 class TestEventualStability:

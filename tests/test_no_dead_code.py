@@ -36,11 +36,7 @@ SRC = ROOT / "src" / "arbordyn"
 AWAITING = {
     "verify_certificate": "ROADMAP item 3",
     "certificate_from_dict": "ROADMAP item 3",
-    "ReducedMap": "ROADMAP item 5",
-    "reduce_mod_p": "ROADMAP item 5",
-    "point_mod_p": "ROADMAP item 5",
     "orbit_mod_p": "ROADMAP item 5",
-    "has_good_reduction": "ROADMAP item 5",
     "mod_p_irreducible_witness": "ROADMAP item 6",
     "verify_normal_form": "verifier",
     "ramification_index": "traced layer",

@@ -2,22 +2,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arbordyn.errors import BadReductionError, CompositeModulusError
+from arbordyn.divisibility import f_sequence, main_family
+from arbordyn.errors import BadReductionError
 from arbordyn.factorint import primes_below
 from arbordyn.ffpoly import PrimeFieldPoly
-from arbordyn.ratmap import RationalMap
-from arbordyn.reduction import (
-    bad_reduction_primes,
-    has_good_reduction,
-    orbit_mod_p,
-    point_mod_p,
-    reduce_mod_p,
-)
+from arbordyn.ratmap import P1Point, RationalMap
+from arbordyn.reduction import bad_reduction_primes, orbit_mod_p
 from paper_checks import good_reduction_origin_valuations
 
 EX13 = RationalMap.from_coeffs([1, 0, 1], [3, 0, 1])
 FAM98 = RationalMap.from_coeffs([-98, 0, 1], [0, 0, 1])
 PRIMES = primes_below(60)
+PRIMES_BELOW_1000 = primes_below(1000)
 
 
 def good_over_fp(phi, prime):
@@ -56,18 +52,13 @@ def maps_with_primes(draw):
 
 class TestGoodReduction:
     def test_example_map_bad_only_at_two(self):
-        assert not has_good_reduction(EX13, 2)
-        assert has_good_reduction(EX13, 5)
-        assert has_good_reduction(EX13, 13)
+        assert EX13.res % 2 == 0 and not good_over_fp(EX13, 2)
+        assert good_over_fp(EX13, 5) and good_over_fp(EX13, 13)
 
     def test_family_bad_primes(self):
-        assert not has_good_reduction(FAM98, 7)
-        assert not has_good_reduction(FAM98, 2)
-        assert has_good_reduction(FAM98, 3)
-
-    def test_composite_rejected(self):
-        with pytest.raises(CompositeModulusError):
-            has_good_reduction(EX13, 6)
+        assert not good_over_fp(FAM98, 7)
+        assert not good_over_fp(FAM98, 2)
+        assert good_over_fp(FAM98, 3)
 
     def test_bad_primes_are_resultant_divisors(self):
         # the pairs are normalized and of full degree, so Res(p, q) carries
@@ -77,7 +68,7 @@ class TestGoodReduction:
             bad = set(bad_reduction_primes(phi))
             assert all(res % p == 0 for p in bad)
             for p in primes_below(120):
-                assert has_good_reduction(phi, p) == (res % p != 0)
+                assert good_over_fp(phi, p) == (p not in bad)
 
     def test_known_bad_sets(self):
         assert bad_reduction_primes(EX13) == (2,)
@@ -97,41 +88,54 @@ class TestAgainstTheFpCriterion:
     ])
     def test_each_way_to_fail(self, p, q, prime):
         phi = RationalMap.from_coeffs(p, q)
-        assert has_good_reduction(phi, prime) == good_over_fp(phi, prime)
-        assert has_good_reduction(phi, prime) == (prime == 5)
+        assert (phi.res % prime != 0) == good_over_fp(phi, prime)
+        assert (phi.res % prime != 0) == (prime == 5)
 
     @settings(max_examples=300, deadline=None)
     @given(maps_with_primes())
     def test_res_criterion_equals_fp_criterion(self, case):
         phi, prime = case
-        assert has_good_reduction(phi, prime) == good_over_fp(phi, prime)
-        assert reduce_mod_p(phi, prime).good == good_over_fp(phi, prime)
+        good = good_over_fp(phi, prime)
+        assert (phi.res % prime != 0) == good
+        if good:
+            orbit_mod_p(phi, P1Point.of(0), prime)
+        else:
+            with pytest.raises(BadReductionError):
+                orbit_mod_p(phi, P1Point.of(0), prime)
 
 
-class TestReduceModP:
-    def test_coefficientwise(self):
-        rm = reduce_mod_p(EX13, 5)
-        assert rm.p_red.coeffs == (1, 0, 1)
-        assert rm.q_red.coeffs == (3, 0, 1)
-        assert rm.good
+def encode(point, prime):
+    """A normalized point of P^1(Q) reduced mod ``prime``, 0..p (p = infinity)."""
+    if point.den % prime == 0:
+        return prime
+    return point.num * pow(point.den, -1, prime) % prime
 
-    def test_family_mod_3(self):
-        rm = reduce_mod_p(FAM98, 3)
-        assert rm.p_red.coeffs == (1, 0, 1)
-        assert rm.q_red.coeffs == (0, 0, 1)
 
-    def test_denominator_vanishes(self):
-        phi = RationalMap.from_coeffs([4, 0, 1], [4, 0, 2])
-        rm = reduce_mod_p(phi, 2)
-        assert rm.p_red.coeffs == (0, 0, 1)
-        assert rm.q_red.is_zero
-        assert not rm.good
+def orbit_term(orb, k):
+    """The k-th point of the orbit, read through its tail and cycle."""
+    if k > orb.tail_length:
+        k = orb.tail_length + (k - orb.tail_length) % orb.cycle_length
+    return orb.visited[k]
+
+
+@st.composite
+def maps_with_good_primes(draw):
+    """A map of degree 2-4 with coefficients in [-9, 9] and a prime below
+    1000 of good reduction for it."""
+    d = draw(st.integers(2, 4))
+    coeffs = st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)
+    try:
+        phi = RationalMap.from_coeffs(draw(coeffs), draw(coeffs))
+    except ValueError:
+        assume(False)
+    prime = draw(st.sampled_from(PRIMES_BELOW_1000))
+    assume(phi.res % prime != 0)
+    return phi, prime
 
 
 class TestOrbitModP:
     def test_zero_cycles_iff_five_divides_a_term(self):
-        rm = reduce_mod_p(EX13, 5)
-        orb = orbit_mod_p(rm, 0)
+        orb = orbit_mod_p(EX13, P1Point.of(0), 5)
         assert orb.visited[orb.tail_length + orb.cycle_length] == orb.visited[orb.tail_length]
         seen = orb.visited[: orb.tail_length + orb.cycle_length]
         assert len(set(seen)) == len(seen)
@@ -141,34 +145,55 @@ class TestOrbitModP:
 
     def test_family_congruence_fixed_point(self):
         # alpha = 7/2 = 2 mod 3 is fixed for the reduced family map
-        rm = reduce_mod_p(FAM98, 3)
-        start = point_mod_p(7, 2, 3)
-        assert start == 2
-        orb = orbit_mod_p(rm, start)
+        orb = orbit_mod_p(FAM98, P1Point.of(7, 2), 3)
+        assert orb.visited[0] == 2
         assert orb.tail_length == 0 and orb.cycle_length == 1
 
     def test_fixed_point_start(self):
         # z^2 fixes 1 mod any good prime
         phi = RationalMap.from_coeffs([0, 0, 1], [1])
-        orb = orbit_mod_p(reduce_mod_p(phi, 7), 1)
+        orb = orbit_mod_p(phi, P1Point.of(1), 7)
         assert orb.tail_length == 0 and orb.cycle_length == 1
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(BadReductionError):
-            orbit_mod_p(reduce_mod_p(EX13, 2), 0)
+            orbit_mod_p(EX13, P1Point.of(0), 2)
 
     def test_terminates_within_bound(self):
         p = 101
-        rm = reduce_mod_p(EX13, p)
         for start in range(0, p + 1, 17):
-            orb = orbit_mod_p(rm, start)
+            orb = orbit_mod_p(EX13, P1Point.of(start), p)
             assert orb.tail_length + orb.cycle_length <= p + 1
 
     def test_infinity_encoding(self):
-        # 0 -> infinity -> 1 for the family map
-        rm = reduce_mod_p(FAM98, 3)
-        assert rm.eval_point(0) == 3
-        assert rm.eval_point(3) == 1
+        # 0 -> infinity -> 1 for the family map, and a denominator divisible
+        # by p starts at infinity
+        assert orbit_mod_p(FAM98, P1Point.of(0), 3).visited[:3] == [0, 3, 1]
+        assert orbit_mod_p(FAM98, P1Point.infinity(), 3).visited[:2] == [3, 1]
+        assert orbit_mod_p(FAM98, P1Point.of(1, 3), 3).visited[:2] == [3, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_with_good_primes(), st.integers(1, 8))
+    def test_matches_exact_origin_values(self, case, n):
+        # good reduction commutes with iteration: the k-th point of the orbit
+        # of 0 mod p is (p_k(0) : q_k(0)) reduced mod p
+        phi, prime = case
+        orb = orbit_mod_p(phi, P1Point.of(0), prime)
+        assert orb.modulus == prime and orb.visited[0] == 0
+        for k, (u, v) in enumerate(phi.origin_values(n), 1):
+            assert orbit_term(orb, k) == encode(P1Point.of(u, v), prime), k
+
+    @pytest.mark.parametrize("a", [-98, -6, 2, 7])
+    def test_family_zero_returns_where_q_divides_f(self, a):
+        # p_k(0) = a^(2^(k-1)) f_k, so at q not dividing a the orbit of 0
+        # returns to 0 at step k exactly when q divides f_k
+        phi = main_family(a)
+        for q in primes_below(200):
+            if a % q == 0:
+                continue
+            orb = orbit_mod_p(phi, P1Point.of(0), q)
+            fs = f_sequence(a, 10, modulus=q)
+            assert [orbit_term(orb, k) == 0 for k in range(1, 11)] == [f == 0 for f in fs]
 
 
 class TestOriginValuations:
@@ -189,13 +214,13 @@ class TestOriginValuations:
                     assert min(vu, vv) == 0
 
 
-def _mod_ladder(rm, n):
+def _mod_ladder(phi, p, n):
     """Iterate recursion carried out entirely over F_p."""
-    p = rm.modulus
-    d = rm.degree
-    pc = [rm.p_red.coeff(i) for i in range(d + 1)]
-    qc = [rm.q_red.coeff(i) for i in range(d + 1)]
-    pn, qn = rm.p_red, rm.q_red
+    d = phi.d
+    pn = PrimeFieldPoly.from_intpoly(phi.p, p)
+    qn = PrimeFieldPoly.from_intpoly(phi.q, p)
+    pc = [pn.coeff(i) for i in range(d + 1)]
+    qc = [qn.coeff(i) for i in range(d + 1)]
     levels = [(pn, qn)]
     for _ in range(n - 1):
         ppow = [PrimeFieldPoly(p, (1,))]
@@ -219,8 +244,7 @@ def _mod_ladder(rm, n):
 class TestReductionCommutesWithIteration:
     @pytest.mark.parametrize("phi,p", [(EX13, 5), (EX13, 13), (FAM98, 3), (FAM98, 5)])
     def test_ladder_levels(self, phi, p):
-        rm = reduce_mod_p(phi, p)
-        mod_levels = _mod_ladder(rm, 5)
+        mod_levels = _mod_ladder(phi, p, 5)
         for n in range(1, 6):
             pn, qn = phi.iterate_polys(n)
             assert PrimeFieldPoly.from_intpoly(pn, p).coeffs == mod_levels[n - 1][0].coeffs

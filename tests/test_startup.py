@@ -70,12 +70,28 @@ class TestSieve:
 
 
 BOUNDARY_PROBE = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 import arbordyn.cli
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("arbordyn."))
 banned = lambda: sorted(m for m in ("argparse", "gettext", "locale", "json", "multiprocessing",
                                     "concurrent.futures", "pickle") if m in sys.modules)
 out = {"import": loaded(), "table_read": [], "banned": [banned()]}
+# rigid-check loads reduction, which certify and sequence must not, so it
+# runs alone in a fork of this process
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            arbordyn.cli.main(["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2",
+                               "--n", "8"])
+        os.write(write_end, " ".join(loaded()).encode())
+    finally:
+        os._exit(0)  # never unwind into the probe
+os.close(write_end)
+with os.fdopen(read_end) as pipe:
+    out["rigid-check"] = pipe.read().split()
+os.waitpid(pid, 0)
 for argv in (
     ["orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"],
     ["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
@@ -113,6 +129,9 @@ def test_cli_import_boundary():
     # certificate needs no finite-field polynomials
     assert "arbordyn.reduction" not in loaded["certify"] + loaded["sequence"]
     assert "arbordyn.ffpoly" not in loaded["certify"]
+    # rigid-check reads its bad primes from res: no finite-field polynomials
+    assert "arbordyn.reduction" in loaded["rigid-check"]
+    assert not {"arbordyn.ffpoly", "arbordyn.galois"} & set(loaded["rigid-check"])
     # a certificate past DIGEST_BITS hashes nothing: its deep levels are residues
     assert loaded["hashlib"] is False
     # the prime-block table is read only by trial division past 2048: --factor

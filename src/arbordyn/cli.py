@@ -34,7 +34,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ._record import fraction_text, int_text, json_text, plain
-from .errors import FactoringBudgetError, GrowthCapError, NotBicriticalError
+from .errors import FactoringBudgetError, NotBicriticalError
 from .factorint import (
     DEFAULT_RHO_BUDGET,
     DEFAULT_SEED,
@@ -49,7 +49,7 @@ from .ratmap import (
     DEFAULT_MAX_STEPS,
 )
 
-SCHEMA = "arbordyn/4"
+SCHEMA = "arbordyn/5"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -174,18 +174,13 @@ def cmd_sequence(args) -> int:
     status = "growth_capped" if len(values) < args.n else "complete"
     rows = [{"n": idx, "pn0": u} for idx, (u, _) in enumerate(values, start=1)]
     if family_a is not None and rows:
-        try:
-            fs = divis.f_sequence(family_a, len(rows), args.growth_cap_bits)
-        except GrowthCapError:
-            status = "growth_capped"
-        else:
-            for row, f in zip(rows, fs):
-                row["f"] = f
-            try:
-                for row, th in zip(rows, divis.theta(fs)):
-                    row["theta"] = th
-            except ValueError:  # some f_k vanishes: no theta_n is defined
-                pass
+        fs = divis.f_sequence(family_a, len(rows))  # |f_n| <= |p_n(0)|: under the same cap
+        thetas = divis.theta(fs)
+        defined = None not in thetas  # else some f_k vanishes, and theta_n is not defined
+        for row, f, th in zip(rows, fs, thetas):
+            row["f"] = f
+            if defined:
+                row["theta"] = th
     if args.factor:
         budget = FactorBudget(args.trial_bound, args.rho_budget, args.seed)
         nonzero = [row for row in rows if row["pn0"] != 0]
@@ -246,8 +241,7 @@ def cmd_certify(args) -> int:
         a = param.a
     else:
         a = args.a
-    cert = galois.maximality_certificate(
-        a, args.depth, growth_cap_bits=args.growth_cap_bits)
+    cert = galois.maximality_certificate(a, args.depth)
     payload["certificate"] = cert
     payload["overall"] = cert.overall
     _emit(payload, args, text)
@@ -321,8 +315,8 @@ def _checked(need: str, ok=lambda v: True, convert=int):
 
 _POSITIVE = _checked("an integer >= 1", lambda v: v >= 1)
 _NON_NEGATIVE = _checked("an integer >= 0", lambda v: v >= 0)
-# The largest certify --depth: no growth cap bounds the residue band, whose
-# time and payload grow with the depth.
+# The largest certify --depth: it bounds the residue band, whose time and
+# payload grow with the depth, as DIGEST_BITS bounds the exact band.
 MAX_DEPTH = 1000
 
 # An option is (flag, dest, convert, default, required, group).  ``convert``
@@ -365,7 +359,7 @@ COMMANDS = {
         ("--a", "a", _checked("an integer"), None, True, "--m/--a"),
         ("--depth", "depth", _checked(f"an integer from 1 to {MAX_DEPTH}",
                                       lambda v: 1 <= v <= MAX_DEPTH), None, True, None),
-        _OUTPUT, _GROWTH, *_FACTORING)),
+        _OUTPUT, *_FACTORING)),
     "rigid-check": ("cmd_rigid_check", "rigid divisibility of p_n(0)", (
         _MAP, _N, ("--exclude", "exclude", _checked(
             "comma-separated integers", convert=lambda t: [int(x) for x in t.split(",") if x]),
@@ -458,7 +452,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_PARSE)
     except NotBicriticalError as exc:
         return _fail(str(exc), EXIT_NOT_BICRITICAL)
-    except (GrowthCapError, FactoringBudgetError) as exc:
+    except FactoringBudgetError as exc:
         return _fail(str(exc), EXIT_FAIL)
     except KeyboardInterrupt:
         return _fail("interrupted", EXIT_FAIL)

@@ -9,6 +9,8 @@ lattice isolates the primitive part of each term:
 
 theta_n is computed by exact division and asserted integral rather than
 assumed so; a nonzero remainder is surfaced as a hard invariant violation.
+The f-sequence has no growth cap of its own: |f_n| <= |p_n(0)|, so the cap
+on the origin orbit (RationalMap.origin_values) bounds every term.
 
 Rigid-divisibility checking is necessarily partial, since deep terms cannot
 be fully factored: the prime pool (full factorizations up to a depth, trial
@@ -21,9 +23,9 @@ import math
 from typing import Sequence
 
 from ._record import Fresh, Record
-from .errors import GrowthCapError, InvariantViolationError
+from .errors import InvariantViolationError
 from .factorint import FactorBudget, factor_each, trial_division, valuation
-from .ratmap import DEFAULT_GROWTH_CAP_BITS, RationalMap
+from .ratmap import RationalMap
 
 
 def main_family(a: int) -> RationalMap:
@@ -33,28 +35,22 @@ def main_family(a: int) -> RationalMap:
     return RationalMap.from_coeffs([a, 0, 1], [0, 0, 1])
 
 
-def f_sequence(a: int, n: int, growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS,
-               modulus: int | None = None, stop_bits: int | None = None) -> list[int]:
+def f_sequence(a: int, n: int, modulus: int | None = None,
+               stop_bits: int | None = None) -> list[int]:
     """[f_1, ..., f_n] with f_1 = f_2 = 1, f_k = f_(k-1)^2 + a*f_(k-2)^4.
 
-    Before step k, f_k's width is bounded by
-    max(2 bits f_(k-1), 4 bits f_(k-2) + bits |a|) + 1, and a bound over
-    ``growth_cap_bits`` raises GrowthCapError.  With ``stop_bits`` the list
-    ends before the first term wider than that.  With ``modulus`` q the list
-    is [f_1 mod q, ..., f_n mod q], stepped mod q, so no cap applies.
+    With ``stop_bits`` the list ends before the first term wider than that.
+    With ``modulus`` q the list is [f_1 mod q, ..., f_n mod q], stepped mod q.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     out = [1, 1]
     sq = 1  # f_(k-2)^2, taken as f_(k-1)^2 by the step before
-    abits = abs(a).bit_length()
     for _ in range(n - 2):
         if modulus is not None:
             sq, prev = out[-1] * out[-1] % modulus, sq
             out.append((sq + a * prev * prev) % modulus)
             continue
-        if max(2 * out[-1].bit_length(), 4 * out[-2].bit_length() + abits) + 1 > growth_cap_bits:
-            raise GrowthCapError("growth cap exceeded in f sequence")
         sq, prev = out[-1] ** 2, sq
         f = sq + a * prev ** 2
         if stop_bits is not None and f.bit_length() > stop_bits:
@@ -73,16 +69,14 @@ def theta(fs: Sequence[int], modulus: int | None = None) -> list[int | None]:
 
     With ``modulus`` q, fs may be residues mod q and the result is
     [theta_n mod q], dividing by inverses mod q.  An index n with a divisor
-    d such that f_d = 0 (mod q) has no such residue and gets None.
+    d such that f_d = 0 (mod q, if given) has no theta_n and gets None.
     """
     rest = list(fs) if modulus is None else [f % modulus for f in fs]
     for d, th in enumerate(rest, start=1):
-        if th is None:  # f_e = 0 (mod q) for some e | d; e's multiples are all None
+        if th is None:  # f_e = 0 for some e | d; e's multiples are all None
             continue
         if th == 0:
-            if modulus is None:
-                raise ValueError("theta undefined (vanishing term)")
-            # with no divisor vanishing, theta_d = 0 (mod q) exactly when f_d is
+            # with no divisor vanishing, theta_d = 0 exactly when f_d is
             rest[d - 1::d] = [None] * len(rest[d - 1::d])
         elif modulus is not None:
             inv = pow(th, -1, modulus)
@@ -91,6 +85,8 @@ def theta(fs: Sequence[int], modulus: int | None = None) -> list[int | None]:
                     rest[m - 1] = rest[m - 1] * inv % modulus
         else:
             for m in range(2 * d, len(rest) + 1, d):
+                if rest[m - 1] is None:
+                    continue
                 rest[m - 1], rem = divmod(rest[m - 1], th)
                 if rem:
                     raise InvariantViolationError(

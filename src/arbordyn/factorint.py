@@ -7,7 +7,7 @@ primes, dividing by single primes only in blocks that share a factor with n
 (Bernstein, "How to find small factors of integers", 2002).  The products of
 the full blocks below 10^6 ship as the package file prime_blocks.bin, read on
 the first scan that needs one; blocks past it are built by a segmented sieve.
-factor_each factors a list of integers term for term as factor_integer does,
+factor_each factors a list of integers term for term (factor_integer, one),
 and once two or more of them need Brent-rho, splits those in forked workers.
 Primality is Miller-Rabin:
 deterministic with the fixed witness set below the proven bound
@@ -429,22 +429,19 @@ def _factorization(sign: int, counts: dict[int, int], leftovers: list[int],
 
 
 def factor_integer(n: int, budget: FactorBudget | None = None) -> Factorization:
-    """Factor ``n`` within an effort budget.
-
-    Trial division below ``budget.trial_bound``, then recursive Brent-rho
-    splitting within ``budget.rho_iterations``.  Certified primes go to the
-    factor list; on budget exhaustion (or a cofactor too large to certify) the
-    remainder is reported in ``cofactor`` with an honest status label.
-    Raises ValueError for n = 0.
-    """
-    if budget is None:
-        budget = FactorBudget()
-    sign, counts, leftovers, rest = _trial_stage(n, budget)
-    return _factorization(sign, counts, leftovers, _rho_stage(rest, budget) if rest > 1 else None)
+    """The Factorization of the one integer ``n`` within an effort budget,
+    by factor_each's stages and labels; one term forks no worker."""
+    return factor_each([n], budget)[0]
 
 
 def factor_each(ns: Sequence[int], budget: FactorBudget | None = None) -> list[Factorization]:
-    """[factor_integer(n, budget) for n in ns], term for term.
+    """The Factorization of each n in ``ns`` within an effort budget, in order.
+
+    Trial division below ``budget.trial_bound``, then recursive Brent-rho
+    splitting within ``budget.rho_iterations`` per term.  Certified primes
+    go to the factor list; on budget exhaustion (or a cofactor too large to
+    certify) the remainder is reported in ``cofactor`` with an honest status
+    label.  Raises ValueError if some n is 0.
 
     The trial stage of every term runs in this process.  Once two or more
     terms are left with a composite, their Brent-rho stages are shared by

@@ -32,7 +32,7 @@ from .factorint import (
 )
 from .intpoly import IntPoly
 from .divisibility import f_sequence, main_family, theta
-from .ratmap import DEFAULT_GROWTH_CAP_BITS, P1Point
+from .ratmap import P1Point
 
 # Levels whose f_(n+1) is at most this wide get exact witnesses, wider ones residues.
 DIGEST_BITS = 4096
@@ -107,8 +107,7 @@ class MaximalityCertificate(Record):
     levels: list[LevelEvidence] = Fresh(list)
 
 
-def maximality_certificate(a: int, depth: int,
-                           growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> MaximalityCertificate:
+def maximality_certificate(a: int, depth: int) -> MaximalityCertificate:
     """Per-level maximality certificate for the tower over basepoint 0.
 
     Requires a = 2 (mod 4) and a <= -3 (the regime where the irreducibility
@@ -118,19 +117,19 @@ def maximality_certificate(a: int, depth: int,
     n >= 2, by induction, as odd squares are 1 mod 4; a term off that
     congruence raises InvariantViolationError.
 
-    The exact band: f_1, f_2, ... are built under ``growth_cap_bits``
-    (GrowthCapError past it) up to the first term wider than DIGEST_BITS.  A
-    level n whose f_(n+1) was built is maximal when |theta_(n+1)| sits
-    strictly between consecutive squares, else unknown.  The residue band:
-    every later level records f_(n+1) mod 4 and is maximal when a prime
-    q = 1 (mod 4) below RESIDUE_PRIME_BOUND makes theta_(n+1) mod q a
-    quadratic non-residue, else unknown.
+    The exact band: f_1, f_2, ... are built up to the first term wider than
+    DIGEST_BITS, which is dropped; it is about 2 DIGEST_BITS + bits |a| wide,
+    so no growth cap applies.  A level n whose f_(n+1) was built is maximal
+    when |theta_(n+1)| sits strictly between consecutive squares, else
+    unknown.  The residue band: every later level records f_(n+1) mod 4 and
+    is maximal when a prime q = 1 (mod 4) below RESIDUE_PRIME_BOUND makes
+    theta_(n+1) mod q a quadratic non-residue, else unknown.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
         return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [])
-    fs = f_sequence(a, depth + 1, growth_cap_bits, stop_bits=DIGEST_BITS)
+    fs = f_sequence(a, depth + 1, stop_bits=DIGEST_BITS)
     thetas = theta(fs)
     levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", integer_witness(-a)[0]),
                             None, "maximal")]

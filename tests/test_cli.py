@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbordyn import cli
 from arbordyn.cli import main
@@ -80,7 +84,7 @@ class TestOrbitCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "arbordyn/4"
+        assert doc["schema"] == "arbordyn/5"
         assert doc["orbit"]["points"][:4] == ["0", "inf", "1", "-97"]
 
     def test_fixed_point(self, capsys):
@@ -238,7 +242,7 @@ def test_family_tower_factors_nothing(monkeypatch, capsys, argv):
     monkeypatch.setattr(factorint, "factor_integer", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert json.loads(out)["schema"] == "arbordyn/4"
+    assert json.loads(out)["schema"] == "arbordyn/5"
 
 
 class TestRigidCheckCommand:
@@ -309,15 +313,43 @@ class TestBudgets:
         assert doc["status"] == "growth_capped"
         assert 0 < len(doc["rows"]) < 30
 
+    # (a, n, cap, rows printed, theta on them): |f_k| <= |p_k(0)|, so every
+    # printed row has its f, and status follows the origin orbit's cap alone.
+    # At a = 1, p_n(0) = f_n, and p_8(0) and p_9(0) are 47 and 94 bits wide.
+    F_COLUMN_CASES = [
+        (1, 8, 47, 8, True),
+        (1, 9, 94, 9, True),
+        (2, 3, 6, 3, True),
+        (2, 4, 6, 3, True),  # p_4(0) = 2816 is 12 bits wide
+        (-1, 8, 5, 8, False),  # f_3 = 0, so no theta_n is defined
+    ]
+
     def test_f_columns_kept_while_the_terms_fit(self, capsys):
-        # at a = 1, p_n(0) = f_n: all nine terms fit in 100 bits, and so does
-        # the width bound of f_9, so the f and theta columns stay
-        code, out, _ = run_cli(capsys, "sequence", "--a", "1", "--n", "9",
-                               "--growth-cap-bits", "100")
+        for a, n, cap, printed, with_theta in self.F_COLUMN_CASES:
+            code, out, _ = run_cli(capsys, "sequence", "--a", str(a), "--n", str(n),
+                                   "--growth-cap-bits", str(cap))
+            assert code == 0
+            doc = json.loads(out)
+            assert len(doc["rows"]) == printed, a
+            assert doc["status"] == ("complete" if printed == n else "growth_capped")
+            assert all(row["pn0"] == a ** 2 ** (row["n"] - 1) * row["f"] for row in doc["rows"])
+            assert all(("theta" in row) == with_theta for row in doc["rows"])
+
+    # |a| <= 3 is drawn often: only there is p_n(0) not much wider than f_n
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.integers(-3, 3), st.integers(-300, 300)).filter(bool),
+           st.integers(1, 10), st.integers(1, 400))
+    def test_columns_follow_the_origin_cap(self, a, n, cap):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["sequence", "--a", str(a), "--n", str(n), "--growth-cap-bits", str(cap)])
         assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "complete"
-        assert all(row["f"] == row["pn0"] and "theta" in row for row in doc["rows"])
+        doc = json.loads(out.getvalue())
+        rows = doc["rows"]
+        assert (doc["status"] == "growth_capped") == (len(rows) < n)
+        assert all(row["pn0"] == a ** 2 ** (row["n"] - 1) * row["f"] for row in rows)
+        has_theta = [("theta" in row) for row in rows]
+        assert has_theta == [all(row["f"] != 0 for row in rows)] * len(rows)
 
     def test_rho_budget_exhaustion_labeled_honestly(self, capsys):
         code, out, _ = run_cli(
@@ -418,6 +450,8 @@ class TestBadArgumentsExitTwo:
 # (command line, text the error line must contain: the option it names)
 BAD_COMMAND_LINES = [
     (("sequence", "--a", "-98", "--n", "3", "--growth-cap-bits", "0"), "--growth-cap-bits"),
+    # certify is bounded by DIGEST_BITS and --depth, and takes no growth cap
+    (("certify", "--a", "-98", "--depth", "12", "--growth-cap-bits", "4503"), "--growth-cap-bits"),
     (("critical", "--map", "z^2", "--trial-bound", "0"), "--trial-bound"),
     (("certify", "--m", "2", "--depth", "3", "--rho-budget", "0"), "--rho-budget"),
     (("orbit", "--map", "z^2", "--start", "0", "--steps", "0"), "--steps"),
@@ -460,7 +494,7 @@ FACTORING_COMMANDS = {"critical", "normal-form", "sequence", "certify", "rigid-c
 BUDGET_OPTIONS = {
     "--steps": ("orbit_max_steps", {"orbit"}),
     "--height-cap-bits": ("height_cap_bits", {"orbit", "critical", "normal-form"}),
-    "--growth-cap-bits": ("growth_cap_bits", {"sequence", "certify", "rigid-check"}),
+    "--growth-cap-bits": ("growth_cap_bits", {"sequence", "rigid-check"}),
     "--trial-bound": ("trial_bound", FACTORING_COMMANDS),
     "--rho-budget": ("rho_budget", FACTORING_COMMANDS),
     "--seed": ("seed", FACTORING_COMMANDS),

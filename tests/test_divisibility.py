@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arbordyn.divisibility import f_sequence, main_family, theta, verify_rigid_divisibility
-from arbordyn.errors import GrowthCapError
 from arbordyn.factorint import FactorBudget, is_perfect_square
 from arbordyn.ratmap import P1Point, RationalMap
 from paper_checks import (
@@ -38,36 +37,9 @@ class TestFSequence:
         assert fs[3] == 9311
         assert fs[4] == -8589174817
 
-    def test_growth_cap(self):
-        with pytest.raises(GrowthCapError):
-            f_sequence(-98, 40, growth_cap_bits=1000)
-
     @given(st.integers(-2000, 2000).filter(bool), st.integers(1, 14))
     def test_matches_plain_recursion(self, a, n):
         assert f_sequence(a, n) == plain_f_sequence(a, n)
-
-    @pytest.mark.parametrize("a, cap", [(-98, 1000), (6, 64), (7, 300), (-2000, 5000),
-                                        (1, 100)])
-    def test_growth_cap_at_the_plain_recursions_term(self, a, cap):
-        n = 3
-        while plain_f_sequence(a, n, cap) is not None:
-            n += 1
-        assert f_sequence(a, n - 1, cap) == plain_f_sequence(a, n - 1, cap)
-        with pytest.raises(GrowthCapError):
-            f_sequence(a, n, cap)
-
-    @given(st.integers(-2000, 2000).filter(bool), st.integers(3, 14))
-    def test_cap_bound_is_an_upper_bound(self, a, n):
-        fs = f_sequence(a, n)
-        for k in range(2, n):
-            assert fs[k].bit_length() <= step_bound(a, fs[k - 1], fs[k - 2])
-
-    def test_cap_bound_is_about_the_terms_width(self):
-        # the old bound, 4 max(bits f_(k-1), bits f_(k-2)) + bits |a|, was
-        # about twice f_k's width: 1153435 bits over it at k = 20
-        fs = f_sequence(-98, 20)
-        assert all(step_bound(-98, fs[k - 1], fs[k - 2]) - fs[k].bit_length() <= 5
-                   for k in range(2, 20))
 
     def test_stop_bits_ends_before_the_first_wider_term(self):
         fs = f_sequence(-98, 16)
@@ -84,17 +56,10 @@ class TestFSequence:
         assert f_sequence(a, n, modulus=q) == [f % q for f in f_sequence(a, n)]
 
 
-def step_bound(a, f1, f2):
-    """The width bound before step k: max(2 bits f_(k-1), 4 bits f_(k-2) + bits |a|) + 1."""
-    return max(2 * f1.bit_length(), 4 * f2.bit_length() + abs(a).bit_length()) + 1
-
-
-def plain_f_sequence(a, n, cap=2 ** 24):
-    """f_1..f_n by f_k = f_(k-1)^2 + a*f_(k-2)^4 as written, or None where the cap stops it."""
+def plain_f_sequence(a, n):
+    """f_1..f_n by f_k = f_(k-1)^2 + a*f_(k-2)^4 as written."""
     out = [1, 1]
     for _ in range(n - 2):
-        if step_bound(a, out[-1], out[-2]) > cap:
-            return None
         out.append(out[-1] ** 2 + a * out[-2] ** 4)
     return out[:n]
 
@@ -118,9 +83,14 @@ class TestTheta:
         assert k == 96 and k * k < 9311 < (k + 1) ** 2
 
     def test_vanishing_term_rejected(self):
-        # a = -1 gives f_3 = 0
-        with pytest.raises(ValueError):
-            theta(f_sequence(-1, 3))
+        # a = -1 gives f_3 = 0: theta_n is None exactly at the multiples of 3,
+        # where the mod-q sieve has no residue either
+        got = theta(f_sequence(-1, 30))
+        assert [m for m in range(1, 31) if got[m - 1] is None] == list(range(3, 31, 3))
+        residues = theta(f_sequence(-1, 30, modulus=7), 7)
+        assert [th is None for th in got] == [r is None for r in residues]
+        assert all(r == th % 7 for th, r in zip(got, residues) if th is not None)
+        assert got[:5] == [1, 1, None, -1, 1]
 
     def test_integrality_asserted_over_range(self):
         for a in (-2, -6, -14, -98, 10):
@@ -133,14 +103,13 @@ class TestTheta:
         fs = f_sequence(a, n)
         got = theta(f_sequence(a, n, modulus=q), q)
         assert theta(fs, q) == got
-        exact = theta(fs) if 0 not in fs else None
+        exact = theta(fs)
         for m in range(1, n + 1):
             if any(fs[d - 1] % q == 0 for d in range(1, m + 1) if m % d == 0):
                 assert got[m - 1] is None
             else:
                 assert got[m - 1] is not None and got[m - 1] % q
-                if exact is not None:
-                    assert got[m - 1] == exact[m - 1] % q
+                assert got[m - 1] == exact[m - 1] % q
 
     def test_residues_through_a_vanishing_term(self):
         # a = -1: f_3 = 0, so theta_3, theta_6, ... have no residue; the rest do

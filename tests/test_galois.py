@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbordyn.divisibility import f_sequence, main_family, theta
-from arbordyn.errors import GrowthCapError, InvariantViolationError
+from arbordyn.errors import InvariantViolationError
 from arbordyn.factorint import is_perfect_square
 from arbordyn import galois
 from arbordyn.galois import (
@@ -221,9 +221,7 @@ class TestSquarefreeThetaEvidence:
             assert certified == (not is_perfect_square(abs(thetas[n - 1]))[0]), n
 
     def test_growth_cap_leaves_direct_test_open(self):
-        # theta_31 is past the cap, and the route reads 31 steps mod 5 instead
-        with pytest.raises(GrowthCapError):
-            f_sequence(-98, 31, growth_cap_bits=2 ** 16)
+        # theta_31 is too wide to build, and the route reads 31 steps mod 5 instead
         assert squarefree_theta_evidence(2, 31, 5, "odd") == (True, 2, True)
 
 
@@ -343,16 +341,6 @@ class TestCertificateBands:
         for lvl in cert.levels[1:]:
             nonsquare = not is_perfect_square(abs(thetas[lvl.n]))[0]
             assert lvl.verdict == ("maximal" if nonsquare else "unknown"), (a, lvl.n)
-
-    def test_growth_cap_bounds_only_the_exact_band(self):
-        with pytest.raises(GrowthCapError):
-            maximality_certificate(-98, 12, growth_cap_bits=100)
-        # f_12 (4502 bits, bound 4503) is built and found wider than
-        # DIGEST_BITS; nothing past it is built, so depth 60 fits a 4503-bit cap
-        cert = maximality_certificate(-98, 60, growth_cap_bits=4503)
-        assert cert.overall == "all_maximal"
-        with pytest.raises(GrowthCapError):
-            maximality_certificate(-98, 60, growth_cap_bits=4502)
 
     def test_family_parameter(self):
         assert family_parameter(2) == -98

@@ -45,121 +45,121 @@ ROWS = [
     # degree 2, rational critical points: the family, collisions at -1/2 and
     # 5/14, an orbit through infinity
     (["critical", "--map", "(z^2-98)/z^2"],
-     "55e88d5fc4b131f47252307ea39a1eae8838f789240055086ff701250508b56a", 0),
+     "54ca2e0661a9d085641e52ccb5a36e332369bbbcf2f040fec2a499dd79f2dcf7", 0),
     (["normal-form", "--map", "(z^2-98)/z^2"],
-     "3dba26d3fb121f0862cad2d7a394ac35394dc9a3a939cc873bebedb77be4f05f", 0),
+     "7397971193c6fe027b87951bcb2430ae0d4dd384a199cf423a7213852fe2c902", 0),
     (["critical", "--map", "(z^2-3)/(z^2+3)"],
-     "60d4e06a83919a695d51bd1826fdc8ff53b9a7410ad9f9adbcb198df5e13fb0b", 0),
+     "576ad6af25646e977c33688a67e3cf13512680584a2e08cc8525b93c43f9345c", 0),
     (["normal-form", "--map", "(z^2-3)/(z^2+3)"],
-     "24260d82d60ddd789949577f33717b1f53b402b4dd8eb2f210e46f64b355626b", 0),
+     "6c7895f538e09e02b87ffc638e9658ee4c3e32410accafd67d0a2df4fbf34cb3", 0),
     (["critical", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "a204551a2510ec0f1e286649f17e8ee808fbdc72fa0e756f4539b6281fa8fc88", 0),
+     "383fb26a2602414230d7dd35ccc6ef89939a7042a1510fb355efba0d9d683957", 0),
     (["normal-form", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "3acf0fbbd567c8e64515431ceb41a55e839b94e32180699c6607078430e3c6ce", 0),
+     "8be9f346a9cccddb3011f3466f3b4c26d00b943f4d5154b2389e512e371d65a6", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)"],
-     "dda86de4da7f5b530f392d12c57540a60a83b9dc1674699bded8939de5698886", 0),
+     "892e8c84b841fa0859e5540aae92f0cbaa9597952d8f0be30870dc249000345c", 0),
     (["normal-form", "--map", "(z^2-3z-3)/(z^2)"],
-     "baf371ce54e039cf682e20d08681cef58f8ad1767e48426e7f7af52706d19f46", 0),
+     "13ea474cf268ea7b851c4c85f57b6ab86f27fb8394882854d42b578b3fedb33f", 0),
     # quadratic critical fields: a collision, an orbit into the fixed point
     # infinity, a fixed critical point, the power and inverse-power forms, a cubic
     (["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "dacc10d2f7c9add06e6a1a2024ed9ef58792e88e1706de6f88016c939b530b11", 0),
+     "bcab4eb3c7d89b338210ef163f1d4d324d550c601dff157ded2bdb858f7400fb", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "e1ec1f9b4fb382da7c512208b83da30f7f43d4977f152f874948cce2acf1ebee", 0),
+     "f210c6ccd36ea4260cdc4272b63735e0294b0e80b98c82a904444e629533ffe8", 0),
     (["critical", "--map", "(z^2+1)/(-2z-2)"],
-     "fc7fc547f62d85237fef0f59d6fdd30414b12bd49d1d1d65cab21994949d64c3", 0),
+     "973a65f755aa5bc23d10b489a41537f5899ace5ca44eff5b75fd1180ed2e401f", 0),
     (["normal-form", "--map", "(z^2+1)/(-2z-2)"],
-     "5cc9d2d6be5f135743a4a426c2fe20c263f8acf4ca0a412d80ebd892144bda95", 0),
+     "de18236e3afbb6c1146381ec6a467b7def4051f5d7203050658860ba42d83025", 0),
     (["critical", "--map", "(z^2-3)/(2z-3)"],
-     "ac5f3aa6ba0a5acdfc3d3a0629927c1f654878dceb3464fb050382064bef1a96", 0),
+     "5573b15728b804a1ab52181eaeb20ae3ee31ba80bf17cf3cce7ddf02e6e6e629", 0),
     (["normal-form", "--map", "(z^2-3)/(2z-3)"],
-     "da6b72bc87876153c02717dd79662e764bc87e6f07975a8433f1409c756a11c1", 0),
+     "41a01ebed774e85edbdbbfc97e69474d7ab1264f54cb97eb97e21180e5d17bf9", 0),
     (["critical", "--map", "(z^2+2)/(2z)"],
-     "3ed4e5e750f606d62a5eec47cb78b99adca0ea5b31123ef169de547dd0447903", 0),
+     "6ba49b74bd872764fd1cba5950103c42e1540c0df39322f0559273a4daeaddd5", 0),
     (["normal-form", "--map", "(z^2+2)/(2z)"],
-     "2a05682cb5f47f78742f711bfbde7ec4758389e68c7f8a8e864de540c2c5706d", 0),
+     "6192181a8e5fed2fa93dfe2bacdbe411fca11c1c5564a9076d7118d4c51065ec", 0),
     (["critical", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "49fa7e7d05187d212f619ea1f57c10655cd6b451bc7b92cb538e5b16de233df9", 0),
+     "8718ed03424afd8f5f25081bd47c6dc3270adc57099aa2033079e9ef7cec540a", 0),
     (["normal-form", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "31ee54c9ba81249f92a8ef33b82d328485c74b0d92bda8d72aa3d3da477c48d3", 0),
+     "d5ad904ce7bd22b69b431b6d1508a4b3e492c336ad06491a0cf569233c76dd09", 0),
     (["critical", "--map", "(z^3+6z)/(3z^2+2)"],
-     "732364e52cd9e4c14aef7410900e3bb303d3abedcc4665e3199fb8eec9a207ab", 0),
+     "1b1a02391f1aca5ae5e1c97534373ef0d73f58303651a8e7ee8cc1e4ab05e576", 0),
     (["normal-form", "--map", "(z^3+6z)/(3z^2+2)"],
-     "3afd404b64dd761b02b5772ed774c33328f6d22d2d682be2738642b39a9b3a18", 0),
+     "e56755d5884e035f16390cb2a35862e4c26affbf21c151fea744949fd2085307", 0),
     # a quadratic critical orbit through a pole, on to a finite point
     (["critical", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "338a69176fccd439190fa5d32247e06b5d656102cb6393477985db7faf71b027", 0),
+     "2604cfaa4fc554e14a324b4f3c1325a917bfb5f6c407ecf56abdff9de8416574", 0),
     (["normal-form", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "5b55146d390c954fd49f4a08bce872c4796b26e863ae198292a06aa917590502", 0),
+     "51395109a90c06380db08fbf1fbddc80489b1b15c50ce4167698cde0dd7fbab1", 0),
     # two-term maps (z^d+a)/(z^d+b) of degree 3, 7, 20 and 50
     (["critical", "--map", "(z^3+5)/(z^3+3)"],
-     "3dbeb854b7c4b82a1cf63f13ad1ae29db7bb661bd989b6e1fed7baf0154cce05", 0),
+     "7b7d55ab240cc7b6b46fd628db9b42ffe3039f4de8195cf2514a9308617c7117", 0),
     (["normal-form", "--map", "(z^3+5)/(z^3+3)"],
-     "3d2201efa934e32cccbd7404efe9b6e0578bb6f95b1d68b5d8feb844c2d28f93", 0),
+     "b5e4f322314b50998750f575d865601d8804e691548c48fb7f5e1c55f51fd891", 0),
     (["critical", "--map", "(z^7+2)/(z^7-1)"],
-     "4b7d29fd7c41c96232ac5368a52f7fa2a9114bbf93db870a8faa83abb23f149f", 0),
+     "f259639b47090a923abeeef4452000d08fdb7e456f4ad1f49d0611cc53ece0be", 0),
     (["normal-form", "--map", "(z^7+2)/(z^7-1)"],
-     "cbf1fc9695d75c04a8a9f460b07df18c3b3c76f5f93316fd25e41702b1c7fe74", 0),
+     "d95b1161c9ca1adf1e4bdd5cf0190f40478cd75bd3cd6add85d212e8c723c625", 0),
     (["critical", "--map", "(z^20+5)/(z^20+3)"],
-     "f657dcfaea38a9e3aafcedd25d05892e74bf6dda912c1ab102bc4f514ccd4058", 0),
+     "f4a0cf7d0052eeb15f5014ac9256efcd3745547848bbb33913ecad20781d59bc", 0),
     (["normal-form", "--map", "(z^20+5)/(z^20+3)"],
-     "ed9b9367c5c30c038df40080a5cb04ee74be2f96802b7f44d22629478b32748e", 0),
+     "57b013b3e3e3cffd3739bc08d052238f122c6ac9852356f644c7c1afb5392d81", 0),
     (["critical", "--map", "(z^50-2)/(z^50+7)"],
-     "ac996cc991f125f147eae00282e8553e0f5f893381ea29e98800db61b0f45fef", 0),
+     "f9d4a1c8a0c933ccbd59d3da274f74b022953da788d1cd516e140415fadc3cd2", 0),
     (["normal-form", "--map", "(z^50-2)/(z^50+7)"],
-     "7560a36fc358586bcac7f432c27b55121da304d99789eb89ee150b6eacc08a08", 0),
+     "aaa3e882f3c3ff68961a6482df4bb14da383449f1c7b1933d0b76dbbdd8c1bd8", 0),
     # orbits of the two-term maps from 1
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "1", "--steps", "3"],
-     "da632157980c6fbbec8a5b1f29fc9ef5439c06a32994110281a8cabe426e0d7b", 0),
+     "9654b1c4c35dea67736a13b4c7e763e4cdd70f8c3a17c9f303d4e0c940651544", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1", "--steps", "3"],
-     "7cd03d327b56f6f3e839dee2a9117923011998baf9bfa3961e5cba1d36de88fa", 0),
+     "edcd3a26e18139d05b8fb76595f8c58e5860bc5f58db577f1df8bba8e5db1dfb", 0),
     (["orbit", "--map", "(z^20+5)/(z^20+3)", "--start", "1", "--steps", "3"],
-     "cf374330def782ccaa2ca052491c176c4ece8e12d45fd2ad35d5d6ff4b1f0097", 0),
+     "cdcab59ac2431718fe6805285449aa36d8fb4c793a5a0928ec3588c0030e30bd", 0),
     (["orbit", "--map", "(z^50-2)/(z^50+7)", "--start", "1", "--steps", "3"],
-     "2b95a9a389d9e3c5c6c75629687124a3d34fe50eae51893c0f5943d4849a0065", 0),
+     "03f1bcdd56bac5eed149d21941d7967756d94e4be4f5c6bc76452ef1da40dae4", 0),
     # escaping orbits, under the default and a small height cap
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "2", "--steps", "30"],
-     "be057c5afef4adc232f3298eac542f208ebe7b8e9ed40b4111aaab474bcdfb0a", 0),
+     "771ee3b9af5cbe94e2807de8404f62d020e4252897fbe84142da0cc7ac234cd2", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1/2", "--steps", "9", "--height-cap-bits", "100"],
-     "0cb140079e3852579aee0db6f09ee710e21a31030fd512a5104ca04674f5c78e", 0),
+     "10d62a50ba97a7c20cfe2a4c8243409b7ba86794ad62ef4e820afd3374b614f3", 0),
     # preperiodic orbits, one through infinity, and an orbit from infinity that
     # runs out of steps
     (["orbit", "--map", "z^2-2", "--start", "0"],
-     "523050b80cd940a3fca508086b84e0936a95ba1c919405e5cd38e11cfe70bd29", 0),
+     "bcc607b88f1f36fa44bd0958b2ef82289db182afd15fb56181d7a5fd66d81061", 0),
     (["orbit", "--map", "1/z^2", "--start", "0"],
-     "3c1f48c73f863579f1ece55e7ece50d90c4e04a6755ec5878c08fb67a151d7c3", 0),
+     "80bab8907cfcb541aed60bac407871031a380757738ddda41532321be04ff5d7", 0),
     (["orbit", "--map", "(z^2-98)/z^2", "--start", "inf", "--steps", "5"],
-     "119d0957167486a13d3445647dc25bfe3736dd3b97931be021302c8ad007db3b", 0),
+     "fccf78f9aabf76342dea6ba634c683bddf196ba948dcd41ad2cc246e00e85b88", 0),
     # text output, and a height-capped search
     (["critical", "--map", "(z^2-3)/(z^2+3)", "--output", "text"],
      "566f14c8002d3ce4a0bf60b56dc4025de28e5e8c661092a601ad533c710a770f", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)", "--output", "text"],
      "15ebfaa3d3d161afb021b94475c7079f2859d8654ae0f190321ec52c7d6537a1", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)", "--bound", "3", "--height-cap-bits", "40"],
-     "c971a312ccdaf3d270218b5199ae888561af470dcb78ed6f61505577703ceb02", 0),
+     "9670dd068bab8b1e32b76c6ef47388aa2d4f5b3b0e118b71b7d2195aec89c873", 0),
     # normal forms of dense conjugates of (z^d+5)/(z^d+3), and of degree 500
     (["normal-form", "--map", dense_conjugate_text(5)],
-     "f431b038840254a5d84bb8f4939427fdedcd8b7d89b4c6358d60f1eb07280a20", 0),
+     "62533780ba14b04d4c4185842522f347579755f4eca5f3f820a67607c895626c", 0),
     (["normal-form", "--map", dense_conjugate_text(12)],
-     "94cf4e3076c1baccc5b9a828284ac101e6b05ab3a2c64c0295b6cf288fc93a32", 0),
+     "796b4004e27aa8a17a8233c3f7024e56aacf1998ebae642e0f728099f7552b3e", 0),
     (["normal-form", "--map", dense_conjugate_text(25)],
-     "6009e94facc60b9b177c7d879ae8ddd88827dd2e1effb26387ff14c4f54ab17b", 0),
+     "78618751ef0023d9ca7190914be77938946f2210f8a6609acd4f873276643d1d", 0),
     (["normal-form", "--map", dense_conjugate_text(60)],
-     "b7267783c70abcf152752773d575e780066568fcfa7e1c1216d47f822b85abe7", 0),
+     "e5cc0efcaddf3a7c1b5f15e866c70a4f797a8667acade1ad627d9d85a6fe5ae2", 0),
     (["normal-form", "--map", "(z^500+5)/(z^500+3)"],
-     "635fd5504807f05d8caca0a951ea5728a684751cb4414edb91cebb04799a1a39", 0),
+     "de25d12cfdb19a1aab7aeb5df31bc8dfe13dbe1cad963c030437ae20ae42cfb9", 0),
     # bad reduction: a degree drop at 2, a numerator that vanishes mod 7, a
     # common root mod 2, a cubic bad at 3, and a map bad at 2, 3 and 11
     (["rigid-check", "--map", "(2z^2+1)/(2z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "63a9040440475b14e977c17d06e372d245afe9fd8b36f9418a7220c3d75ff713", 0),
+     "99ce3ea3fa8cc73abd6e2f290eb8b0eb564d3e4575bb374fa22a91f55eda1e01", 0),
     (["rigid-check", "--map", "(7z^2+49)/(z^2+14)", "--n", "6", "--rho-budget", "2000"],
-     "665735fb3ba5b9c2bde8a4978bcd59cac8502c4a9f58269176258e2ab1e32e16", 5),
+     "df64eb77e3f3d51373830775914bb7b899344054d29650b7385f3f4d1e07de17", 5),
     (["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "5aae9dcc34979a202e4a27ccdd168ce44cf53b17d1ef1b5ed5aebe46f5bd290d", 5),
+     "4b9fc137befa6391f3184bd6cf031fd91e93c1552d347a4ec06b3c738e24f6fe", 5),
     (["rigid-check", "--map", "(z^3+2)/(z^3+5)", "--n", "6", "--rho-budget", "2000"],
-     "43c03ea6b52cbafda3e0fb1d965dd842c5a0e5c85d917a4f4bca792ca09b03bb", 5),
+     "b21013f6af0028abb80696cb3f38e0dad942d9368f935ea30a60b08e426cdad9", 5),
     (["rigid-check", "--map", "(z^2+2z+3)/(3z^2-2z-1)", "--n", "6", "--rho-budget", "2000"],
-     "b5596a30a72773768324cf9cf67c8687ab436ec4acef8d3b88a381c534529d62", 5),
+     "7c0fbe12e6b1ac6eb5b70069368f3e01ccb436fcbb27498820cfcb88b6aeafb3", 5),
 ]
 
 

@@ -13,6 +13,7 @@ table reads it as the value.
 """
 
 import argparse
+import ast
 import contextlib
 import importlib.util
 import io
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--a", type=int)
     s.add_argument("--depth", type=_integer(f"an integer from 1 to {cli.MAX_DEPTH}",
                                             lambda v: 1 <= v <= cli.MAX_DEPTH), required=True)
-    _add_options(s, "--growth-cap-bits", *FACTORING)
+    _add_options(s, *FACTORING)
     s.set_defaults(func=cli.cmd_certify)
 
     s = subs.add_parser("rigid-check", help="rigid divisibility of p_n(0)")
@@ -234,7 +235,7 @@ FORMS = [
     ["sequence", "--a", "-98", "--n", "8", "--factor", "--rho-budget", "100000"],
     ["sequence", "--a=-98", "--n=8", "--factor", "--rho-budget=1000"],
     ["certify", "--a", "-98", "--dep", "8"],
-    ["certify", "--m", "2", "--de=8", "--gr", "4096"],
+    ["certify", "--m", "2", "--de=8", "--rh", "1000"],
     ["critical", "--map", "(z^2+2)/(z^2+2z+2)", "--b", "3", "--hei", "40", "--out", "text"],
     ["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--ex", "-3", "--po", "0"],
 ]
@@ -364,3 +365,30 @@ def by_design_apart(argv: list[str]) -> bool:
 def test_generated_lines_alike(argv):
     assume(not by_design_apart(argv))
     assert_same(argv)
+
+
+# ---------------------------------------------------------------------------
+# No option is taken and then ignored
+# ---------------------------------------------------------------------------
+
+
+def _args_read(function_name: str) -> set[str]:
+    """Every attribute of ``args`` that the named function of cli reads,
+    in its own body or in a function nested in it."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function_name)
+    return {node.attr for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_option_taken_is_read(command):
+    """Each option a command takes, --output aside (``_emit`` reads it), is
+    read by the command's function, so no budget is accepted and then
+    silently dropped."""
+    function_name, _, options = cli.COMMANDS[command]
+    read = _args_read(function_name)
+    unread = [flag for flag, dest, *_ in options if flag != "--output" and dest not in read]
+    assert not unread, f"{command} takes {unread} but never reads them"

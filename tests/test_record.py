@@ -165,8 +165,7 @@ class TestJsonForm:
         (("normal-form", "--map", "(z^2-98)/z^2"),
          {"trial_bound": 10 ** 6, "rho_budget": 10 ** 8, "seed": 0, "height_cap_bits": 4096}),
         (("certify", "--a", "-98", "--depth", "1"),
-         {"growth_cap_bits": 2 ** 24, "trial_bound": 10 ** 6, "rho_budget": 10 ** 8,
-          "seed": 0}),
+         {"trial_bound": 10 ** 6, "rho_budget": 10 ** 8, "seed": 0}),
     ], ids=["orbit", "normal-form", "certify"])
     def test_config_has_the_default_of_each_budget_taken(self, capsys, argv, config):
         assert main(list(argv)) == 0

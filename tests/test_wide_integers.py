@@ -124,22 +124,26 @@ def moebius_theta(fs, n):
     return value.numerator
 
 
+def moebius_theta_or_none(fs, n):
+    """None if f_d = 0 for some d | n, where the product is undefined, else moebius_theta."""
+    if any(fs[d - 1] == 0 for d in range(1, n + 1) if n % d == 0):
+        return None
+    return moebius_theta(fs, n)
+
+
 class TestTheta:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-300, 300).filter(bool), st.integers(1, 13))
     def test_matches_moebius_product(self, a, n):
         fs = f_sequence(a, n)
-        if 0 in fs:
-            with pytest.raises(ValueError):
-                theta(fs)
-            return
-        assert theta(fs) == [moebius_theta(fs, m) for m in range(1, n + 1)]
+        assert theta(fs) == [moebius_theta_or_none(fs, m) for m in range(1, n + 1)]
 
     def test_all_n_up_to_30(self):
         fs = f_sequence(-2, 30)
         assert theta(fs) == [moebius_theta(fs, n) for n in range(1, 31)]
-        with pytest.raises(ValueError):
-            theta(f_sequence(-1, 30))  # f_3 = 0
+        fs = f_sequence(-1, 30)  # f_3 = 0: no theta_n at the multiples of 3
+        assert theta(fs) == [moebius_theta_or_none(fs, n) for n in range(1, 31)]
+        assert [n for n, th in enumerate(theta(fs), start=1) if th is None] == list(range(3, 31, 3))
 
     def test_nonzero_remainder_is_an_invariant_violation(self):
         with pytest.raises(InvariantViolationError):

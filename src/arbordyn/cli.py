@@ -49,7 +49,7 @@ from .ratmap import (
     DEFAULT_MAX_STEPS,
 )
 
-SCHEMA = "arbordyn/5"
+SCHEMA = "arbordyn/6"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -315,8 +315,8 @@ def _checked(need: str, ok=lambda v: True, convert=int):
 
 _POSITIVE = _checked("an integer >= 1", lambda v: v >= 1)
 _NON_NEGATIVE = _checked("an integer >= 0", lambda v: v >= 0)
-# The largest certify --depth: it bounds the residue band, whose time and
-# payload grow with the depth, as DIGEST_BITS bounds the exact band.
+# The largest certify --depth: a certificate's time and payload grow with
+# the depth, and it takes no growth cap.
 MAX_DEPTH = 1000
 
 # An option is (flag, dest, convert, default, required, group).  ``convert``

@@ -35,11 +35,9 @@ def main_family(a: int) -> RationalMap:
     return RationalMap.from_coeffs([a, 0, 1], [0, 0, 1])
 
 
-def f_sequence(a: int, n: int, modulus: int | None = None,
-               stop_bits: int | None = None) -> list[int]:
+def f_sequence(a: int, n: int, modulus: int | None = None) -> list[int]:
     """[f_1, ..., f_n] with f_1 = f_2 = 1, f_k = f_(k-1)^2 + a*f_(k-2)^4.
 
-    With ``stop_bits`` the list ends before the first term wider than that.
     With ``modulus`` q the list is [f_1 mod q, ..., f_n mod q], stepped mod q.
     """
     if n < 1:
@@ -52,10 +50,7 @@ def f_sequence(a: int, n: int, modulus: int | None = None,
             out.append((sq + a * prev * prev) % modulus)
             continue
         sq, prev = out[-1] ** 2, sq
-        f = sq + a * prev ** 2
-        if stop_bits is not None and f.bit_length() > stop_bits:
-            break
-        out.append(f)
+        out.append(sq + a * prev ** 2)
     return out[:n]
 
 

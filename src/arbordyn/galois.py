@@ -9,16 +9,13 @@ theta_(n+1) is not a perfect square.  A level that cannot be certified is
 reported "unknown", never "failed": the criteria are sufficient, not
 necessary.
 
-The proof of non-squareness comes in two bands.  While f_(n+1) fits in
-DIGEST_BITS, theta_(n+1) is built exactly and its witness is a strict integer
-square-root bracket.  Past that, nothing that wide is built: f_(n+1) mod 4
-and theta_(n+1) mod q, for a prime q = 1 (mod 4), decide the level, since a
-quadratic non-residue mod q is not a square (Odoni-Stoll).
+Every witness is a residue, so no f or theta is built exactly: -a and
+f_(n+1) are read mod 4, and theta_(n+1) mod a prime q = 1 (mod 4) decides a
+level, since a quadratic non-residue mod q is not a square (Odoni-Stoll).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -29,32 +26,19 @@ from .factorint import (
     factor_counts,
     is_probable_prime,
     primes_below,
+    trial_division,
 )
 from .intpoly import IntPoly
 from .divisibility import f_sequence, main_family, theta
 from .ratmap import P1Point
 
-# Levels whose f_(n+1) is at most this wide get exact witnesses, wider ones residues.
-DIGEST_BITS = 4096
 # Residue witnesses are searched among the primes below this bound.
 RESIDUE_PRIME_BOUND = 5000
 
 
 # ---------------------------------------------------------------------------
-# Witness records
+# Irreducibility mod p
 # ---------------------------------------------------------------------------
-
-
-def integer_witness(v: int) -> tuple[dict, bool]:
-    """A recomputable record of an integer and its square-root bracket, and
-    whether |v| is a perfect square: ``value``, ``bits``, ``negative``,
-    ``isqrt`` (of |v|) and ``is_square`` (of v itself)."""
-    mag = abs(v)
-    k = math.isqrt(mag)
-    square = k * k == mag
-    rec = {"bits": v.bit_length(), "negative": v < 0, "is_square": v >= 0 and square,
-           "value": v, "isqrt": k}
-    return rec, square
 
 
 def mod_p_irreducible_witness(f: IntPoly, bound: int = 10 ** 4) -> Optional[int]:
@@ -115,48 +99,30 @@ def maximality_certificate(a: int, depth: int) -> MaximalityCertificate:
     the regime every iterate numerator is irreducible, by one of two routes:
     -a = 2 (mod 4) is not a square (n = 1), and f_(n+1) = 3 (mod 4) for
     n >= 2, by induction, as odd squares are 1 mod 4; a term off that
-    congruence raises InvariantViolationError.
+    congruence raises InvariantViolationError.  Both are recorded as
+    residues mod 4.
 
-    The exact band: f_1, f_2, ... are built up to the first term wider than
-    DIGEST_BITS, which is dropped; it is about 2 DIGEST_BITS + bits |a| wide,
-    so no growth cap applies.  A level n whose f_(n+1) was built is maximal
-    when |theta_(n+1)| sits strictly between consecutive squares, else
-    unknown.  The residue band: every later level records f_(n+1) mod 4 and
-    is maximal when a prime q = 1 (mod 4) below RESIDUE_PRIME_BOUND makes
-    theta_(n+1) mod q a quadratic non-residue, else unknown.
+    A level n >= 2 is maximal when a prime q = 1 (mod 4) below
+    RESIDUE_PRIME_BOUND makes theta_(n+1) mod q a quadratic non-residue,
+    else unknown.  Only residues are built, so no operand grows with the
+    depth and no growth cap applies.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if a % 4 != 2 or a > -3:
         return MaximalityCertificate(a, depth, HYPOTHESES_UNMET, [], [])
-    fs = f_sequence(a, depth + 1, stop_bits=DIGEST_BITS)
-    thetas = theta(fs)
-    levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", integer_witness(-a)[0]),
-                            None, "maximal")]
-    for n in range(2, len(fs)):
-        if fs[n] % 4 != 3:
+    mod4 = f_sequence(a, depth + 1, modulus=4)
+    found = _residue_witnesses(a, range(2, depth + 1))
+    levels = [LevelEvidence(1, _irreducible(1, "base_nonsquare", -a), None, "maximal")]
+    for n in range(2, depth + 1):
+        if mod4[n] != 3:
             raise InvariantViolationError(f"f_{n + 1}(a={a}) is not 3 mod 4")
-        wit, square = integer_witness(thetas[n])
-        wit["index"] = n + 1
-        # k^2 < |theta| < (k+1)^2, k = isqrt(|theta|), iff |theta| is a nonzero non-square
-        wit["strict_bracket"] = thetas[n] != 0 and not square
+        q, r = found.get(n, (None, None))
         levels.append(LevelEvidence(
-            n, _irreducible(n, "congruence_3_mod_4", integer_witness(fs[n])[0]), wit,
-            "maximal" if wit["strict_bracket"] else "unknown",
+            n, _irreducible(n, "congruence_3_mod_4", mod4[n]),
+            {"route": "residue", "index": n + 1, "q": q, "r": r},
+            "unknown" if q is None else "maximal",
         ))
-    wide = range(len(fs), depth + 1)  # len(fs) >= 2: f_1 = f_2 = 1 always fit
-    if wide:
-        mod4 = f_sequence(a, depth + 1, modulus=4)
-        found = _residue_witnesses(a, wide)
-        for n in wide:
-            if mod4[n] != 3:
-                raise InvariantViolationError(f"f_{n + 1}(a={a}) is not 3 mod 4")
-            q, r = found.get(n, (None, None))
-            levels.append(LevelEvidence(
-                n, _irreducible(n, "congruence_3_mod_4", {"modulus": 4, "residue": 3}),
-                {"route": "residue", "index": n + 1, "q": q, "r": r},
-                "unknown" if q is None else "maximal",
-            ))
     maximal = [lvl.n for lvl in levels if lvl.verdict == "maximal"]
     overall = ALL_MAXIMAL if len(maximal) == depth else PARTIAL
     return MaximalityCertificate(a, depth, overall, maximal, levels)
@@ -186,10 +152,11 @@ def _residue_witnesses(a: int, levels: range) -> dict[int, tuple[int, int]]:
     return found
 
 
-def _irreducible(n: int, route: str, witness: dict) -> dict:
+def _irreducible(n: int, route: str, value: int) -> dict:
     """The record that the n-th iterate numerator is irreducible by ``route``,
-    with the witness of the value the route reads: -a at n = 1, else f_(n+1)."""
-    return {"n": n, "status": "certified", "route": route, "witness": witness}
+    witnessed by the value the route reads mod 4: -a at n = 1, else f_(n+1)."""
+    return {"n": n, "status": "certified", "route": route,
+            "witness": {"modulus": 4, "residue": value % 4}}
 
 
 def verify_certificate(cert: MaximalityCertificate) -> bool:
@@ -236,16 +203,25 @@ class HypothesisReport(Record):
 
 def _witness_search(targets: list[tuple[str, int]], wanted,
                     budget: FactorBudget | None) -> tuple[Optional[int], Optional[str]]:
-    best: tuple[int, str] | None = None
-    for name, value in targets:
-        if value in (0, 1, -1):
-            continue
-        for p in factor_counts(value, budget):
-            if wanted(p) and (best is None or p < best[0]):
-                best = (p, name)
-    if best is None:
-        return None, None
-    return best
+    """(p, name): the least prime p that ``wanted`` accepts among the primes
+    of the named targets, or (None, None).
+
+    Trial division below the trial bound comes first.  Its candidates are
+    the primes it counts, plus a rest below the bound, which is then prime;
+    every prime of a larger rest is at least the bound, so the least
+    candidate that qualifies is the least of all.  Only when none qualifies
+    is every target factored under ``budget``.
+    """
+    live = [(name, value) for name, value in targets if value not in (0, 1, -1)]
+    bound = (budget or FactorBudget()).trial_bound
+    found = []
+    for name, value in live:
+        counts, rest = trial_division(value, bound)
+        found += [(p, name) for p in [*counts, rest] if 1 < p < bound and wanted(p)]
+    if not found:
+        found = [(p, name) for name, value in live
+                 for p in factor_counts(value, budget) if wanted(p)]
+    return min(found, key=lambda c: c[0], default=(None, None))
 
 
 def hypothesis_witnesses(m: int, budget: FactorBudget | None = None) -> HypothesisReport:

@@ -1,8 +1,10 @@
-"""Oracles for the paper's claims that no arbordyn command checks.
+"""Oracles for the paper's claims that no arbordyn command checks, and a
+checker of the certificates that ``certify`` writes.
 
-Each function recomputes one claim from the library's building blocks and
-returns plain values, or asserts.  They take valid input only: the tests
-call them within the hypotheses of the claim they check.
+Each oracle recomputes one claim from the library's building blocks and
+returns plain values, or asserts.  The oracles take valid input only: the
+tests call them within the hypotheses of the claim they check.  The checker,
+certificate_problems, takes any certificate and lists what is wrong with it.
 """
 
 import math
@@ -11,7 +13,7 @@ from fractions import Fraction
 from arbordyn.critical import _root_poly, critical_points, wronskian
 from arbordyn.divisibility import f_sequence, main_family, theta
 from arbordyn.factorint import factor_counts, factor_integer, valuation
-from arbordyn.galois import family_parameter, integer_witness
+from arbordyn.galois import family_parameter
 from arbordyn.intpoly import IntPoly, resultant
 from arbordyn.ratmap import INF, Infinity, MobiusTransform, P1Point, RationalMap
 
@@ -107,6 +109,19 @@ def primitive_part_valuations(a: int, n: int) -> list[tuple[int, int]]:
     for p, v in pairs:
         assert v == valuation(fs[n - 1], p) and all(f % p for f in fs[:n - 1])
     return pairs
+
+
+def integer_witness(v: int) -> tuple[dict, bool]:
+    """A recomputable record of an integer and its square-root bracket, and
+    whether |v| is a perfect square: ``value``, ``bits``, ``negative``,
+    ``isqrt`` (of |v|) and ``is_square`` (of v itself).  A nonzero |v| with
+    k = isqrt(|v|) is no square exactly when k^2 < |v| < (k+1)^2."""
+    mag = abs(v)
+    k = math.isqrt(mag)
+    square = k * k == mag
+    rec = {"bits": v.bit_length(), "negative": v < 0, "is_square": v >= 0 and square,
+           "value": v, "isqrt": k}
+    return rec, square
 
 
 def irreducibility_cascade(a: int, depth: int) -> list[dict]:
@@ -291,3 +306,104 @@ def nonsquarefree_theta_evidence(a: int, n: int) -> tuple[int | None, bool, bool
         complete = fac.cofactor_status != "composite_unfactored"
     certified = p is not None and all(rad_divisibility_conditions(main_family(a), 0, n, p).values())
     return p, certified, complete
+
+
+# -- certificates, checked from their residue witnesses alone -------------------
+
+# Residue witnesses are the primes q = 1 (mod 4) below this bound, as README
+# documents; the checker does not read the prover's constant.
+WITNESS_PRIME_BOUND = 5000
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % p for p in range(2, math.isqrt(q) + 1))
+
+
+def _f_mod(a: int, count: int, m: int) -> list[int]:
+    """[f_1, ..., f_count] mod m, by f_k = f_(k-1)^2 + a f_(k-2)^4."""
+    fs = [1 % m, 1 % m]
+    while len(fs) < count:
+        fs.append((fs[-1] ** 2 + a * fs[-2] ** 4) % m)
+    return fs[:count]
+
+
+def certificate_problems(cert: dict) -> list[str]:
+    """What is wrong with the ``certificate`` of a certify payload, judged
+    from its residue witnesses alone; [] accepts it.
+
+    Nothing here comes from arbordyn.galois or arbordyn.divisibility: f is
+    stepped mod 4 and mod q by its own recursion, and theta_(n+1) mod q is
+    the Moebius product of f_d^mu((n+1)/d) over d | n+1, undefined when some
+    such f_d vanishes mod q.  A prime q decides level n when that product is
+    a quadratic non-residue mod q.  A level's (q, r) is accepted only if q is
+    a prime = 1 (mod 4) below WITNESS_PRIME_BOUND with q not dividing a,
+    r = theta_(n+1) mod q, r is a non-residue, and no smaller such prime
+    decides the level; a null q only if no such prime decides it.
+    """
+    a, depth = cert["a"], cert["depth"]
+    if a % 4 != 2 or a > -3:
+        return [] if cert["overall"] == "hypotheses_unmet" else ["outside the hypotheses"]
+    levels = cert["levels"]
+    if [lvl["n"] for lvl in levels] != list(range(1, depth + 1)):
+        return ["the levels are not 1, ..., depth"]
+    problems = []
+    mod4 = _f_mod(a, depth + 1, 4)
+    claimed = {}
+    for lvl in levels:
+        n, irr, wit = lvl["n"], lvl["irreducibility"], lvl["theta"]
+        # -a = 2 and f_(n+1) = 3 (mod 4) are no squares
+        value, route, want = (-a, "base_nonsquare", 2) if n == 1 else (
+            mod4[n], "congruence_3_mod_4", 3)
+        if irr != {"n": n, "status": "certified", "route": route,
+                   "witness": {"modulus": 4, "residue": value % 4}} or value % 4 != want:
+            problems.append(f"level {n}: irreducibility record")
+        if n == 1:
+            if wit is not None or lvl["verdict"] != "maximal":
+                problems.append("level 1: theta witness or verdict")
+            continue
+        wit = wit or {}
+        q, r = wit.get("q"), wit.get("r")
+        if wit != {"route": "residue", "index": n + 1, "q": q, "r": r}:
+            problems.append(f"level {n}: theta witness shape")
+        if lvl["verdict"] != ("unknown" if q is None else "maximal"):
+            problems.append(f"level {n}: verdict {lvl['verdict']} with q = {q}")
+        if q is not None and not (isinstance(q, int) and 2 < q < WITNESS_PRIME_BOUND
+                                  and q % 4 == 1 and _is_prime(q) and a % q):
+            problems.append(f"level {n}: q = {q} is no prime 1 mod 4 below "
+                            f"{WITNESS_PRIME_BOUND} prime to a")
+            continue
+        claimed[n] = (q, r)
+    mu = [0] + [mobius(k) for k in range(1, depth + 2)]
+    divisors = [[] for _ in range(depth + 2)]
+    for d in range(1, depth + 2):
+        for m in range(d, depth + 2, d):
+            divisors[m].append(d)
+    left = sorted(claimed)  # levels not yet judged, in increasing order
+    for q in range(5, WITNESS_PRIME_BOUND, 4):
+        if not left:
+            break
+        if not _is_prime(q) or a % q == 0:
+            continue
+        fs = _f_mod(a, left[-1] + 1, q)
+        judged = set()
+        for n in left:
+            ds = divisors[n + 1]
+            th = None if any(fs[d - 1] == 0 for d in ds) else math.prod(
+                pow(fs[d - 1], mu[(n + 1) // d], q) for d in ds) % q
+            decides = th is not None and pow(th, (q - 1) // 2, q) == q - 1
+            wq, wr = claimed[n]
+            if wq == q:
+                judged.add(n)
+                if not decides or wr != th:
+                    problems.append(f"level {n}: r = {wr}, but theta_{n + 1} = {th} mod {q}"
+                                    + ("" if decides else ", which is no non-residue"))
+            elif decides:
+                judged.add(n)
+                problems.append(f"level {n}: the smaller prime {q} decides it, not {wq}")
+        left = [n for n in left if n not in judged]
+    maximal = [lvl["n"] for lvl in levels if lvl["verdict"] == "maximal"]
+    if cert["maximal_levels"] != maximal:
+        problems.append("maximal_levels differ from the verdicts")
+    if cert["overall"] != ("all_maximal" if len(maximal) == depth else "partial"):
+        problems.append(f"overall {cert['overall']} differs from the verdicts")
+    return problems

@@ -153,13 +153,12 @@ def test_criterion_5_maximality_certificates(capsys):
             if level["theta"] is None:
                 assert level["n"] == 1
                 continue
-            idx = level["theta"]["index"]
-            th = abs(thetas[idx - 1])
-            k = math.isqrt(th)
-            assert level["theta"]["strict_bracket"]
-            assert k * k < th < (k + 1) * (k + 1)
-            if "value" in level["theta"]:
-                assert abs(level["theta"]["value"]) == th
+            wit = level["theta"]
+            th = thetas[wit["index"] - 1]
+            q, r = wit["q"], wit["r"]
+            assert th % q == r and pow(r, (q - 1) // 2, q) == q - 1
+            k = math.isqrt(abs(th))
+            assert k * k < abs(th) < (k + 1) * (k + 1)
 
     recheck_theta_witnesses(doc["certificate"])
 

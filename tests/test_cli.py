@@ -84,7 +84,7 @@ class TestOrbitCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "arbordyn/5"
+        assert doc["schema"] == "arbordyn/6"
         assert doc["orbit"]["points"][:4] == ["0", "inf", "1", "-97"]
 
     def test_fixed_point(self, capsys):
@@ -242,7 +242,7 @@ def test_family_tower_factors_nothing(monkeypatch, capsys, argv):
     monkeypatch.setattr(factorint, "factor_integer", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert json.loads(out)["schema"] == "arbordyn/5"
+    assert json.loads(out)["schema"] == "arbordyn/6"
 
 
 class TestRigidCheckCommand:
@@ -450,7 +450,7 @@ class TestBadArgumentsExitTwo:
 # (command line, text the error line must contain: the option it names)
 BAD_COMMAND_LINES = [
     (("sequence", "--a", "-98", "--n", "3", "--growth-cap-bits", "0"), "--growth-cap-bits"),
-    # certify is bounded by DIGEST_BITS and --depth, and takes no growth cap
+    # certify builds residues only, bounded by --depth, and takes no growth cap
     (("certify", "--a", "-98", "--depth", "12", "--growth-cap-bits", "4503"), "--growth-cap-bits"),
     (("critical", "--map", "z^2", "--trial-bound", "0"), "--trial-bound"),
     (("certify", "--m", "2", "--depth", "3", "--rho-budget", "0"), "--rho-budget"),

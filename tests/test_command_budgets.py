@@ -8,11 +8,13 @@ from arbordyn import critical
 from arbordyn.cli import main
 
 # 1000000016000000063 = (10^9 + 7)(10^9 + 9); the Wronskian of the map below
-# has a quadratic factor with an 82-bit discriminant.
+# has a quadratic factor with an 82-bit discriminant.  Trial division below 2
+# finds no witness prime, so certify must factor m-1, m and m+1.
 STARVED = [
     ["critical", "--map", "(z^2+1000000000039)/(z^2+z+1)", "--trial-bound", "2",
      "--rho-budget", "1"],
-    ["certify", "--m", "1000000016000000063", "--depth", "2", "--rho-budget", "1"],
+    ["certify", "--m", "1000000016000000063", "--depth", "2", "--rho-budget", "1",
+     "--trial-bound", "2"],
 ]
 
 

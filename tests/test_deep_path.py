@@ -17,7 +17,6 @@ import pytest
 
 from arbordyn.divisibility import f_sequence, theta
 from arbordyn.factorint import DECIMAL_SAFE_BITS, int_text, is_probable_prime
-from arbordyn.galois import DIGEST_BITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,23 +64,19 @@ class TestDeepCommands:
         levels = json.loads(proc.stdout)["certificate"]["levels"]
         fs = f_sequence(-98, 17)
         thetas = theta(fs)
-        wide = 0
+        assert levels[0]["irreducibility"]["witness"] == {"modulus": 4, "residue": 2}
+        # f_17 is over 140 000 bits wide; every witness is a residue
+        assert fs[16].bit_length() > 140_000
         for lvl in levels[1:]:
             n = lvl["n"]
             irr, wit = lvl["irreducibility"]["witness"], lvl["theta"]
             assert lvl["verdict"] == "maximal"
-            if fs[n].bit_length() <= DIGEST_BITS:
-                assert irr["value"] == fs[n] and wit["value"] == thetas[n]
-                assert wit["strict_bracket"] and "route" not in wit
-                continue
             # recomputed from the exact f and theta, which the command never builds
-            wide += 1
             assert irr == {"modulus": 4, "residue": 3} and fs[n] % 4 == 3
             q, r = wit["q"], wit["r"]
             assert wit == {"route": "residue", "index": n + 1, "q": q, "r": r}
             assert q % 4 == 1 and -98 % q and is_probable_prime(q)
             assert thetas[n] % q == r and pow(r, (q - 1) // 2, q) == q - 1
-        assert wide == 6
 
     def test_sequence_json_hex_values(self):
         proc = run("sequence", "--a", "-98", "--n", "16")
@@ -160,41 +155,41 @@ class TestDeepCommands:
         assert run(*args).stdout == run(*args).stdout
 
 
-# sha256 of stdout under schema arbordyn/5, so that any change to the bytes of
+# sha256 of stdout under schema arbordyn/6, so that any change to the bytes of
 # these payloads shows.
 PINNED_STDOUT = [
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6"),
-     "a531a0b07d2ab8b2986508397d6540d5c5d13e0125d18ad8f775c25a8b380cec"),
+     "3aabd68c2e930fc4c72a83331355eefffbafb2d11ffb20c7bffdd1cb7a3d37bd"),
     (("critical", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "bcab4eb3c7d89b338210ef163f1d4d324d550c601dff157ded2bdb858f7400fb"),
+     "e874ab881582be4367ab4748775356405416b54169d9c67174ed2ed2e0aa0c6c"),
     (("normal-form", "--map", "(z^2-98)/z^2"),
-     "7397971193c6fe027b87951bcb2430ae0d4dd384a199cf423a7213852fe2c902"),
+     "f01b171162adcb5c3c7045b008af94d066f4bbd544e2624ca0cdf915999ea055"),
     (("sequence", "--map", "(z^2+1)/(z^2+3)", "--n", "8", "--factor"),
-     "c2f90645720dd274db091e556c4605ef49476e4c194d1e861c6abfc795b3e769"),
+     "6534120f7a8f453fa6f302e9098d2376381a5fdb1e6a06b5cf1d55bdc9a82ed2"),
     (("sequence", "--a", "-98", "--n", "5"),
-     "1977a6c4c435fc8615d07a7a386715d31a5dc5876c02523971cdfc52be8acd13"),
+     "0296fb4b1f4c0eb5d6adc928eddb82512207235bd66a26112cfcc41e361e23a4"),
     (("certify", "--m", "2", "--depth", "8"),
-     "8a690652749189b3d952ef541be3769cfefff371e73597e9a4930553c10aeb18"),
+     "5134d89c117ec0ed097a9f6af7c923870ba1a3d72d803ed50f0b028c023c1db8"),
     (("certify", "--a", "-98", "--depth", "8"),
-     "70e7bd5e3ef92d86961a3d4b5c03a1069081d0805135542601afdb0256db4ce4"),
+     "e21d4e7c03f72193e857f7f07365a3c92e8887db79968b5ab415cd7ba3855b2b"),
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8"),
-     "a3fbc97a86f04218aceecee48d66ee18860a04b31863591ae4bc3631f17e64b3"),
-    # widest values just below the bound: p_11(0) (13599 bits); f_12 and f_13
-    # are past DIGEST_BITS, so levels 11 and 12 are in the residue band
+     "acb6fe09399a11a2bf071e1e2fe9a1964420da6410d3bd8518eca5e41b53ee68"),
+    # widest values just below the bound: p_11(0) (13599 bits), and f_13
+    # (13598 bits), which the certificate reads only mod 4 and mod q
     (("certify", "--a", "-998", "--depth", "12"),
-     "c0e77f68b50c234b6b7fc752f2da8111da0f30197d22a872363aaece35321eed"),
+     "03ad76d6485fbccc238637910088bcab6d98090c30f9d14f325d6cea4d823028"),
     (("sequence", "--a", "-998", "--n", "11"),
-     "d9caed328cff46a38898c8b64fecfe3d1192c1900c954e969e59b3c104d2dda6"),
+     "b2dfeacee38808095b03ec1a9ffec283367fc1b9bc4ad89a21b02e3de585fd43"),
     # quadratic conjugator entries, and a collision value in Q(sqrt 2) with y = 0
     (("normal-form", "--map", "(z^2+2)/(z^2+2z+2)"),
-     "f210c6ccd36ea4260cdc4272b63735e0294b0e80b98c82a904444e629533ffe8"),
+     "a46bb996e87a55610232a923c1ed6f1fb15d864c6dd401a07663c11049176ba9"),
     (("critical", "--map", "(z^2+1)/(2z)"),
-     "2c5cd9c3cf411935a0b612d1e7d5825c5b7bbcd651a9a560b5db591ce0b50954"),
+     "ac6c9450dd608c52c28e0d298d9082b7f5b6ecd0bd6adc445f3e9799ebe1689c"),
     # Q(sqrt 5), no relation found
     (("normal-form", "--map", "(z^2-2z)/(z^2+1)"),
-     "d083109da65dbc6241ec68850b3174b59582202b8a60eae7859ad7feb5bb02b7"),
+     "68ac3bbbedfb482f8f6e6cf92553eac12317285bdfc4ca71de2396ebf9a97c42"),
     (("certify", "--m", "5", "--depth", "3"),
-     "a81bfc028216b043dc623f8e23d907d1f17cca352d1f693826c619b6f6de140e"),
+     "e9727c638e253ab320834e8e28a168a38592aebfaad0bbdf4c94a32231d5920a"),
     # --output text of the README commands; "conjugator mu: {...}" is a dict repr
     (("orbit", "--map", "(z^2-98)/z^2", "--start", "0", "--steps", "6", "--output", "text"),
      "fdc9e58402bfb3403fd881d6f41396a494b2022061387794a32796646b1e4c4b"),
@@ -213,13 +208,13 @@ PINNED_STDOUT = [
     (("rigid-check", "--map", "(z^2+1)/(z^2+3)", "--exclude", "2", "--n", "8",
       "--output", "text"),
      "ef6200d663175c50f1bce1e39912b445b3f0fde1a6a975d0af20a0f871a61b1c"),
-    # the residue band: deep levels, whose f_(n+1) is past DIGEST_BITS
+    # deep levels, whose f_(n+1) is hundreds of thousands of bits wide
     (("certify", "--a", "-998", "--depth", "18"),
-     "688d761f53e77817481d371a6e5ef85e7e1132171a12c7215fb32c50a125ca6b"),
+     "ee29b6f25b6ea7b181527d9641cae8ca61618b08f7ad2bb80bf7b861aa150d05"),
     (("certify", "--m", "-3", "--depth", "18"),
-     "69255f3a0b10070c3670af7f21b1f4ac7fa9dfbc5fc9cd15bfab51626f409d27"),
+     "93abd6c7e7a8f3c7a4b3c2753f0c3c9a88e67b05e5a1708c898c5a7e24c52e53"),
     (("sequence", "--a", "-502", "--n", "16"),
-     "c725217dc632bf3eb8f8abb3035cab016aa957af203a12794e0b6f3e1448b509"),
+     "38ff2c69bbe5d026f9ab7bcf3e79099ded276f63266a92825d219dc1ae6e4b24"),
     (("certify", "--a", "-98", "--depth", "14", "--output", "text"),
      "21e2a5b98acdc9558411b3ed2020ae722998b3c11d31f040a06a32a5669ce54a"),
 ]

@@ -6,14 +6,16 @@ which imports nothing from arbordyn and recomputes every fact with its own
 recursions, must accept the output.  A wrong number that still exits 0
 fails here even where no digest is pinned.
 
-Certify depths reach 21, ten levels into the residue band; the checker
-rebuilds f_(depth+1) exactly, which at depth 22 already costs it about 2 s
-per parameter, so deeper levels are left to tests/test_no_hang.py and to
-the verdict checks of tests/test_galois.py.
+For certify the harness's checker rebuilds f_(depth+1) exactly, which at
+depth 22 already costs it about 2 s per parameter, so its depths stop at
+21.  The residue checker of tests/paper_checks.py judges each witness from
+residues alone, as cheaply as the command builds it, at depths up to
+cli.MAX_DEPTH.
 """
 
 import contextlib
 import io
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbordyn.cli import main
+from arbordyn.cli import MAX_DEPTH, main
+from paper_checks import certificate_problems
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 _DIGIT_LIMIT = sys.get_int_max_str_digits()
@@ -90,6 +93,14 @@ def certify_jobs(draw):
 
 
 @st.composite
+def deep_certify_jobs(draw):
+    depth = draw(st.integers(1, MAX_DEPTH))
+    if draw(st.booleans()):
+        return jobs.certify_a_job(draw(FAMILY_A), depth)
+    return jobs.certify_m_job(draw(st.integers(-6, 6).filter(lambda m: abs(m) >= 2)), depth)
+
+
+@st.composite
 def rigid_jobs(draw):
     p, q = draw(even_maps(5))
     exclude = jobs._even_map_exclude(p, q) if draw(st.booleans()) else []
@@ -129,3 +140,35 @@ def test_checker_rejects_a_flipped_deep_verdict():
     assert rc == 0 and checker.check_job(job, rc, text, "") == []
     head, verdict, tail = text.rpartition('"verdict": "maximal"')  # level 14, a residue level
     assert checker.check_job(job, rc, head + '"verdict": "unknown"' + tail, "") != []
+
+
+def certificate_of(job: dict) -> tuple[int, dict | None]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(job["argv"])
+    return rc, json.loads(out.getvalue()).get("certificate")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(deep_certify_jobs())
+def test_residue_checker_accepts_every_certificate(job):
+    rc, cert = certificate_of(job)
+    if cert is None:  # certify --m with unmet hypotheses
+        assert rc == 4
+        return
+    assert certificate_problems(cert) == [], job["argv"]
+    assert rc == {"all_maximal": 0, "partial": 1, "hypotheses_unmet": 4}[cert["overall"]]
+
+
+def test_residue_checker_rejects_a_wrong_witness_with_a_right_verdict():
+    rc, cert = certificate_of(jobs.certify_a_job(-98, 14))
+    assert rc == 0 and certificate_problems(cert) == []
+    level = cert["levels"][13]
+    assert level["theta"]["q"] == 5  # theta_15 = 2 (mod 5), a non-residue
+    level["theta"].update(q=7, r=123456)
+    level["irreducibility"]["witness"]["residue"] = 1
+    assert len(certificate_problems(cert)) == 2
+    # theta_15 = 6 (mod 13) is a non-residue too, but 13 is not the least prime
+    level["irreducibility"]["witness"]["residue"] = 3
+    level["theta"].update(q=13, r=6)
+    assert certificate_problems(cert) == ["level 14: the smaller prime 5 decides it, not 13"]

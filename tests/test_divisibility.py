@@ -41,15 +41,6 @@ class TestFSequence:
     def test_matches_plain_recursion(self, a, n):
         assert f_sequence(a, n) == plain_f_sequence(a, n)
 
-    def test_stop_bits_ends_before_the_first_wider_term(self):
-        fs = f_sequence(-98, 16)
-        for stop in (1, 7, 100, 4096):
-            kept = f_sequence(-98, 16, stop_bits=stop)
-            assert kept == fs[:len(kept)] and len(kept) >= 2
-            assert all(f.bit_length() <= stop for f in kept[2:])
-            assert fs[len(kept)].bit_length() > stop
-        assert f_sequence(-98, 9, stop_bits=10 ** 6) == fs[:9]
-
     @given(st.integers(-2000, 2000).filter(bool), st.integers(1, 14),
            st.sampled_from([2, 3, 4, 5, 8, 13, 97, 4093]))
     def test_residues_are_the_terms_mod_q(self, a, n, q):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from arbordyn.divisibility import f_sequence, main_family, theta
 from arbordyn.errors import InvariantViolationError
-from arbordyn.factorint import is_perfect_square
+from arbordyn.factorint import FactorBudget, is_perfect_square
 from arbordyn import galois
+from arbordyn.cli import main as cli_main
 from arbordyn.galois import (
-    DIGEST_BITS,
     alpha_parametrization,
     family_parameter,
     hypothesis_witnesses,
@@ -21,9 +21,11 @@ from arbordyn.galois import (
 )
 from arbordyn.ratmap import P1Point, RationalMap
 from paper_checks import (
+    certificate_problems,
     discriminant,
     discriminant_recursion,
     eventual_stability_check,
+    integer_witness,
     irreducibility_cascade,
     mobius,
     nonsquarefree_theta_evidence,
@@ -56,9 +58,13 @@ class TestIrreducibilityCascade:
     @given(st.integers(-500, -2).map(lambda k: 4 * k + 2), st.integers(1, 8))
     def test_certificate_routes_are_the_general_cascade(self, a, depth):
         # a = 2 (mod 4), -1998 <= a <= -6: the certificate's two routes are
-        # what the five-route cascade finds
+        # what the five-route cascade finds, and its witnesses are the
+        # cascade's exact values mod 4
         cert = maximality_certificate(a, depth)
-        assert [lvl.irreducibility for lvl in cert.levels] == irreducibility_cascade(a, depth)
+        for lvl, want in zip(cert.levels, irreducibility_cascade(a, depth), strict=True):
+            got = dict(lvl.irreducibility)
+            assert got.pop("witness") == {"modulus": 4, "residue": want.pop("witness")["value"] % 4}
+            assert got == want
 
     def test_mod_p_oracle_confirms(self):
         phi = main_family(-98)
@@ -88,8 +94,7 @@ class TestMaximalityCertificate:
         assert cert.overall == "all_maximal"
         assert cert.maximal_levels == list(range(1, 9))
         for lvl in cert.levels[1:]:
-            assert lvl.theta is not None
-            assert lvl.theta["strict_bracket"]
+            assert lvl.theta["route"] == "residue" and lvl.theta["q"] is not None
 
     def test_hypotheses_unmet(self):
         assert maximality_certificate(2, 3).overall == "hypotheses_unmet"
@@ -102,16 +107,20 @@ class TestMaximalityCertificate:
             assert lvl.verdict in ("maximal", "unknown")
 
     def test_term_off_the_congruence_is_an_invariant_violation(self):
-        fs = f_sequence(-98, 4)
-        fs[3] += 2  # f_4 = 1 (mod 4): no route may certify level 3
-        with mock.patch("arbordyn.galois.f_sequence", return_value=fs):
+        def off(a, n, modulus=None):
+            fs = f_sequence(a, n, modulus)
+            if modulus == 4:
+                fs[3] = 1  # f_4 = 1 (mod 4): no route may certify level 3
+            return fs
+
+        with mock.patch("arbordyn.galois.f_sequence", side_effect=off):
             with pytest.raises(InvariantViolationError, match="f_4"):
                 maximality_certificate(-98, 3)
 
     def test_verification_is_bit_for_bit(self):
         cert = maximality_certificate(-98, 6)
         assert verify_certificate(cert)
-        cert.levels[3].theta["strict_bracket"] = False
+        cert.levels[3].theta["r"] += 1
         assert not verify_certificate(cert)
 
     def test_json_round_trip(self):
@@ -126,7 +135,7 @@ class TestMaximalityCertificate:
         rebuilt = certificate_from_dict(json.loads(json.dumps(cert.to_dict())))
         assert rebuilt.to_dict() == cert.to_dict()
         assert verify_certificate(rebuilt)
-        rebuilt.levels[2].theta["strict_bracket"] = False
+        rebuilt.levels[2].irreducibility["witness"]["residue"] = 1
         assert not verify_certificate(rebuilt)
 
 
@@ -160,6 +169,27 @@ class TestHypothesisWitnesses:
         assert rep.s1_witness == 3 and rep.s1_target == "m-1"
         assert rep.s2_witness == 5 and rep.s2_target == "2m-1"
         assert rep.met and not rep.shortcut
+
+    def test_trial_division_decides_without_factoring(self):
+        # m = q r with q, r the least primes above 2^67 and 2^71: 3 | m+1 and
+        # 29 | 2m-1 qualify, and every prime trial division leaves is above
+        # its bound; factoring m alone ran past 12 s
+        m = 348449143727040986595202461212921556893729
+        with mock.patch("arbordyn.galois.factor_counts",
+                        side_effect=AssertionError("factor_counts called")):
+            rep = hypothesis_witnesses(m)
+        assert (rep.s1_witness, rep.s1_target) == (3, "m+1")
+        assert (rep.s2_witness, rep.s2_target) == (29, "2m-1")
+
+    def test_factoring_only_when_trial_division_finds_no_witness(self):
+        # 2m-1 = 9 and 2m+1 = 11 at m = 5: no prime 5 or 7 (mod 8) at all
+        with mock.patch("arbordyn.galois.factor_counts", wraps=galois.factor_counts) as spy:
+            rep = hypothesis_witnesses(5)
+        assert rep.s2_witness is None and spy.call_count == 2
+        # below a trial bound of 3 nothing qualifies, so all five targets are factored
+        with mock.patch("arbordyn.galois.factor_counts", wraps=galois.factor_counts) as spy:
+            assert hypothesis_witnesses(5, FactorBudget(trial_bound=3)).s1_witness == 3
+        assert spy.call_count == 5
 
     def test_degenerate_m_rejected(self):
         for m in (-1, 0, 1):
@@ -298,31 +328,50 @@ class TestEventualStability:
                 eventual_stability_check(2, 1, 0, 2, 2)
 
 
+# The squares mod 2^16 and mod primes = 3 (mod 4), at which -1 is no square:
+# moduli disjoint from the certificate's primes q = 1 (mod 4).
+_SQUARES = {m: {x * x % m for x in range(m)}
+            for m in (2 ** 16, 3, 7, 11, 19, 23, 31, 43, 47, 59)}
+
+
+def _nonsquare(v: int) -> bool:
+    """|v| is a nonzero non-square, exactly: by a non-residue mod one of the
+    moduli of _SQUARES when there is one, which costs a remainder on the
+    widest theta, else by the bracket k^2 < |v| < (k+1)^2 of integer_witness,
+    whose isqrt alone takes about 20 s on the 8M-bit theta_22 at a = -3998."""
+    if any(abs(v) % m not in squares for m, squares in _SQUARES.items()):
+        return True
+    return v != 0 and not integer_witness(v)[1]
+
+
 class TestCertificateBands:
+    """Every level n >= 2 is decided by theta_(n+1) mod a small prime, however
+    wide theta_(n+1) is, and the exact square-root bracket is the oracle."""
+
     def test_large_theta_uses_residue(self):
         cert = maximality_certificate(-98, 11)
         fs = f_sequence(-98, 12)
         thetas = theta(fs)
-        exact, deep = cert.levels[-2].theta, cert.levels[-1].theta
-        assert fs[10].bit_length() <= DIGEST_BITS < fs[11].bit_length()
-        assert exact["index"] == 11 and exact["value"] == thetas[10] and exact["strict_bracket"]
-        q, r = deep["q"], deep["r"]
-        assert deep == {"route": "residue", "index": 12, "q": q, "r": r}
-        assert thetas[11] % q == r and pow(r, (q - 1) // 2, q) == q - 1
-        assert cert.levels[-1].irreducibility["witness"] == {"modulus": 4, "residue": 3}
+        assert thetas[11].bit_length() > 4096
+        assert cert.levels[0].irreducibility["witness"] == {"modulus": 4, "residue": 2}
+        for lvl in cert.levels[1:]:
+            n, wit = lvl.n, lvl.theta
+            q, r = wit["q"], wit["r"]
+            assert wit == {"route": "residue", "index": n + 1, "q": q, "r": r}
+            assert thetas[n] % q == r and pow(r, (q - 1) // 2, q) == q - 1
+            assert lvl.irreducibility["witness"] == {"modulus": 4, "residue": fs[n] % 4}
         assert verify_certificate(cert)
 
     def test_prime_bound_leaves_wide_levels_unknown(self, monkeypatch):
-        """Without a deciding prime a wide level is unknown, never maximal."""
-        fs = f_sequence(-98, 17)
-        thetas = theta(fs)
-        for bound, want_unknown in ((2, list(range(11, 17))), (6, None)):
+        """Without a deciding prime a level is unknown, never maximal."""
+        thetas = theta(f_sequence(-98, 17))
+        for bound, want_unknown in ((2, list(range(2, 17))), (6, None)):
             monkeypatch.setattr(galois, "RESIDUE_PRIME_BOUND", bound)
             cert = maximality_certificate(-98, 16)
             unknown = [lvl.n for lvl in cert.levels if lvl.verdict != "maximal"]
             assert unknown and cert.overall == "partial"
             assert cert.maximal_levels == [n for n in range(1, 17) if n not in unknown]
-            for lvl in cert.levels[10:]:
+            for lvl in cert.levels[1:]:
                 wit = lvl.theta
                 if lvl.n in unknown:
                     assert wit["q"] is None and wit["r"] is None
@@ -337,10 +386,31 @@ class TestCertificateBands:
     def test_verdicts_are_the_exact_brackets(self, a):
         thetas = theta(f_sequence(a, 17))
         cert = maximality_certificate(a, 16)
-        assert any(lvl.theta and lvl.theta.get("route") == "residue" for lvl in cert.levels)
         for lvl in cert.levels[1:]:
             nonsquare = not is_perfect_square(abs(thetas[lvl.n]))[0]
             assert lvl.verdict == ("maximal" if nonsquare else "unknown"), (a, lvl.n)
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 999).map(lambda k: -(4 * k + 2)), st.integers(1, 21))
+    def test_verdicts_are_the_oracle_brackets(self, a, depth):
+        """A level is maximal exactly when theta_(n+1) is a nonzero non-square,
+        decided without the certificate's primes (q = 1 mod 4)."""
+        thetas = theta(f_sequence(a, depth + 1))
+        cert = maximality_certificate(a, depth)
+        for lvl in cert.levels[1:]:
+            assert lvl.verdict == ("maximal" if _nonsquare(thetas[lvl.n]) else "unknown"), \
+                (a, lvl.n)
+
+    def test_square_theta_leaves_level_two_unknown(self, capsys):
+        # theta_3 = f_3 = 1 + a = -9 at a = -10: a square up to sign, which is
+        # a residue mod every q = 1 (mod 4)
+        assert theta(f_sequence(-10, 3))[2] == -9
+        assert cli_main(["certify", "--a", "-10", "--depth", "5"]) == 1
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["overall"] == "partial" and cert["maximal_levels"] == [1, 3, 4, 5]
+        assert cert["levels"][1]["verdict"] == "unknown"
+        assert (cert["levels"][1]["theta"]["q"], cert["levels"][1]["theta"]["r"]) == (None, None)
+        assert certificate_problems(cert) == []
 
     def test_family_parameter(self):
         assert family_parameter(2) == -98

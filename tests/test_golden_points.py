@@ -45,121 +45,121 @@ ROWS = [
     # degree 2, rational critical points: the family, collisions at -1/2 and
     # 5/14, an orbit through infinity
     (["critical", "--map", "(z^2-98)/z^2"],
-     "54ca2e0661a9d085641e52ccb5a36e332369bbbcf2f040fec2a499dd79f2dcf7", 0),
+     "f9033e0d63d2106281b0a621f2d20f7375bc6e3a29aa87f0a9261e1d59317b18", 0),
     (["normal-form", "--map", "(z^2-98)/z^2"],
-     "7397971193c6fe027b87951bcb2430ae0d4dd384a199cf423a7213852fe2c902", 0),
+     "f01b171162adcb5c3c7045b008af94d066f4bbd544e2624ca0cdf915999ea055", 0),
     (["critical", "--map", "(z^2-3)/(z^2+3)"],
-     "576ad6af25646e977c33688a67e3cf13512680584a2e08cc8525b93c43f9345c", 0),
+     "694cef83d3a15a8dd24265ae5e53a47a3f92d77b12d44709159f0c914dd9363b", 0),
     (["normal-form", "--map", "(z^2-3)/(z^2+3)"],
-     "6c7895f538e09e02b87ffc638e9658ee4c3e32410accafd67d0a2df4fbf34cb3", 0),
+     "b1e8168925f0dd27583f05c41cfeb27c18d9547bc3b98c899fba8cf6ca4a1dd6", 0),
     (["critical", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "383fb26a2602414230d7dd35ccc6ef89939a7042a1510fb355efba0d9d683957", 0),
+     "54a983c7fcfb75613ab3f898be5ecc302b3c78f62f254d5fb25c40ba83784cbc", 0),
     (["normal-form", "--map", "(z^2-z-2)/(-2z^2+2z-2)"],
-     "8be9f346a9cccddb3011f3466f3b4c26d00b943f4d5154b2389e512e371d65a6", 0),
+     "22bd2c1c2d9dde8c8a639a88337de17aa3dbf2d48691948fa541b983839a7ff5", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)"],
-     "892e8c84b841fa0859e5540aae92f0cbaa9597952d8f0be30870dc249000345c", 0),
+     "324c4fb5df028dffddca9ca2aca20a7711249291892bc32a00d527540da771bb", 0),
     (["normal-form", "--map", "(z^2-3z-3)/(z^2)"],
-     "13ea474cf268ea7b851c4c85f57b6ab86f27fb8394882854d42b578b3fedb33f", 0),
+     "508ca039c9f5edb2a60de8816cfc480af2b75491d778768cabff06e7d8b2dbd0", 0),
     # quadratic critical fields: a collision, an orbit into the fixed point
     # infinity, a fixed critical point, the power and inverse-power forms, a cubic
     (["critical", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "bcab4eb3c7d89b338210ef163f1d4d324d550c601dff157ded2bdb858f7400fb", 0),
+     "e874ab881582be4367ab4748775356405416b54169d9c67174ed2ed2e0aa0c6c", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)"],
-     "f210c6ccd36ea4260cdc4272b63735e0294b0e80b98c82a904444e629533ffe8", 0),
+     "a46bb996e87a55610232a923c1ed6f1fb15d864c6dd401a07663c11049176ba9", 0),
     (["critical", "--map", "(z^2+1)/(-2z-2)"],
-     "973a65f755aa5bc23d10b489a41537f5899ace5ca44eff5b75fd1180ed2e401f", 0),
+     "eba6f116e55f817970cca3697dfd1052c4ba702308e9dbdf83eb173626ab6379", 0),
     (["normal-form", "--map", "(z^2+1)/(-2z-2)"],
-     "de18236e3afbb6c1146381ec6a467b7def4051f5d7203050658860ba42d83025", 0),
+     "3c1afd3f82e3b3d3edd8173442266bf92da884f6d18672fce2fe7886ac7e47d4", 0),
     (["critical", "--map", "(z^2-3)/(2z-3)"],
-     "5573b15728b804a1ab52181eaeb20ae3ee31ba80bf17cf3cce7ddf02e6e6e629", 0),
+     "eb10b15cb487a96d1b365dbc558dafb141e5d5554c1e4620e49395b8e05e14b0", 0),
     (["normal-form", "--map", "(z^2-3)/(2z-3)"],
-     "41a01ebed774e85edbdbbfc97e69474d7ab1264f54cb97eb97e21180e5d17bf9", 0),
+     "bafbabcc1a28ad0b9f72a316dd83ce38bc5b71d396a058efded245cf73a76129", 0),
     (["critical", "--map", "(z^2+2)/(2z)"],
-     "6ba49b74bd872764fd1cba5950103c42e1540c0df39322f0559273a4daeaddd5", 0),
+     "a624cb5a384b5062f6ccb5636a9f7df91d9d0a786613b77e5b39aec0d64e487b", 0),
     (["normal-form", "--map", "(z^2+2)/(2z)"],
-     "6192181a8e5fed2fa93dfe2bacdbe411fca11c1c5564a9076d7118d4c51065ec", 0),
+     "eca6bb1b969b05e2d3c86c446d006e0031ddd317016467a65d479c751d669b8b", 0),
     (["critical", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "8718ed03424afd8f5f25081bd47c6dc3270adc57099aa2033079e9ef7cec540a", 0),
+     "b3e7260f6919a8446bd4c5a17a49a19b3ae15e8ed6f57f94ac7c1596c19e15c2", 0),
     (["normal-form", "--map", "(z^2-4z+2)/(z^2-2z+2)"],
-     "d5ad904ce7bd22b69b431b6d1508a4b3e492c336ad06491a0cf569233c76dd09", 0),
+     "cde0015513e05eb750f9cf17323c511fc3838dfabbd08eecdc71dde69c341fd6", 0),
     (["critical", "--map", "(z^3+6z)/(3z^2+2)"],
-     "1b1a02391f1aca5ae5e1c97534373ef0d73f58303651a8e7ee8cc1e4ab05e576", 0),
+     "752944fd5c784fd0637e3eff8da4621e21e605083c89c4c818b2b2dcea92ed84", 0),
     (["normal-form", "--map", "(z^3+6z)/(3z^2+2)"],
-     "e56755d5884e035f16390cb2a35862e4c26affbf21c151fea744949fd2085307", 0),
+     "08f15b65379284d728b155a60591c7f11b88df59689fa6b455c0d1e07002ce52", 0),
     # a quadratic critical orbit through a pole, on to a finite point
     (["critical", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "2604cfaa4fc554e14a324b4f3c1325a917bfb5f6c407ecf56abdff9de8416574", 0),
+     "7ccd43b108dadd538f27fc001cdd23f5c50d285d5c19f95a11d29553018b162b", 0),
     (["normal-form", "--map", "(z^2-2z+3)/(z^2+2z-1)"],
-     "51395109a90c06380db08fbf1fbddc80489b1b15c50ce4167698cde0dd7fbab1", 0),
+     "17192b25e01464025ae32240b9c4cbe3059668c40248ee06a35b006cb2a7377e", 0),
     # two-term maps (z^d+a)/(z^d+b) of degree 3, 7, 20 and 50
     (["critical", "--map", "(z^3+5)/(z^3+3)"],
-     "7b7d55ab240cc7b6b46fd628db9b42ffe3039f4de8195cf2514a9308617c7117", 0),
+     "b452ad9978ad5be3097f8b9ab06f11e670cba8a9f12148e1f162e71feec78970", 0),
     (["normal-form", "--map", "(z^3+5)/(z^3+3)"],
-     "b5e4f322314b50998750f575d865601d8804e691548c48fb7f5e1c55f51fd891", 0),
+     "7e717204db326c9f1fe1a92569c2a0a6eda6aa2d365076d01754c6fbb5e25918", 0),
     (["critical", "--map", "(z^7+2)/(z^7-1)"],
-     "f259639b47090a923abeeef4452000d08fdb7e456f4ad1f49d0611cc53ece0be", 0),
+     "9dcc643634aaa73c8bbe9a9dd48f278a4f26d10b7968390205447ef8957c0c6c", 0),
     (["normal-form", "--map", "(z^7+2)/(z^7-1)"],
-     "d95b1161c9ca1adf1e4bdd5cf0190f40478cd75bd3cd6add85d212e8c723c625", 0),
+     "bd6a07b680a828b9323c84cc1a6950e628f478c6ccd32ec49904a76bc69445c7", 0),
     (["critical", "--map", "(z^20+5)/(z^20+3)"],
-     "f4a0cf7d0052eeb15f5014ac9256efcd3745547848bbb33913ecad20781d59bc", 0),
+     "f566fd8a45cb19bcf5d0b069b652004e21f73e83ce835bad94213894dd834f58", 0),
     (["normal-form", "--map", "(z^20+5)/(z^20+3)"],
-     "57b013b3e3e3cffd3739bc08d052238f122c6ac9852356f644c7c1afb5392d81", 0),
+     "ff1332a251f5d9b1391ac5547019dbf161e7578f01bba3430a9b0ed44a7ce55c", 0),
     (["critical", "--map", "(z^50-2)/(z^50+7)"],
-     "f9d4a1c8a0c933ccbd59d3da274f74b022953da788d1cd516e140415fadc3cd2", 0),
+     "9b357c19d8269e87c612ffe8c68107601dc5926a8380ebb2b2ac0f5ea3a6b140", 0),
     (["normal-form", "--map", "(z^50-2)/(z^50+7)"],
-     "aaa3e882f3c3ff68961a6482df4bb14da383449f1c7b1933d0b76dbbdd8c1bd8", 0),
+     "a46659463880bb94db5c28a3bb56530b3ad555a442993f7a7e0df2b981d89074", 0),
     # orbits of the two-term maps from 1
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "1", "--steps", "3"],
-     "9654b1c4c35dea67736a13b4c7e763e4cdd70f8c3a17c9f303d4e0c940651544", 0),
+     "927e85d459945f31b6ef2f9485d4258e3ec42795018f0c65cdd36ea85ddc0590", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1", "--steps", "3"],
-     "edcd3a26e18139d05b8fb76595f8c58e5860bc5f58db577f1df8bba8e5db1dfb", 0),
+     "346627cb8e565d4700b6a992a1841bb49ce1f061a6074fd08d0d6ca9d504e708", 0),
     (["orbit", "--map", "(z^20+5)/(z^20+3)", "--start", "1", "--steps", "3"],
-     "cdcab59ac2431718fe6805285449aa36d8fb4c793a5a0928ec3588c0030e30bd", 0),
+     "8fe5b7dedfd8c8739a8804d582114019a5486808b38360d6a0e700f21a8f9340", 0),
     (["orbit", "--map", "(z^50-2)/(z^50+7)", "--start", "1", "--steps", "3"],
-     "03f1bcdd56bac5eed149d21941d7967756d94e4be4f5c6bc76452ef1da40dae4", 0),
+     "6da2ef63c6029a49e2d53fa2eb8c6be799670eb11551b4615dec0bb9d83d9746", 0),
     # escaping orbits, under the default and a small height cap
     (["orbit", "--map", "(z^3+5)/(z^3+3)", "--start", "2", "--steps", "30"],
-     "771ee3b9af5cbe94e2807de8404f62d020e4252897fbe84142da0cc7ac234cd2", 0),
+     "12cd1cc152a039288b94042dae337f9ca4505e4db339f1d022e939d5c7a36e24", 0),
     (["orbit", "--map", "(z^7+2)/(z^7-1)", "--start", "1/2", "--steps", "9", "--height-cap-bits", "100"],
-     "10d62a50ba97a7c20cfe2a4c8243409b7ba86794ad62ef4e820afd3374b614f3", 0),
+     "05e99e2ba9032a007cd9ce3a8a084545fd3112b34294db5782ec3743b91b44a9", 0),
     # preperiodic orbits, one through infinity, and an orbit from infinity that
     # runs out of steps
     (["orbit", "--map", "z^2-2", "--start", "0"],
-     "bcc607b88f1f36fa44bd0958b2ef82289db182afd15fb56181d7a5fd66d81061", 0),
+     "cf400d43eba5b11d9e8eb2c23422a7fd6c50150a430ac878ee57144f9ded3a5e", 0),
     (["orbit", "--map", "1/z^2", "--start", "0"],
-     "80bab8907cfcb541aed60bac407871031a380757738ddda41532321be04ff5d7", 0),
+     "31a0a1903226536bafabf032e16e327866a8ca5bf4ecd4bc1e8666d052645873", 0),
     (["orbit", "--map", "(z^2-98)/z^2", "--start", "inf", "--steps", "5"],
-     "fccf78f9aabf76342dea6ba634c683bddf196ba948dcd41ad2cc246e00e85b88", 0),
+     "9b4b2f734818a75e906ee2ae6ae3048ad9b8bfd9d9d665b95d544ef48e70edcf", 0),
     # text output, and a height-capped search
     (["critical", "--map", "(z^2-3)/(z^2+3)", "--output", "text"],
      "566f14c8002d3ce4a0bf60b56dc4025de28e5e8c661092a601ad533c710a770f", 0),
     (["normal-form", "--map", "(z^2+2)/(z^2+2z+2)", "--output", "text"],
      "15ebfaa3d3d161afb021b94475c7079f2859d8654ae0f190321ec52c7d6537a1", 0),
     (["critical", "--map", "(z^2-3z-3)/(z^2)", "--bound", "3", "--height-cap-bits", "40"],
-     "9670dd068bab8b1e32b76c6ef47388aa2d4f5b3b0e118b71b7d2195aec89c873", 0),
+     "1cefa5408a86d61ed02b916b9bfb95a4f7ddc534b8b538b83ed33c66947b6f72", 0),
     # normal forms of dense conjugates of (z^d+5)/(z^d+3), and of degree 500
     (["normal-form", "--map", dense_conjugate_text(5)],
-     "62533780ba14b04d4c4185842522f347579755f4eca5f3f820a67607c895626c", 0),
+     "e6f5c44b4d9d4dfa33619e19e3482d606227789a328b6cf5ce2542ae9d720470", 0),
     (["normal-form", "--map", dense_conjugate_text(12)],
-     "796b4004e27aa8a17a8233c3f7024e56aacf1998ebae642e0f728099f7552b3e", 0),
+     "a78244ab13f8ab674451a4dea0149469e43042dd27fdd919c0cc8bee82f3d6ad", 0),
     (["normal-form", "--map", dense_conjugate_text(25)],
-     "78618751ef0023d9ca7190914be77938946f2210f8a6609acd4f873276643d1d", 0),
+     "9b3c2b03c646dd6bdf62c7c224d3a5056e598efa56aaf344d905f869a4024173", 0),
     (["normal-form", "--map", dense_conjugate_text(60)],
-     "e5cc0efcaddf3a7c1b5f15e866c70a4f797a8667acade1ad627d9d85a6fe5ae2", 0),
+     "fa6d1c52505c48248b91bd33b30ffdfd482d65ba1945e55469b028524510e2f2", 0),
     (["normal-form", "--map", "(z^500+5)/(z^500+3)"],
-     "de25d12cfdb19a1aab7aeb5df31bc8dfe13dbe1cad963c030437ae20ae42cfb9", 0),
+     "916dc561adfd38c0ae29136838d29c3edbff8c6b06cd1ebede12c693f841f3f5", 0),
     # bad reduction: a degree drop at 2, a numerator that vanishes mod 7, a
     # common root mod 2, a cubic bad at 3, and a map bad at 2, 3 and 11
     (["rigid-check", "--map", "(2z^2+1)/(2z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "99ce3ea3fa8cc73abd6e2f290eb8b0eb564d3e4575bb374fa22a91f55eda1e01", 0),
+     "de94b10a0b74819d0f6f041f37848f46ceade35cafe5407c90573d10804656eb", 0),
     (["rigid-check", "--map", "(7z^2+49)/(z^2+14)", "--n", "6", "--rho-budget", "2000"],
-     "df64eb77e3f3d51373830775914bb7b899344054d29650b7385f3f4d1e07de17", 5),
+     "0b413d0f896baf95575584aa67adcb1858cf973d620a4ce04e8168b0d3531a55", 5),
     (["rigid-check", "--map", "(z^2+1)/(z^2+3)", "--n", "6", "--rho-budget", "2000"],
-     "4b9fc137befa6391f3184bd6cf031fd91e93c1552d347a4ec06b3c738e24f6fe", 5),
+     "61aeebce83f5cdd08ac9fb7cc973d4bd0b310dd27066aa4229e6145aa02fb9e0", 5),
     (["rigid-check", "--map", "(z^3+2)/(z^3+5)", "--n", "6", "--rho-budget", "2000"],
-     "b21013f6af0028abb80696cb3f38e0dad942d9368f935ea30a60b08e426cdad9", 5),
+     "5f362b9623962c7ba78793381ae88cf1b670189b9f7d73847f8bb44c23fe4153", 5),
     (["rigid-check", "--map", "(z^2+2z+3)/(3z^2-2z-1)", "--n", "6", "--rho-budget", "2000"],
-     "7c0fbe12e6b1ac6eb5b70069368f3e01ccb436fcbb27498820cfcb88b6aeafb3", 5),
+     "c4a515ee893bce3599951455cb864e2e9b33105e226b8f3b7986fd08733ff8f5", 5),
 ]
 
 

@@ -6,6 +6,7 @@ of stdout and then closes it, as ``| head -c N`` does.  A command found to
 hang is added here as one more row.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from arbordyn.cli import MAX_DEPTH
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCH = "import sys; from arbordyn.cli import main; sys.exit(main())"
 TIMEOUT_S = 20
+BIG_M = 348449143727040986595202461212921556893729
 
 # (argv, bytes of stdout read before closing it or None for all, exit code)
 ROWS = [
@@ -39,6 +41,9 @@ ROWS = [
     (["certify", "--a", "-98", "--depth", str(MAX_DEPTH)], None, 0),
     (["certify", "--m", "2", "--depth", str(MAX_DEPTH)], None, 0),
     (["certify", "--a", "-98", "--depth", str(MAX_DEPTH + 1)], None, 2),
+    # m is the product of the least primes above 2^67 and 2^71; trial division
+    # finds both witnesses (3 | m+1, 29 | 2m-1), so nothing is factored further
+    (["certify", "--m", str(BIG_M), "--depth", "2"], None, 0),
 ]
 
 
@@ -91,3 +96,22 @@ def test_shape_test_factors_nothing(monkeypatch):
             critical.critical_points(parse_map(text))
     data = critical.critical_points(parse_map("(z^1000+5)/(z^1000+3)"))
     assert [pt.index for pt in data.points] == [1000, 1000]
+
+
+@pytest.mark.parametrize("a", [-6, -10, -98, -3998])
+def test_certificate_does_no_exact_tower_arithmetic(monkeypatch, a):
+    """A certificate reads f and theta only mod 4 and mod small primes."""
+    from arbordyn import divisibility, galois
+
+    def residues_only(fn):
+        def guarded(*args, **kwargs):
+            if inspect.signature(fn).bind(*args, **kwargs).arguments.get("modulus") is None:
+                raise AssertionError(f"{fn.__name__} called without a modulus")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(galois, "f_sequence", residues_only(divisibility.f_sequence))
+    monkeypatch.setattr(galois, "theta", residues_only(divisibility.theta))
+    for depth in [*range(1, 41), MAX_DEPTH]:
+        cert = galois.maximality_certificate(a, depth)
+        assert len(cert.levels) == depth

@@ -132,7 +132,7 @@ def test_cli_import_boundary():
     # rigid-check reads its bad primes from res: no finite-field polynomials
     assert "arbordyn.reduction" in loaded["rigid-check"]
     assert not {"arbordyn.ffpoly", "arbordyn.galois"} & set(loaded["rigid-check"])
-    # a certificate past DIGEST_BITS hashes nothing: its deep levels are residues
+    # a certificate hashes nothing: its witnesses are residues
     assert loaded["hashlib"] is False
     # the prime-block table is read only by trial division past 2048: --factor
     assert loaded["table_read"] == [False] * 6 + [True]

@@ -19,14 +19,10 @@ from arbordyn.factorint import (
     is_perfect_square,
     is_square_candidate,
 )
-from arbordyn.galois import (
-    integer_witness,
-    maximality_certificate,
-    verify_certificate,
-)
+from arbordyn.galois import maximality_certificate, verify_certificate
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import INF, P1Point, RationalMap
-from paper_checks import mobius
+from paper_checks import integer_witness, mobius
 
 
 @pytest.fixture
@@ -76,12 +72,15 @@ class TestWitness:
         assert not verify_certificate(cert)
 
     def test_strict_bracket_matches_isqrt(self):
-        thetas = theta(f_sequence(-6, 12))
-        cert = maximality_certificate(-6, 11)
-        for lvl in cert.levels[1:]:
-            th = abs(thetas[lvl.n])
-            k = math.isqrt(th)
-            assert lvl.theta["strict_bracket"] == (k * k < th < (k + 1) ** 2)
+        # the verdicts from residues are the exact brackets, square or not
+        for a in (-6, -10):
+            thetas = theta(f_sequence(a, 12))
+            cert = maximality_certificate(a, 11)
+            for lvl in cert.levels[1:]:
+                th = abs(thetas[lvl.n])
+                k = math.isqrt(th)
+                assert (lvl.verdict == "maximal") == (k * k < th < (k + 1) ** 2)
+            assert a != -10 or cert.levels[1].verdict == "unknown"
 
 
 def test_int_text(default_digit_limit):

@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ArborDynError", "BadReductionError", "CompositeModulusError",
-        "DegenerateMapError", "DegreeTooSmallError", "GrowthCapError",
+        "DegenerateMapError", "DegreeTooSmallError",
         "InvariantViolationError", "NotBicriticalError", "NotDefinedOverQError",
         "ZeroPolynomialError",
     ),
@@ -41,7 +41,7 @@ _EXPORTS = {
     "galois": (
         "HypothesisReport", "LevelEvidence", "MaximalityCertificate",
         "alpha_parametrization", "hypothesis_witnesses", "maximality_certificate",
-        "mod_p_irreducible_witness", "verify_certificate",
+        "mod_p_irreducible_witness",
     ),
     "parsing": ("ParseError", "parse_map", "parse_point", "parse_poly"),
 }

@@ -63,10 +63,6 @@ class CriticalData(Record, frozen=True):
     points: tuple[CriticalPoint, ...]
     field: FieldDescriptor
 
-    def ramification_defect(self) -> int:
-        """sum (e - 1); equals 2d - 2 when all critical points are listed."""
-        return sum(pt.index - 1 for pt in self.points)
-
 
 def wronskian(map_: RationalMap) -> IntPoly:
     """p'q - q'p; its roots with multiplicity carry the finite ramification."""

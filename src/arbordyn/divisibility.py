@@ -114,9 +114,6 @@ class RigidityReport(Record):
     def status(self) -> str:
         return "pass" if not self.violations else "fail"
 
-    def violating_primes(self) -> list[int]:
-        return sorted({v.prime for v in self.violations})
-
     def to_dict(self) -> dict:
         return {**super().to_dict(), "status": self.status}
 

@@ -17,10 +17,6 @@ class DegreeTooSmallError(ArborDynError, ValueError):
     """Rational maps must have degree at least 2."""
 
 
-class GrowthCapError(ArborDynError, RuntimeError):
-    """Projected coefficient size exceeds the configured growth cap."""
-
-
 class FactoringBudgetError(ArborDynError, RuntimeError):
     """An integer whose every prime is needed was not fully factored within the budget."""
 

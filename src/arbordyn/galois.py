@@ -159,26 +159,6 @@ def _irreducible(n: int, route: str, value: int) -> dict:
             "witness": {"modulus": 4, "residue": value % 4}}
 
 
-def verify_certificate(cert: MaximalityCertificate) -> bool:
-    """Recompute every witness; True iff the verdicts reproduce bit-for-bit."""
-    if cert.overall == HYPOTHESES_UNMET:
-        return cert.a % 4 != 2 or cert.a > -3
-    fresh = maximality_certificate(cert.a, cert.depth)
-    return fresh.to_dict() == cert.to_dict()
-
-
-def certificate_from_dict(doc: dict) -> MaximalityCertificate:
-    """Rebuild a certificate from its JSON form (inverse of to_dict)."""
-    levels = [
-        LevelEvidence(l["n"], l["irreducibility"], l["theta"], l["verdict"])
-        for l in doc.get("levels", [])
-    ]
-    return MaximalityCertificate(
-        doc["a"], doc["depth"], doc["overall"],
-        list(doc.get("maximal_levels", [])), levels,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis witnesses for the parametrized family
 # ---------------------------------------------------------------------------

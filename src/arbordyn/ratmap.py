@@ -20,12 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._record import Record, int_text
-from .errors import (
-    DegenerateMapError,
-    DegreeTooSmallError,
-    GrowthCapError,
-    NotDefinedOverQError,
-)
+from .errors import DegenerateMapError, DegreeTooSmallError, NotDefinedOverQError
 from .intpoly import IntPoly, resultant
 from .quadext import QuadExtElem
 
@@ -134,20 +129,8 @@ class MobiusTransform(Record, frozen=True):
             raise ValueError("Moebius transform must be invertible")
         return mu
 
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls.make(1, 0, 0, 1)
-
-    @classmethod
-    def inversion(cls, c=1) -> "MobiusTransform":
-        """z -> c/z"""
-        return cls.make(0, c, 1, 0)
-
     def det(self):
         return self.a * self.e - self.b * self.c
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.e, -self.b, -self.c, self.a)
 
     def compose(self, other: "MobiusTransform") -> "MobiusTransform":
         """self after other (matrix product self * other)."""
@@ -158,22 +141,8 @@ class MobiusTransform(Record, frozen=True):
             self.c * other.b + self.e * other.e,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.e
-
     def entries(self):
         return (self.a, self.b, self.c, self.e)
-
-    def apply(self, x: FieldValue) -> FieldValue:
-        if isinstance(x, Infinity):
-            if self.c == 0:
-                return INF
-            return self.a / self.c
-        den = self.c * x + self.e
-        if den == 0:
-            return INF
-        return (self.a * x + self.b) / den
 
     def is_rational(self) -> bool:
         return all(
@@ -276,65 +245,19 @@ class RationalMap:
         u, v = _substitute(pc, qc, x, 1)
         return INF if v == 0 else u / v
 
-    def ladder(self, n: int,
-               growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> list[tuple[IntPoly, IntPoly]]:
-        """[(p_1, q_1), ..., (p_n, q_n)]: the iterate numerators and
-        denominators, (p_1, q_1) = (p, q).
-
-        Raises GrowthCapError before building a level whose coefficients could
-        be wider than ``growth_cap_bits``.
-        """
-        pc, qc = self.pc, self.qc
-        # Each coefficient of the next level is at most ||(pc, qc)||_1 times
-        # max(||p_n||_1, ||q_n||_1)^d in absolute value (1-norms).
-        base_bits = max(sum(map(abs, pc)), sum(map(abs, qc))).bit_length()
-        levels = [(self.p, self.q)]
-        while len(levels) < n:
-            pn, qn = levels[-1]
-            norm = max(sum(map(abs, pn.coeffs)), sum(map(abs, qn.coeffs)))
-            bound = self.d * norm.bit_length() + base_bits
-            if bound > growth_cap_bits:
-                raise GrowthCapError(
-                    f"growth cap exceeded at level {len(levels) + 1}: "
-                    f"up to {bound} bits > {growth_cap_bits}"
-                )
-            levels.append(_substitute(pc, qc, pn, qn))
-        return levels[:n]
-
-    def iterate_polys(self, n: int,
-                      growth_cap_bits: int = DEFAULT_GROWTH_CAP_BITS) -> tuple[IntPoly, IntPoly]:
-        """(p_n, q_n) for a single level n >= 1."""
-        if n < 1:
-            raise ValueError("ladder levels are 1-indexed")
-        return self.ladder(n, growth_cap_bits)[-1]
-
-    def ladder_values(self, x, n: int) -> list[tuple]:
-        """[(p_k(x), q_k(x)) for k = 1..n] by the value-level recursion.
-
-        Exact (integers stay integers, a Fraction x gives Fractions); avoids
-        building the polynomial ladder when only evaluations are needed.
-        """
-        return self._values(x, n, None)
-
     def origin_values(self, n: int, growth_cap_bits: int | None = None) -> list[tuple[int, int]]:
         """[(p_k(0), q_k(0))] for k = 1..n, exact integers, cut before the
         first pair wider than ``growth_cap_bits`` (None: no cap); the list is
-        shorter than n exactly when the cap cut it."""
-        return self._values(0, n, growth_cap_bits)
-
-    def _values(self, x, n: int, growth_cap_bits) -> list[tuple]:
-        """[(p_k(x), q_k(x)) for k = 1..n], cut before the first pair wider
-        than ``growth_cap_bits`` (None: no cap).
+        shorter than n exactly when the cap cut it.
 
         Each step is one ``_substitute`` of (u, v) into the homogenized map,
-        starting from (x, 1), and no step runs past the n-th term.
+        starting from (0, 1), and no step runs past the n-th term.
         """
         pc, qc = self.pc, self.qc
-        u, v = (x if isinstance(x, int) else Fraction(x)), 1
-        out: list[tuple] = []
+        u, v = 0, 1
+        out: list[tuple[int, int]] = []
         while len(out) < n:
             u, v = _substitute(pc, qc, u, v)
-            # the cap is only given for x = 0, where every value is an int
             if (growth_cap_bits is not None
                     and max(abs(u).bit_length(), abs(v).bit_length()) > growth_cap_bits):
                 break

@@ -1,10 +1,14 @@
-"""Oracles for the paper's claims that no arbordyn command checks, and a
-checker of the certificates that ``certify`` writes.
+"""Oracles for the paper's claims that no arbordyn command checks, reference
+versions of library steps that no command takes, and checkers of the
+certificates that ``certify`` writes.
 
 Each oracle recomputes one claim from the library's building blocks and
 returns plain values, or asserts.  The oracles take valid input only: the
-tests call them within the hypotheses of the claim they check.  The checker,
-certificate_problems, takes any certificate and lists what is wrong with it.
+tests call them within the hypotheses of the claim they check.  The
+reference steps are the polynomial iterate ladder, with no growth cap, and
+a Moebius transform's value and inverse.  The independent checker,
+certificate_problems, takes any certificate and lists what is wrong with
+it; verify_certificate only reruns the prover.
 """
 
 import math
@@ -13,9 +17,15 @@ from fractions import Fraction
 from arbordyn.critical import _root_poly, critical_points, wronskian
 from arbordyn.divisibility import f_sequence, main_family, theta
 from arbordyn.factorint import factor_counts, factor_integer, valuation
-from arbordyn.galois import family_parameter
+from arbordyn.galois import (
+    HYPOTHESES_UNMET,
+    LevelEvidence,
+    MaximalityCertificate,
+    family_parameter,
+    maximality_certificate,
+)
 from arbordyn.intpoly import IntPoly, resultant
-from arbordyn.ratmap import INF, Infinity, MobiusTransform, P1Point, RationalMap
+from arbordyn.ratmap import INF, Infinity, MobiusTransform, P1Point, RationalMap, _substitute
 
 
 def mobius(n: int) -> int:
@@ -28,6 +38,50 @@ def mobius(n: int) -> int:
 def radical(n: int) -> int:
     """The product of the distinct primes of n >= 1."""
     return math.prod(factor_counts(n))
+
+
+# -- the polynomial iterate ladder and Moebius values ---------------------------
+
+
+def ladder(phi: RationalMap, n: int) -> list[tuple[IntPoly, IntPoly]]:
+    """[(p_1, q_1), ..., (p_n, q_n)]: the iterate numerators and
+    denominators, (p_1, q_1) = (p, q), each level one ``_substitute`` of the
+    one before into the homogenized map."""
+    levels = [(phi.p, phi.q)]
+    while len(levels) < n:
+        levels.append(_substitute(phi.pc, phi.qc, *levels[-1]))
+    return levels[:n]
+
+
+def iterate_polys(phi: RationalMap, n: int) -> tuple[IntPoly, IntPoly]:
+    """(p_n, q_n) for a single level n >= 1."""
+    if n < 1:
+        raise ValueError("ladder levels are 1-indexed")
+    return ladder(phi, n)[-1]
+
+
+def ladder_values(phi: RationalMap, x, n: int) -> list[tuple]:
+    """[(p_k(x), q_k(x)) for k = 1..n] as Fractions, each a ``_substitute``
+    of the pair before, from (x, 1)."""
+    u, v = Fraction(x), 1
+    out = []
+    while len(out) < n:
+        u, v = _substitute(phi.pc, phi.qc, u, v)
+        out.append((u, v))
+    return out
+
+
+def mobius_apply(mu: MobiusTransform, x):
+    """mu(x) for a field value x or INF, with a pole going to INF."""
+    if isinstance(x, Infinity):
+        return INF if mu.c == 0 else mu.a / mu.c
+    den = mu.c * x + mu.e
+    return INF if den == 0 else (mu.a * x + mu.b) / den
+
+
+def mobius_inverse(mu: MobiusTransform) -> MobiusTransform:
+    """mu^-1, as the adjugate matrix."""
+    return MobiusTransform(mu.e, -mu.b, -mu.c, mu.a)
 
 
 # -- critical points and normal forms ------------------------------------------
@@ -80,7 +134,7 @@ def verify_origin_split(a: int, n: int) -> bool:
 
 def beta(phi: RationalMap, alpha, n: int) -> Fraction:
     """beta_{alpha,n}: the Moebius product of the iterate values p_d(alpha) over d | n."""
-    values = phi.ladder_values(Fraction(alpha), n)
+    values = ladder_values(phi, Fraction(alpha), n)
     return math.prod((Fraction(values[d - 1][0]) ** mobius(n // d)
                       for d in range(1, n + 1) if n % d == 0), start=Fraction(1))
 
@@ -268,7 +322,7 @@ def rad_divisibility_conditions(phi: RationalMap, alpha, n: int, m: int) -> dict
       minus_one_nonresidue: -1 is not a square mod m.
     """
     k = n // radical(n)
-    (u, v), (u1, v1) = phi.ladder_values(Fraction(alpha), k + 1)[k - 1:]
+    (u, v), (u1, v1) = ladder_values(phi, Fraction(alpha), k + 1)[k - 1:]
     phik = Fraction(u, v)
     total = phik + Fraction(u1, v1)
     primes = factor_counts(m)
@@ -306,6 +360,24 @@ def nonsquarefree_theta_evidence(a: int, n: int) -> tuple[int | None, bool, bool
         complete = fac.cofactor_status != "composite_unfactored"
     certified = p is not None and all(rad_divisibility_conditions(main_family(a), 0, n, p).values())
     return p, certified, complete
+
+
+# -- certificates, rechecked by rerunning the prover ------------------------------
+
+
+def verify_certificate(cert: MaximalityCertificate) -> bool:
+    """Recompute every witness; True iff the verdicts reproduce bit-for-bit."""
+    if cert.overall == HYPOTHESES_UNMET:
+        return cert.a % 4 != 2 or cert.a > -3
+    return maximality_certificate(cert.a, cert.depth).to_dict() == cert.to_dict()
+
+
+def certificate_from_dict(doc: dict) -> MaximalityCertificate:
+    """Rebuild a certificate from its JSON form (inverse of to_dict)."""
+    levels = [LevelEvidence(l["n"], l["irreducibility"], l["theta"], l["verdict"])
+              for l in doc.get("levels", [])]
+    return MaximalityCertificate(doc["a"], doc["depth"], doc["overall"],
+                                 list(doc.get("maximal_levels", [])), levels)
 
 
 # -- certificates, checked from their residue witnesses alone -------------------

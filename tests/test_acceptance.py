@@ -21,7 +21,10 @@ from paper_checks import (
     discriminant,
     discriminant_recursion,
     irreducibility_cascade,
+    iterate_polys,
+    ladder,
     mobius,
+    mobius_inverse,
     nonsquarefree_theta_evidence,
     normal_forms_conjugate,
     quadratic_conjugate_form,
@@ -81,7 +84,7 @@ def test_criterion_2_rigid_divisibility(capsys):
 
     rep_full = verify_rigid_divisibility(terms)
     assert rep_full.status == "fail"
-    assert rep_full.violating_primes() == [2]
+    assert sorted({v.prime for v in rep_full.violations}) == [2]
     assert any(v.condition == 1 for v in rep_full.violations)
     with capsys.disabled():
         report(2, "rigid divisibility outside {2}, violation at 2 otherwise")
@@ -93,9 +96,9 @@ def test_criterion_3_sequence_identity_suite(capsys):
         phi = main_family(a)
         fs = f_sequence(a, depth + 2)
         values = phi.origin_values(depth)
-        ladder = phi.ladder(depth)
+        levels = ladder(phi, depth)
         for n in range(1, depth + 1):
-            pn, _ = ladder[n - 1]
+            pn, _ = levels[n - 1]
             pn0 = values[n - 1][0]
             assert pn0 == a ** (2 ** (n - 1)) * fs[n - 1]
             assert fs[n - 1] % abs(a) == 1 % abs(a)
@@ -126,7 +129,7 @@ def test_criterion_4_discriminant_recursion(capsys):
     for a in (-6, -98):
         phi = main_family(a)
         for n in (2, 3):
-            direct = discriminant(phi.iterate_polys(n)[0])
+            direct = discriminant(iterate_polys(phi, n)[0])
             assert direct.denominator == 1
             assert abs(direct.numerator) == discriminant_recursion(a, n)
     elapsed = time.monotonic() - start
@@ -211,7 +214,7 @@ def test_criterion_7_normal_form_round_trips(capsys):
         if data.field.kind == "quadratic":
             quadratic_seen += 1
             psi, mu = quadratic_conjugate_form(phi)
-            assert psi.conjugate(mu.inverse()) == phi
+            assert psi.conjugate(mobius_inverse(mu)) == phi
     assert quadratic_seen > 0
 
     checked = 0
@@ -240,7 +243,7 @@ def test_criterion_8_cascade_oracle_agreement(capsys):
         phi = main_family(a)
         for level in cascade:
             assert level["status"] == "certified"
-            pn, _ = phi.iterate_polys(level["n"])
+            pn, _ = iterate_polys(phi, level["n"])
             witness = mod_p_irreducible_witness(pn, 10 ** 4)
             assert witness is not None, f"no oracle prime for a={a}, n={level['n']}"
             assert witness < 10 ** 4
@@ -255,5 +258,5 @@ def test_oracle_is_vacuous_for_post_critically_finite_parameter():
     # The one-sided oracle therefore finds nothing, which is not a failure.
     cascade = irreducibility_cascade(-2, 3)
     assert all(l["status"] == "certified" for l in cascade)
-    p3, _ = main_family(-2).iterate_polys(3)
+    p3, _ = iterate_polys(main_family(-2), 3)
     assert mod_p_irreducible_witness(p3, 10 ** 4) is None

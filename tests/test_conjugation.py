@@ -26,6 +26,7 @@ from arbordyn.critical import (
 from arbordyn.parsing import parse_map
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import MobiusTransform, RationalMap, _substitute
+from paper_checks import mobius_inverse
 
 
 def _trim(cs):
@@ -212,7 +213,7 @@ def quadratic_field_conjugate(d, lam, s, sign):
     else:
         num = [sign * lam ** (d + 1) * one, *zeros, one]
         den = [sign * lam ** (d - 1) * one, *zeros, one]
-    return map_of_pair(*dense_conjugate(num, den, d, mu.inverse()))
+    return map_of_pair(*dense_conjugate(num, den, d, mobius_inverse(mu)))
 
 
 @settings(max_examples=60, deadline=None)

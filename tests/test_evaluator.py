@@ -18,6 +18,7 @@ from arbordyn.errors import DegenerateMapError, DegreeTooSmallError
 from arbordyn.intpoly import IntPoly
 from arbordyn.quadext import QuadExtElem
 from arbordyn.ratmap import INF, P1Point, RationalMap
+from paper_checks import ladder
 
 RADICANDS = (-7, -1, 2, 3, 5, 13)
 
@@ -147,7 +148,7 @@ def naive_step(pc, qc, pn, qn):
     d = len(pc) - 1
     out = []
     for cs in (pc, qc):
-        acc = IntPoly.zero()
+        acc = IntPoly(())
         for i, c in enumerate(cs):
             term = IntPoly([c])
             for _ in range(i):
@@ -164,7 +165,7 @@ class TestLadderAgainstNaiveSubstitution:
     @given(st.one_of(dense_maps().filter(lambda phi: phi.d <= 3), sparse_maps(max_degree=4)))
     def test_levels_one_to_four(self, phi):
         pc, qc = phi.pc, phi.qc
-        levels = phi.ladder(4)
+        levels = ladder(phi, 4)
         expected = (phi.p, phi.q)
         for n in range(4):
             assert levels[n] == expected

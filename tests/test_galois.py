@@ -17,20 +17,22 @@ from arbordyn.galois import (
     hypothesis_witnesses,
     maximality_certificate,
     mod_p_irreducible_witness,
-    verify_certificate,
 )
 from arbordyn.ratmap import P1Point, RationalMap
 from paper_checks import (
+    certificate_from_dict,
     certificate_problems,
     discriminant,
     discriminant_recursion,
     eventual_stability_check,
     integer_witness,
     irreducibility_cascade,
+    iterate_polys,
     mobius,
     nonsquarefree_theta_evidence,
     rad_divisibility_conditions,
     squarefree_theta_evidence,
+    verify_certificate,
 )
 
 
@@ -69,7 +71,7 @@ class TestIrreducibilityCascade:
     def test_mod_p_oracle_confirms(self):
         phi = main_family(-98)
         for n in (1, 2, 3):
-            pn, _ = phi.iterate_polys(n)
+            pn, _ = iterate_polys(phi, n)
             p = mod_p_irreducible_witness(pn, 10 ** 4)
             assert p is not None and p < 10 ** 4
 
@@ -77,12 +79,12 @@ class TestIrreducibilityCascade:
 class TestDiscriminantRecursion:
     def test_base_value(self):
         assert discriminant_recursion(-98, 1) == 392
-        assert discriminant(main_family(-98).iterate_polys(1)[0]) == 392  # Disc(z^2 - 98) > 0
+        assert discriminant(iterate_polys(main_family(-98), 1)[0]) == 392  # Disc(z^2 - 98) > 0
 
     @pytest.mark.parametrize("a", [-6, -98])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_direct_discriminant(self, a, n):
-        pn, _ = main_family(a).iterate_polys(n)
+        pn, _ = iterate_polys(main_family(a), n)
         direct = discriminant(pn)
         assert direct.denominator == 1
         assert abs(direct.numerator) == discriminant_recursion(a, n)
@@ -129,8 +131,6 @@ class TestMaximalityCertificate:
         assert json.loads(json.dumps(doc)) == doc
 
     def test_consume_and_verify_emitted_certificate(self):
-        from arbordyn.galois import certificate_from_dict
-
         cert = maximality_certificate(-98, 5)
         rebuilt = certificate_from_dict(json.loads(json.dumps(cert.to_dict())))
         assert rebuilt.to_dict() == cert.to_dict()

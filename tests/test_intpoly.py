@@ -75,7 +75,7 @@ class TestResultant:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            resultant(IntPoly.zero(), IntPoly([1, 1]))
+            resultant(IntPoly(()), IntPoly([1, 1]))
 
     def test_constant_cases(self):
         assert resultant(IntPoly([3]), IntPoly([1, 2, 1])) == 9

@@ -13,11 +13,17 @@ Each name in a ``__slots__`` tuple of src/arbordyn must be read as an
 attribute (``obj.name`` in a load) in src/arbordyn or tests/; a slot that is
 only ever set is stale.
 
-Each module-level function and class of src/arbordyn must be reached from a
-command: from the functions that cli.COMMANDS names, cli.main, and the
-module-level statements, through the names each reached definition reads.
-The exceptions, and why each stays, are the table AWAITING.  The paper's
-claims that no command checks are tested through tests/paper_checks.py.
+Each module-level function and class of src/arbordyn, and each method of a
+reached class, must be reached from a command: from the functions that
+cli.COMMANDS names, cli.main, and the module-level statements, through the
+names each reached definition reads.  A reached class reaches only its
+decorators, bases, class-level statements and dunder methods; any other
+method is reached only when a reached path reads its name.  The exceptions,
+and why each stays, are the table AWAITING.  The paper's claims that no
+command checks, and reference versions of steps that no command takes, are
+tests/paper_checks.py.
+
+The Python sample of README.md runs, and gives the values its comments show.
 """
 
 import ast
@@ -28,31 +34,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "arbordyn"
 
-# Definitions that no command reaches yet, each kept for a reason: the open
-# ROADMAP item that puts it on a command path or moves it into
-# tests/paper_checks.py (as the congruence route of item 9 was moved), the
-# verifier of a command's output, or the only caller of fieldpoly, the layer
-# that perfbench/tracing.py must find a public function in.
+# Definitions that no command reaches yet, each kept until the open ROADMAP
+# item named: items 5 and 11 put it on a command path (orbit_mod_p in
+# rigid-check, verify_normal_form in the planned `arbordyn verify`), items 6
+# and 16 move it into the tests or delete it.  The names only these read stay
+# reached through them: ModOrbit, BadReductionError, IntPoly.reverse,
+# NormalForm.form_pair, and the modules ffpoly and fieldpoly.
 AWAITING = {
-    "verify_certificate": "ROADMAP item 3",
-    "certificate_from_dict": "ROADMAP item 3",
     "orbit_mod_p": "ROADMAP item 5",
     "mod_p_irreducible_witness": "ROADMAP item 6",
-    "verify_normal_form": "verifier",
-    "ramification_index": "traced layer",
+    "verify_normal_form": "ROADMAP item 11",
+    "ramification_index": "ROADMAP item 16",
 }
-REASONS = {"ROADMAP item 3", "ROADMAP item 5", "ROADMAP item 6", "verifier", "traced layer"}
+REASONS = {"ROADMAP item 5", "ROADMAP item 6", "ROADMAP item 11", "ROADMAP item 16"}
+
+DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
 def defined_names(tree: ast.Module) -> set[str]:
-    defs = (ast.FunctionDef, ast.ClassDef)
     names = set()
     for node in tree.body:
-        if isinstance(node, defs):
+        if isinstance(node, DEFS):
             names.add(node.name)
         if isinstance(node, ast.ClassDef):
             names.update(item.name for item in node.body
-                         if isinstance(item, defs) and not item.name.startswith("__"))
+                         if isinstance(item, DEFS) and not item.name.startswith("__"))
     return names
 
 
@@ -183,29 +189,49 @@ def global_reads(node: ast.AST) -> set[str]:
     return attrs | (loads - bound)
 
 
+def class_reads(node: ast.ClassDef) -> set[str]:
+    """What reaching a class reads: its decorators, bases and keywords, and
+    its class-level statements; not its methods."""
+    parts = node.decorator_list + node.bases + node.keywords
+    parts += [item for item in node.body if not isinstance(item, DEFS)]
+    return set().union(*map(global_reads, parts))
+
+
 def unreached(sources: dict[str, str], roots: set[str]) -> list[str]:
-    """"module.name" of each top-level def and class in ``sources`` (module ->
-    text) that no path reaches from ``roots``, the module-level statements
-    (imports aside) and the module-level dunder hooks.  A name reaches every
-    definition of that name, in any module."""
-    defs: dict[str, list] = {}
-    todo = set(roots)
+    """"module.name" of each top-level def and class, and "module.Class.name"
+    of each method of a reached class, in ``sources`` (module -> text) that no
+    path reaches from ``roots`` and the module-level statements (imports
+    aside).
+
+    A name read on a reached path reaches every top-level definition of that
+    name, in any module, and every method of that name in a reached class.
+    Dunders need no read: a module's are reached with it, a class's with the
+    class.  A reached class reaches only class_reads(class) beyond them.
+    """
+    defs = []  # (label, name, node, the label of its class or None)
+    reads = set(roots)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append((module, node))
-                if node.name.startswith("__"):
-                    todo.add(node.name)
+            if isinstance(node, DEFS):
+                label = f"{module}.{node.name}"
+                defs.append((label, node.name, node, None))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{label}.{item.name}", item.name, item, label)
+                             for item in node.body if isinstance(item, DEFS)]
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                todo |= global_reads(node)
-    reached = set()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for _, node in defs.get(name, ()):
-            todo |= global_reads(node) - reached
-    return sorted(f"{module}.{name}" for name, found in defs.items() if name not in reached
-                  for module, _ in found)
+                reads |= global_reads(node)
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, node, owner in defs:
+            if (label not in live and (owner is None or owner in live)
+                    and (name in reads or name.startswith("__"))):
+                live.add(label)
+                reads |= class_reads(node) if isinstance(node, ast.ClassDef) else global_reads(node)
+                grew = True
+    return sorted(label for label, _, _, owner in defs
+                  if label not in live and (owner is None or owner in live))
 
 
 def test_every_definition_is_reached_by_a_command():
@@ -213,7 +239,7 @@ def test_every_definition_is_reached_by_a_command():
 
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     roots = {spec[0] for spec in COMMANDS.values()} | {"main"}
-    awaiting = {name.split(".")[1] for name in unreached(sources, roots)} & set(AWAITING)
+    awaiting = {name.rsplit(".", 1)[1] for name in unreached(sources, roots)} & set(AWAITING)
     assert sorted(set(AWAITING) - awaiting) == []  # each is defined, and reached by no command
     assert set(AWAITING.values()) <= REASONS
     assert unreached(sources, roots | set(AWAITING)) == []
@@ -230,5 +256,32 @@ def test_a_definition_only_dead_code_reads_is_unreached():
               'TABLE = (listed,)\n'
               'def listed():\n    pass\n'
               'def __getattr__(name):\n    return hooked\n'
-              'def hooked():\n    pass\n')
-    assert unreached({"m": source}, {"cmd"}) == ["m.beta", "m.dead", "m.ghost"]
+              'def hooked():\n    pass\n'
+              'class Box:\n    SIZE = sized()\n'
+              '    def __init__(self):\n        self.v = inner()\n'
+              '    def used(self):\n        return 1\n'
+              '    def spare(self):\n        return 2\n'
+              'def sized():\n    pass\n'
+              'def inner():\n    pass\n'
+              'def cmd2():\n    return Box().used()\n'
+              'def dead2():\n    return Box().spare()\n'
+              'class Shelf:\n    def used(self):\n        return 3\n')
+    assert unreached({"m": source}, {"cmd", "cmd2"}) == [
+        "m.Box.spare", "m.Shelf", "m.beta", "m.dead", "m.dead2", "m.ghost"]
+
+
+def test_the_readme_sample_runs():
+    shown, names = {}, {}
+    for block in readme_code():
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):  # a line whose comment shows its value
+                code = compile(ast.Expression(stmt.value), "README.md", "eval")
+                shown[ast.unparse(stmt.value)] = eval(code, names)
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), names)
+    image = shown["phi(P1Point.of(0))"]  # the point at infinity of P^1(Q)
+    assert image.is_infinity and str(image) == "inf"
+    nf = names["nf"]
+    assert (nf.kind, nf.a, nf.b) == ("bicritical", -98, 0)
+    assert names["cert"].overall == "all_maximal"
+    assert shown["verify_rigid_divisibility(terms, exclude=[2, 7]).status"] == "pass"
